@@ -79,8 +79,9 @@ class BackendError(SqlVoteError):
 
 
 class GoldExecutionFailed(SqlVoteError):
-    def __init__(self, example_id: str, detail: str):
-        super().__init__(f"gold SQL failed for example {example_id}: {detail}")
+    def __init__(self, example_id: str | None, detail: str):
+        subject = f" for example {example_id}" if example_id is not None else ""
+        super().__init__(f"gold SQL failed{subject}: {detail}")
         self.example_id = example_id
         self.detail = detail
 

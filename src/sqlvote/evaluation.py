@@ -70,15 +70,17 @@ def exec_match(
     gold_sql: str,
     catalog: DatabaseCatalog,
     timeout: float = 30.0,
+    example_id: str | None = None,
 ) -> bool:
     """True iff both statements succeed and their canonical outcomes agree.
 
     Row order matters exactly when the gold statement has a top-level
-    ORDER BY. A failing gold statement is a dataset defect, not a score.
+    ORDER BY. A failing gold statement is a dataset defect, not a score:
+    it raises GoldExecutionFailed naming `example_id`.
     """
     gold_outcome = execute(gold_sql, catalog, timeout)
     if not gold_outcome.is_success:
-        raise GoldExecutionFailed(catalog.db_id, gold_outcome.detail)
+        raise GoldExecutionFailed(example_id, gold_outcome.detail)
     pred_outcome = execute(pred_sql, catalog, timeout)
     if not pred_outcome.is_success:
         return False
@@ -361,7 +363,7 @@ def evaluate_file(
         pred_sql = predictions[example.example_id]
         gold_sql = example.gold_sql or ""
         try:
-            ex = exec_match(pred_sql, gold_sql, catalog, timeout)
+            ex = exec_match(pred_sql, gold_sql, catalog, timeout, example.example_id)
             ts = None
             if spec is not None:
                 ts = (

@@ -208,8 +208,10 @@ class Gateway:
                 for i in missing:
                     results[i] = Completion(str(exc), arm, i, failed=True)
             else:
-                if len(texts) != len(missing):
-                    texts = (texts + [""] * len(missing))[: len(missing)]
+                for i in missing[len(texts):]:  # a short reply: never cache text it did not return
+                    results[i] = Completion(
+                        f"backend returned {len(texts)} of {len(missing)} completions", arm, i, failed=True
+                    )
                 for i, text in zip(missing, texts):
                     results[i] = Completion(text, arm, i)
                     path = self._cache_path(arm, prompt, seed, i)

@@ -3,13 +3,21 @@
 Scans text-typed columns of the question's database and keeps the values
 whose longest-common-substring overlap with the question clears a threshold,
 so prompts carry only content the question actually mentions.
+
+Each database file is scanned once per process: its distinct text values and
+their lowercased forms stay in memory, keyed by the file's path, and are read
+again only when the file's modification time or size changes. A question then
+scores only the values that pass an exact substring prefilter.
 """
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import threading
 from dataclasses import dataclass
 from difflib import SequenceMatcher
+from functools import lru_cache
 
 from .catalog import ColumnType, DatabaseCatalog
 from .errors import DbUnreadable
@@ -27,6 +35,19 @@ class ValueMatch:
     score: float
 
 
+@dataclass(frozen=True)
+class _ColumnValues:
+    table_name: str
+    column_name: str
+    values: tuple[str, ...]  # distinct, in row order
+    lowered: tuple[str, ...]  # value.lower() at the same positions
+
+
+# db path -> ((st_mtime_ns, st_size, text columns), scanned columns)
+_scans: dict[str, tuple[tuple, tuple[_ColumnValues, ...]]] = {}
+_scans_lock = threading.Lock()
+
+
 def score_match(question: str, value: str) -> float:
     """Longest common contiguous substring of the lowercased pair, over len(value)."""
     q = question.lower()
@@ -35,6 +56,32 @@ def score_match(question: str, value: str) -> float:
         return 0.0
     block = SequenceMatcher(None, q, v, autojunk=False).find_longest_match(0, len(q), 0, len(v))
     return block.size / len(v)
+
+
+@lru_cache(maxsize=None)
+def _window(length: int) -> int:
+    """Smallest n with n / length >= MATCH_THRESHOLD, by the division score_match uses."""
+    n = 1
+    while n / length < MATCH_THRESHOLD:
+        n += 1
+    return n
+
+
+def could_match(question_lower: str, value_lower: str) -> bool:
+    """Exactly `score_match(question, value) >= MATCH_THRESHOLD`, on lowercased inputs.
+
+    The score reaches the threshold iff the longest common substring has at
+    least `_window(len(value))` characters, that is, iff some window of that
+    many characters of the value occurs in the question.
+    """
+    length = len(value_lower)
+    if not length:
+        return False
+    need = _window(length)
+    # every window covers value_lower[length - need:need]; most values fail on it alone
+    if value_lower[length - need:need] not in question_lower:
+        return False
+    return any(value_lower[i:i + need] in question_lower for i in range(length - need + 1))
 
 
 def _distinct_column_values(conn: sqlite3.Connection, table: str, column: str, cap: int) -> list[str]:
@@ -53,45 +100,74 @@ def _distinct_column_values(conn: sqlite3.Connection, table: str, column: str, c
     return list(seen)
 
 
+def _scan(db_path: str, columns: tuple[tuple[str, str], ...]) -> tuple[_ColumnValues, ...]:
+    try:
+        conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+    except sqlite3.Error as exc:
+        raise DbUnreadable(db_path, str(exc)) from exc
+    conn.text_factory = lambda b: b.decode("utf-8", "replace")
+
+    scanned = []
+    try:
+        for table, column in columns:
+            try:
+                values = _distinct_column_values(conn, table, column, SCAN_CAP)
+            except sqlite3.Error:
+                continue  # schema drift between manifest and file; validator reports it
+            lowered = []
+            for value in values:
+                low = value.lower()
+                lowered.append(value if low == value else low)  # share unchanged strings
+            scanned.append(_ColumnValues(table, column, tuple(values), tuple(lowered)))
+    finally:
+        conn.close()
+    return tuple(scanned)
+
+
+def _text_columns(catalog: DatabaseCatalog) -> tuple[_ColumnValues, ...]:
+    """The catalog's scanned text columns, from memory unless the file changed."""
+    db_path = str(catalog.db_path)
+    try:
+        stat = os.stat(db_path)
+    except OSError as exc:
+        raise DbUnreadable(db_path, str(exc)) from exc
+    columns = tuple(
+        (table.name, column.name)
+        for table in catalog.tables
+        for column in table.columns
+        if column.data_type is ColumnType.TEXT
+    )
+    stamp = (stat.st_mtime_ns, stat.st_size, columns)
+    with _scans_lock:
+        entry = _scans.get(db_path)
+        if entry is None or entry[0] != stamp:
+            entry = (stamp, _scan(db_path, columns))
+            _scans[db_path] = entry
+    return entry[1]
+
+
 def link_values(
     question: str,
     catalog: DatabaseCatalog,
     max_per_column: int = DEFAULT_MAX_PER_COLUMN,
-    threshold: float = MATCH_THRESHOLD,
-    scan_cap: int = SCAN_CAP,
 ) -> list[ValueMatch]:
     """Top matching distinct values per text column, in schema order.
 
     Per column, matches are ordered by descending score then value; at most
-    `max_per_column` are kept and only scores >= `threshold` qualify.
+    `max_per_column` are kept and only scores >= MATCH_THRESHOLD qualify.
     """
-    try:
-        conn = sqlite3.connect(f"file:{catalog.db_path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise DbUnreadable(str(catalog.db_path), str(exc)) from exc
-    conn.text_factory = lambda b: b.decode("utf-8", "replace")
-
+    q = question.lower()
     matches: list[ValueMatch] = []
-    try:
-        for table in catalog.tables:
-            for column in table.columns:
-                if column.data_type is not ColumnType.TEXT:
-                    continue
-                try:
-                    values = _distinct_column_values(conn, table.name, column.name, scan_cap)
-                except sqlite3.Error:
-                    continue  # schema drift between manifest and file; validator reports it
-                scored = [
-                    (score_match(question, value), value)
-                    for value in values
-                ]
-                kept = sorted(
-                    ((s, v) for s, v in scored if s >= threshold),
-                    key=lambda pair: (-pair[0], pair[1]),
-                )[:max_per_column]
-                matches.extend(
-                    ValueMatch(table.name, column.name, value, score) for score, value in kept
-                )
-    finally:
-        conn.close()
+    for column in _text_columns(catalog):
+        kept = sorted(
+            (
+                (score_match(question, value), value)
+                for value, low in zip(column.values, column.lowered)
+                if could_match(q, low)
+            ),
+            key=lambda pair: (-pair[0], pair[1]),
+        )[:max_per_column]
+        matches.extend(
+            ValueMatch(column.table_name, column.column_name, value, score) for score, value in kept
+        )
     return matches

@@ -109,9 +109,24 @@ def test_exec_match_symmetric_same_order_class(singer_catalog):
         assert exec_match(pred, gold, singer_catalog) == exec_match(gold, pred, singer_catalog)
 
 
-def test_exec_match_gold_failure(singer_catalog):
-    with pytest.raises(GoldExecutionFailed):
-        exec_match("SELECT 1", "SELECT nope FROM nothing", singer_catalog)
+def test_exec_match_gold_failure(singer_catalog, fixture_root, tmp_path):
+    with pytest.raises(GoldExecutionFailed) as err:
+        exec_match("SELECT 1", "SELECT nope FROM nothing", singer_catalog, example_id="000042")
+    assert err.value.example_id == "000042"
+    assert "gold SQL failed for example 000042:" in str(err.value)
+
+    # evaluate_file names the failing example, not its database
+    dataset = tmp_path / "bad_gold.json"
+    dataset.write_text(json.dumps([
+        {"db_id": "singer", "question": "q0", "query": "SELECT 1"},
+        {"db_id": "singer", "question": "q1", "query": "SELECT nope FROM nothing"},
+    ]))
+    pred_path = tmp_path / "pred.jsonl"
+    _write_predictions(pred_path, [("000000", "SELECT 1"), ("000001", "SELECT 1")])
+    report = evaluate_file(pred_path, dataset, fixture_root / "database")
+    assert report.per_question[0].gold_error is None
+    assert report.per_question[1].gold_error.startswith("gold SQL failed for example 000001:")
+    assert report.counts["gold_failures"] == 1
 
 
 # --- suite generation -------------------------------------------------------------

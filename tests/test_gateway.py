@@ -251,3 +251,36 @@ def test_failed_samples_become_placeholders(tmp_path):
         assert cache_stats(tmp_path) == (0, 0)  # failures are not cached
     finally:
         server.shutdown()
+
+
+class _ShortBackend:
+    """Returns only the first `give` of the texts asked for, and records each request size."""
+
+    def __init__(self, give: int):
+        self.give = give
+        self.requests: list[int] = []
+
+    def generate(self, prompt, n, temperature, seed):
+        self.requests.append(n)
+        return [f"SELECT {len(self.requests)}{i}" for i in range(min(n, self.give))]
+
+
+def test_short_reply_fails_missing_indexes_and_caches_nothing_for_them(tmp_path):
+    prompt = _prompt()
+    backend = _ShortBackend(give=2)
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", backend)
+
+    first = gateway.sample(_arm(samples=5), prompt, seed=0)
+    assert [c.text for c in first[:2]] == ["SELECT 10", "SELECT 11"]
+    assert [c.failed for c in first] == [False, False, True, True, True]
+    assert [c.sample_index for c in first] == [0, 1, 2, 3, 4]
+    cached = {p.name: p.read_text(encoding="utf-8") for p in tmp_path.rglob("*.txt")}
+    assert cached == {"0.txt": "SELECT 10", "1.txt": "SELECT 11"}
+
+    # The next call asks again for exactly the indexes that were not returned.
+    second = gateway.sample(_arm(samples=5), prompt, seed=0)
+    assert backend.requests == [5, 3]
+    assert [c.from_cache for c in second] == [True, True, False, False, False]
+    assert [c.text for c in second[2:4]] == ["SELECT 20", "SELECT 21"]
+    assert second[4].failed

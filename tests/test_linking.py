@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import os
 import random
 import sqlite3
 import string
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sqlvote import linking
+from sqlvote.catalog import catalog_from_sqlite
 from sqlvote.errors import DbUnreadable
-from sqlvote.linking import link_values, score_match
+from sqlvote.linking import MATCH_THRESHOLD, could_match, link_values, score_match
 
 from conftest import CAR_QUESTION
 from oracles import lcs_ratio, scan_matches
@@ -134,3 +143,132 @@ def test_unreadable_db(car_catalog, tmp_path):
     broken = replace(car_catalog, db_path=tmp_path / "missing" / "no.sqlite")
     with pytest.raises(DbUnreadable):
         link_values(CAR_QUESTION, broken)
+
+
+# --- exact prefilter ----------------------------------------------------------------
+
+# "İ" lowercases to two characters and "ß" stays one, so len(value.lower()) can
+# differ from len(value); a small alphabet makes long common substrings likely.
+_ALPHABET = "ab İiẞß\u0307"
+
+
+@st.composite
+def _question_and_value(draw):
+    question = draw(st.text(_ALPHABET, max_size=50))
+    if question and draw(st.booleans()):
+        # a slice of the question with a few edits: scores near the threshold
+        start = draw(st.integers(0, len(question) - 1))
+        value = question[start:draw(st.integers(start + 1, len(question)))]
+        for _ in range(draw(st.integers(0, 4))):
+            at = draw(st.integers(0, len(value)))
+            value = value[:at] + draw(st.sampled_from(_ALPHABET)) + value[at:]
+    else:
+        value = draw(st.text(_ALPHABET, max_size=45))
+    return question, value
+
+
+@settings(max_examples=500, deadline=None)
+@given(_question_and_value())
+def test_prefilter_agrees_with_score(pair):
+    question, value = pair
+    expected = score_match(question, value) >= MATCH_THRESHOLD
+    assert could_match(question.lower(), value.lower()) is expected
+
+
+def test_prefilter_at_every_boundary():
+    """Values of every length whose longest common substring is exactly k, at both ends."""
+    for length in range(1, 61):
+        for k in range(length + 1):
+            for value in ("a" * k + "b" * (length - k), "b" * (length - k) + "a" * k):
+                expected = score_match("a" * length, value) >= MATCH_THRESHOLD
+                assert could_match("a" * length, value) is expected, (length, k)
+
+
+def _text_db(path: Path, rows: list[tuple[str, str]]) -> None:
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute('CREATE TABLE "t" ("id" INTEGER PRIMARY KEY, "a" TEXT, "b" TEXT)')
+        conn.executemany('INSERT INTO "t" ("a", "b") VALUES (?, ?)', rows)
+        conn.commit()
+    finally:
+        conn.close()
+
+
+_cell = st.text(_ALPHABET + "c", max_size=10)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(_cell, _cell), max_size=25), st.text(_ALPHABET + "c", max_size=30))
+def test_link_values_equals_bruteforce_scan(rows, question):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.sqlite"
+        _text_db(path, rows)
+        catalog = catalog_from_sqlite(path, "t")
+        got = {
+            (m.table_name, m.column_name, m.value)
+            for m in link_values(question, catalog, max_per_column=10_000)
+        }
+    db_values = {("t", "a"): [a for a, _ in rows], ("t", "b"): [b for _, b in rows]}
+    assert got == scan_matches(question, db_values, threshold=MATCH_THRESHOLD)
+
+
+# --- one scan per database file ---------------------------------------------------
+
+
+@pytest.fixture
+def counted_scans(monkeypatch):
+    """Every column read by the scan, as (table, column), in call order."""
+    calls = []
+    original = linking._distinct_column_values
+
+    def counting(conn, table, column, cap):
+        calls.append((table, column))
+        return original(conn, table, column, cap)
+
+    monkeypatch.setattr(linking, "_distinct_column_values", counting)
+    return calls
+
+
+def test_threads_share_one_scan(tmp_path, counted_scans):
+    path = tmp_path / "t.sqlite"
+    _text_db(path, [("amc hornet", "ford pinto"), ("volvo", "amc hornet sportabout")])
+    catalog = catalog_from_sqlite(path, "t")
+    barrier = threading.Barrier(8, timeout=30)
+    results = []
+
+    def worker():
+        barrier.wait()
+        results.append(link_values("Is the amc hornet sportabout fast?", catalog))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so an unguarded memo would scan twice
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert counted_scans == [("t", "a"), ("t", "b")]
+    assert len(results) == 8 and all(r == results[0] for r in results)
+    assert [m.value for m in results[0]] == ["amc hornet", "amc hornet sportabout"]
+
+
+def test_rewritten_file_is_scanned_again(tmp_path, counted_scans):
+    path = tmp_path / "t.sqlite"
+    _text_db(path, [("alpha centauri", "x")])
+    catalog = catalog_from_sqlite(path, "t")
+    question = "Where are alpha centauri and beta pictoris?"
+    assert [m.value for m in link_values(question, catalog)] == ["alpha centauri"]
+    assert [m.value for m in link_values(question, catalog)] == ["alpha centauri"]
+    assert len(counted_scans) == 2
+
+    before = os.stat(path).st_mtime_ns
+    path.unlink()
+    _text_db(path, [("beta pictoris", "y")])
+    # file systems with coarse timestamps may repeat the old mtime; make it differ
+    os.utime(path, ns=(before + 10**9, before + 10**9))
+    assert [m.value for m in link_values(question, catalog)] == ["beta pictoris"]
+    assert len(counted_scans) == 4
