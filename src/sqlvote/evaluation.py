@@ -197,13 +197,15 @@ def generate_suite_db(
     spec: SuiteSpec,
     suite_index: int,
     out_dir: Path | str | None = None,
+    observed: dict[tuple[int, int], list] | None = None,
 ) -> Path:
     """Write one fuzzed database sharing the catalog's schema and keys.
 
     Parents are populated before children so foreign-key columns only hold
     values present in the parent; cells otherwise draw half from the
     original column and half from type-appropriate random values.
-    Deterministic given (catalog, spec.seed, suite_index).
+    Deterministic given (catalog, spec.seed, suite_index). `observed` is the
+    catalog's original column values; they are read here when not given.
     """
     out_dir = Path(out_dir) if out_dir is not None else catalog.db_path.parent / "_suites"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,7 +215,8 @@ def generate_suite_db(
 
     rng = random.Random(f"{catalog.db_id}/{spec.seed}/{suite_index}")
     order, dropped = _topological_tables(catalog)
-    observed = _observed_values(catalog)
+    if observed is None:
+        observed = _observed_values(catalog)
     generated: dict[int, list[tuple]] = {}
 
     conn = sqlite3.connect(path)
@@ -285,8 +288,12 @@ def suite_catalogs(
     suite_dir: Path | str | None = None,
 ) -> list[DatabaseCatalog]:
     """Generate all suites for a catalog, returned as catalogs over the new files."""
+    observed = _observed_values(catalog)
     return [
-        replace(catalog, db_path=generate_suite_db(catalog, spec, suite_index, suite_dir))
+        replace(
+            catalog,
+            db_path=generate_suite_db(catalog, spec, suite_index, suite_dir, observed=observed),
+        )
         for suite_index in range(1, spec.suite_count + 1)
     ]
 
@@ -309,6 +316,13 @@ def ts_match(
         return False
     if suites is None:
         suites = suite_catalogs(catalog, spec, suite_dir)
+    return _suites_match(pred_sql, gold_sql, suites, timeout)
+
+
+def _suites_match(
+    pred_sql: str, gold_sql: str, suites: list[DatabaseCatalog], timeout: float
+) -> bool:
+    """The suite half of TS: EX on every suite whose gold statement succeeds."""
     for suite_catalog in suites:
         try:
             if not exec_match(pred_sql, gold_sql, suite_catalog, timeout):
@@ -366,14 +380,8 @@ def evaluate_file(
             ex = exec_match(pred_sql, gold_sql, catalog, timeout, example.example_id)
             ts = None
             if spec is not None:
-                ts = (
-                    ts_match(
-                        pred_sql, gold_sql, catalog, spec, suite_dir, timeout,
-                        suites=suites[example.db_id],
-                    )
-                    if ex
-                    else False
-                )
+                # TS includes EX, so only the suites are left to score
+                ts = ex and _suites_match(pred_sql, gold_sql, suites[example.db_id], timeout)
             per_question.append(QuestionScore(example.example_id, ex, ts))
         except GoldExecutionFailed as failure:
             gold_failures += 1

@@ -1,9 +1,11 @@
 """Sandboxed SQL execution and outcome canonicalization.
 
-Every candidate runs on its own read-only SQLite connection with a wall-clock
-deadline; all failures come back as classified outcomes, never exceptions.
-Success outcomes reduce to stable keys so voting and evaluation can compare
-result sets across candidates.
+Statements run on a read-only, query-only SQLite connection with a
+wall-clock deadline and a row cap; all failures come back as classified
+outcomes, never exceptions. A caller may pass one connection from
+`connect_readonly` for many statements (a voting pool does); otherwise each
+statement opens and closes its own. Success outcomes reduce to stable keys so
+voting and evaluation can compare result sets across candidates.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from enum import Enum
 from .catalog import DatabaseCatalog
 
 DEFAULT_TIMEOUT = 5.0
+MAX_ROWS = 100_000  # larger results are TOO_LARGE errors, bounding result memory
 _PROGRESS_GRANULARITY = 500  # VM steps between deadline checks
 
 # Operations a candidate statement is never allowed to perform; everything
@@ -49,6 +52,9 @@ _WRITE_VERBS = frozenset(
     "insert update delete replace drop create alter vacuum reindex attach detach "
     "pragma analyze begin commit rollback savepoint release end".split()
 )
+# The first word after any leading comments; a hidden BEGIN would otherwise
+# leave a pool's shared connection inside a transaction.
+_FIRST_WORD = re.compile(r"(?:\s|--[^\n]*(?:\n|$)|/\*(?:[^*]|\*(?!/))*(?:\*/|$))*([A-Za-z]+)")
 
 
 class ErrorKind(str, Enum):
@@ -56,6 +62,7 @@ class ErrorKind(str, Enum):
     RUNTIME = "runtime"
     TIMEOUT = "timeout"
     EMPTY_SQL = "empty_sql"
+    TOO_LARGE = "too_large"
 
 
 @dataclass(frozen=True)
@@ -85,13 +92,18 @@ class OutcomeKey:
 
 
 def _scan_unquoted(sql: str):
-    """Yield (index, char, depth) for chars outside string literals."""
+    """Yield (index, char, depth) for chars outside literals, quoted identifiers and comments.
+
+    Skipped spans: '...' strings, "..." / `...` / [...] identifiers, -- line
+    comments (up to the newline) and /* */ block comments; an unterminated
+    span runs to the end of the text.
+    """
     depth = 0
     i = 0
     n = len(sql)
     while i < n:
         ch = sql[i]
-        if ch in ("'", '"'):
+        if ch in "'\"`":
             quote = ch
             i += 1
             while i < n:
@@ -102,6 +114,18 @@ def _scan_unquoted(sql: str):
                     break
                 i += 1
             i += 1
+            continue
+        if ch == "[":
+            end = sql.find("]", i + 1)
+            i = n if end == -1 else end + 1
+            continue
+        if ch == "-" and sql.startswith("-", i + 1):
+            end = sql.find("\n", i + 2)
+            i = n if end == -1 else end
+            continue
+        if ch == "/" and sql.startswith("*", i + 1):
+            end = sql.find("*/", i + 2)
+            i = n if end == -1 else end + 2
             continue
         if ch == "(":
             yield i, ch, depth
@@ -117,9 +141,9 @@ def _scan_unquoted(sql: str):
 def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
     """Pull a single SQL statement out of a raw completion.
 
-    Strips code fences, trims whitespace, and cuts at the first unquoted
-    semicolon. `prefix_select` restores the SELECT that the baseline design
-    keeps in the prompt itself.
+    Strips code fences, trims whitespace, and cuts at the first semicolon
+    outside literals, quoted identifiers and comments. `prefix_select`
+    restores the SELECT that the baseline design keeps in the prompt itself.
     """
     text = completion_text
     if "```" in text:
@@ -143,7 +167,7 @@ def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
 
 
 def is_order_sensitive(sql: str) -> bool:
-    """True iff the statement has a top-level ORDER BY outside string literals."""
+    """True iff the statement has a top-level ORDER BY outside literals and comments."""
     top = [" "] * len(sql)
     for i, ch, depth in _scan_unquoted(sql):
         if depth == 0 and ch not in "()":
@@ -162,52 +186,89 @@ def _classify_error(exc: Exception, timed_out: bool) -> tuple[ErrorKind, str]:
     return ErrorKind.RUNTIME, message
 
 
-def execute(sql: str, catalog: DatabaseCatalog, timeout: float = DEFAULT_TIMEOUT) -> ExecutionOutcome:
+def _authorize(action, *_):
+    return sqlite3.SQLITE_DENY if action in _DENIED_CODES else sqlite3.SQLITE_OK
+
+
+def connect_readonly(catalog: DatabaseCatalog) -> sqlite3.Connection:
+    """Open the catalog's database for untrusted statements.
+
+    The file is opened read-only, the connection is set query-only, and
+    schema/attach/pragma/write operations are denied by an authorizer.
+    Raises sqlite3.Error when the database cannot be opened. The caller
+    closes the connection; keep it no longer than the file stays unchanged.
+    """
+    conn = sqlite3.connect(f"file:{catalog.db_path}?mode=ro", uri=True)
+    try:
+        conn.text_factory = lambda b: b.decode("utf-8", "replace")
+        conn.execute("PRAGMA query_only = ON")
+        conn.set_authorizer(_authorize)
+    except sqlite3.Error:
+        conn.close()
+        raise
+    return conn
+
+
+def execute(
+    sql: str,
+    catalog: DatabaseCatalog,
+    timeout: float = DEFAULT_TIMEOUT,
+    conn: sqlite3.Connection | None = None,
+) -> ExecutionOutcome:
     """Run one statement read-only against the catalog's database.
 
-    The database file is never modified: the connection is opened in
-    read-only mode, set query-only, and schema/attach/pragma operations are
-    denied outright. All failures are encoded in the outcome.
+    `conn`, when given, must come from `connect_readonly(catalog)` and stays
+    open; without it the statement gets its own connection. The database
+    file is never modified. The deadline counts from this call; results
+    over MAX_ROWS rows are TOO_LARGE errors. All failures are encoded in the
+    outcome.
     """
     start = time.monotonic()
     statement = sql.strip()
     if not statement:
         return ExecutionOutcome.error(ErrorKind.EMPTY_SQL)
-    first = re.match(r"[A-Za-z]+", statement)
-    if first and first.group(0).lower() in _WRITE_VERBS:
+    first = _FIRST_WORD.match(statement)
+    if first and first.group(1).lower() in _WRITE_VERBS:
         return ExecutionOutcome.error(
             ErrorKind.RUNTIME, time.monotonic() - start, "write statements are not allowed"
         )
-
+    if conn is not None:
+        return _run(conn, statement, start, timeout)
     try:
-        conn = sqlite3.connect(f"file:{catalog.db_path}?mode=ro", uri=True)
+        conn = connect_readonly(catalog)
     except sqlite3.Error as exc:
         return ExecutionOutcome.error(ErrorKind.RUNTIME, time.monotonic() - start, str(exc))
-    conn.text_factory = lambda b: b.decode("utf-8", "replace")
+    try:
+        return _run(conn, statement, start, timeout)
+    finally:
+        conn.close()
 
+
+def _run(conn: sqlite3.Connection, statement: str, start: float, timeout: float) -> ExecutionOutcome:
     deadline = start + timeout
-    state = {"timed_out": False}
+    timed_out = False
 
     def _progress():
+        nonlocal timed_out
         if time.monotonic() > deadline:
-            state["timed_out"] = True
+            timed_out = True
             return 1
         return 0
 
-    def _authorize(action, *_):
-        return sqlite3.SQLITE_DENY if action in _DENIED_CODES else sqlite3.SQLITE_OK
-
+    conn.set_progress_handler(_progress, _PROGRESS_GRANULARITY)
+    cursor = conn.cursor()
     try:
-        conn.execute("PRAGMA query_only = ON")
-        conn.set_progress_handler(_progress, _PROGRESS_GRANULARITY)
-        conn.set_authorizer(_authorize)
-        cursor = conn.execute(statement)
-        rows = cursor.fetchall()
+        cursor.execute(statement)
+        rows = cursor.fetchmany(MAX_ROWS + 1)  # builds the list row by row, stops at the cap
     except (sqlite3.Error, sqlite3.Warning) as exc:
-        kind, detail = _classify_error(exc, state["timed_out"])
+        kind, detail = _classify_error(exc, timed_out)
         return ExecutionOutcome.error(kind, time.monotonic() - start, detail)
     finally:
-        conn.close()
+        cursor.close()
+    if len(rows) > MAX_ROWS:
+        return ExecutionOutcome.error(
+            ErrorKind.TOO_LARGE, time.monotonic() - start, f"result exceeds {MAX_ROWS} rows"
+        )
     return ExecutionOutcome.success(rows, time.monotonic() - start)
 
 

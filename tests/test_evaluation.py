@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from sqlvote import evaluation
 from sqlvote.catalog import load_catalogs
 from sqlvote.errors import GoldExecutionFailed, MissingPrediction
 from sqlvote.evaluation import (
@@ -343,3 +344,43 @@ def test_suite_catalogs_generates_all(singer_catalog, tmp_path):
     suites = suite_catalogs(singer_catalog, spec, tmp_path)
     assert len(suites) == 4
     assert all(s.db_path.exists() for s in suites)
+
+
+def test_evaluate_ts_runs_ex_once_per_question(fixture_root, dev_examples, tmp_path, monkeypatch):
+    """With TS, the original database is matched once (EX), then only the suites."""
+    pred_path = tmp_path / "pred.jsonl"
+    _write_predictions(pred_path, [(e.example_id, e.gold_sql) for e in dev_examples])
+    spec = SuiteSpec(suite_count=3, rows_per_table=10, seed=4)
+    matched = []
+    match = evaluation.exec_match
+
+    def recording_match(pred, gold, catalog, *args, **kwargs):
+        matched.append(catalog.db_path)
+        return match(pred, gold, catalog, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "exec_match", recording_match)
+    report = evaluate_file(
+        pred_path, fixture_root / "dev.json", fixture_root / "database", spec, tmp_path / "suites"
+    )
+    assert report.ex_accuracy == 1.0
+    originals = [p for p in matched if "_suite" not in p.name]
+    assert len(originals) == len(dev_examples)
+    assert len(matched) - len(originals) <= len(dev_examples) * spec.suite_count
+
+
+def test_suite_catalogs_reads_observed_values_once(singer_catalog, tmp_path, monkeypatch):
+    spec = SuiteSpec(suite_count=4, rows_per_table=10, seed=9)
+    reads = []
+    observed_values = evaluation._observed_values
+
+    def recording_read(catalog):
+        reads.append(catalog)
+        return observed_values(catalog)
+
+    monkeypatch.setattr(evaluation, "_observed_values", recording_read)
+    suites = suite_catalogs(singer_catalog, spec, tmp_path / "a")
+    assert len(reads) == 1
+    for suite in suites:  # same bytes as generating each suite on its own
+        index = int(suite.db_path.name.split("__suite")[1][:3])
+        alone = generate_suite_db(singer_catalog, spec, index, tmp_path / "b")
+        assert alone.read_bytes() == suite.db_path.read_bytes()

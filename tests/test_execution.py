@@ -4,9 +4,11 @@ import random
 import time
 
 from sqlvote.execution import (
+    MAX_ROWS,
     ErrorKind,
     ExecutionOutcome,
     canonical_key,
+    connect_readonly,
     execute,
     extract_sql,
     is_order_sensitive,
@@ -45,6 +47,24 @@ def test_extract_bare_fence():
     assert extract_sql("```\nSELECT 2\n```") == "SELECT 2"
 
 
+def test_extract_semicolon_inside_line_comment():
+    sql = "SELECT a -- pick a; then b\nFROM t"
+    assert extract_sql(sql) == sql
+    assert extract_sql(sql + "; DROP TABLE t") == sql
+
+
+def test_extract_semicolon_inside_block_comment():
+    assert extract_sql("SELECT a /* x; y */ FROM t; SELECT 2") == "SELECT a /* x; y */ FROM t"
+
+
+def test_extract_semicolon_inside_bracket_identifier():
+    assert extract_sql("SELECT [a;b] FROM t") == "SELECT [a;b] FROM t"
+
+
+def test_extract_semicolon_inside_backtick_identifier():
+    assert extract_sql("SELECT `a;b` FROM t; x") == "SELECT `a;b` FROM t"
+
+
 # --- is_order_sensitive ---------------------------------------------------------
 
 
@@ -62,6 +82,25 @@ def test_order_by_in_string_literal():
 
 def test_order_by_case_and_whitespace():
     assert is_order_sensitive("select x from t order\n by x")
+
+
+def test_order_by_in_line_comment():
+    assert not is_order_sensitive("SELECT a FROM t -- no order by here")
+
+
+def test_order_by_in_block_comment():
+    assert not is_order_sensitive("SELECT a FROM t /* order by x */")
+
+
+def test_order_by_in_quoted_identifiers():
+    assert not is_order_sensitive("SELECT `order by` FROM t")
+    assert not is_order_sensitive("SELECT [order by] FROM t")
+
+
+def test_comments_between_order_and_by_still_count():
+    assert is_order_sensitive("SELECT a FROM t ORDER /* c */ BY a")
+    assert is_order_sensitive("SELECT a FROM t ORDER -- c\nBY a")
+    assert is_order_sensitive("SELECT a FROM t -- c\nORDER BY a")
 
 
 # --- execute --------------------------------------------------------------------
@@ -116,6 +155,53 @@ def test_timeout_infinite_query(singer_catalog):
     elapsed = time.monotonic() - start
     assert outcome.error_kind is ErrorKind.TIMEOUT
     assert elapsed < 2.0
+
+
+_COUNT_TO = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM r WHERE x < {n}) SELECT x FROM r"
+
+
+def test_row_cap(singer_catalog):
+    at_cap = execute(_COUNT_TO.format(n=MAX_ROWS), singer_catalog)
+    assert at_cap.is_success and len(at_cap.rows) == MAX_ROWS
+    over = execute(_COUNT_TO.format(n=MAX_ROWS + 1), singer_catalog)
+    assert over.kind == "error"
+    assert over.error_kind is ErrorKind.TOO_LARGE
+    assert over.rows is None
+
+
+def test_shared_connection_usable_after_timeout(singer_catalog):
+    conn = connect_readonly(singer_catalog)
+    try:
+        endless = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM r) SELECT count(*) FROM r"
+        assert execute(endless, singer_catalog, timeout=0.2, conn=conn).error_kind is ErrorKind.TIMEOUT
+        after = execute("SELECT count(*) FROM song", singer_catalog, timeout=0.2, conn=conn)
+        assert after.is_success
+        assert after.rows == execute("SELECT count(*) FROM song", singer_catalog).rows
+        over = execute(_COUNT_TO.format(n=MAX_ROWS + 1), singer_catalog, conn=conn)
+        assert over.error_kind is ErrorKind.TOO_LARGE
+        assert execute("SELECT 1", singer_catalog, conn=conn).rows == ((1,),)
+    finally:
+        conn.close()
+
+
+def test_shared_connection_denies_writes(singer_catalog):
+    before = singer_catalog.db_path.read_bytes()
+    conn = connect_readonly(singer_catalog)
+    try:
+        for sql in (
+            "-- hidden verb\nDELETE FROM song",
+            "/* c */ PRAGMA query_only = OFF",
+            "-- c\nBEGIN",
+            "/* a */ -- b\n /* c */ SAVEPOINT s",
+            "WITH x AS (SELECT 1) DELETE FROM song",
+        ):
+            outcome = execute(sql, singer_catalog, conn=conn)
+            assert outcome.error_kind is ErrorKind.RUNTIME, sql
+        assert not conn.in_transaction
+        assert execute("SELECT count(*) FROM song", singer_catalog, conn=conn).is_success
+    finally:
+        conn.close()
+    assert singer_catalog.db_path.read_bytes() == before
 
 
 def test_execute_deterministic_keys(singer_catalog):

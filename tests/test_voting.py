@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import random
+import sqlite3
+from dataclasses import replace
 
-from sqlvote.execution import ErrorKind, ExecutionOutcome, canonical_key
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlvote import voting
+from sqlvote.execution import ErrorKind, ExecutionOutcome, canonical_key, execute
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
 from sqlvote.prompts import PromptDesignId
 from sqlvote.voting import (
     Candidate,
     CandidatePool,
+    audit_records,
     build_pool,
     filter_errors,
     run_question,
@@ -303,3 +311,99 @@ def test_backend_failures_become_error_candidates(dev_examples, singer_catalog):
     assert all(not c.outcome.is_success for c in pool.candidates)
     assert all(c.outcome.error_kind is ErrorKind.RUNTIME for c in pool.candidates)
     assert result.selected_sql is None
+
+
+# --- one execution per distinct statement ---------------------------------------
+
+
+def test_identical_sql_executes_once_per_pool(dev_examples, singer_catalog, monkeypatch):
+    """x, x; and a fenced x are one statement: one execution, one shared outcome."""
+    example = dev_examples[1]
+    sql = "SELECT Name FROM singer WHERE Citizenship = 'France'"
+    forms = [sql, sql + ";", f"```sql\n{sql}\n```"]
+    k = 7
+    arms = [ModelArm("m", PromptDesignId.CONCISE, samples=k)]
+    hashes = _render_hashes(example, singer_catalog, arms)
+    gateway = _scripted_gateway({hashes[PromptDesignId.CONCISE]: forms})
+
+    calls = []
+    connections = []
+    connect = voting.connect_readonly
+
+    def counting_execute(*args, **kwargs):
+        calls.append(args[0])
+        return execute(*args, **kwargs)
+
+    def recording_connect(catalog):
+        connections.append(connect(catalog))
+        return connections[-1]
+
+    monkeypatch.setattr(voting, "execute", counting_execute)
+    monkeypatch.setattr(voting, "connect_readonly", recording_connect)
+    pool = build_pool(example, singer_catalog, arms, seed=0, gateway=gateway)
+
+    assert calls == [sql]
+    assert len(pool.candidates) == k
+    assert {c.sql for c in pool.candidates} == {sql}
+    assert all(c.outcome is pool.candidates[0].outcome for c in pool.candidates)
+    assert pool.candidates[0].outcome.rows == execute(sql, singer_catalog).rows
+    assert len(connections) == 1
+    with pytest.raises(sqlite3.ProgrammingError):  # closed once the pool is built
+        connections[0].execute("SELECT 1")
+
+
+def test_timeout_does_not_spoil_the_pool_connection(dev_examples, singer_catalog):
+    example = dev_examples[1]
+    endless = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM r) SELECT count(*) FROM r"
+    arms = [ModelArm("m", PromptDesignId.CONCISE, samples=3)]
+    hashes = _render_hashes(example, singer_catalog, arms)
+    gateway = _scripted_gateway(
+        {hashes[PromptDesignId.CONCISE]: [endless, "SELECT count(*) FROM song", endless]}
+    )
+    pool = build_pool(example, singer_catalog, arms, seed=0, gateway=gateway, timeout=0.2)
+    first, second, third = (c.outcome for c in pool.candidates)
+    assert first.error_kind is ErrorKind.TIMEOUT
+    assert second.is_success and second.rows == execute("SELECT count(*) FROM song", singer_catalog).rows
+    assert third is first
+
+
+_POOL_SQL = [
+    "SELECT Name FROM singer",
+    "SELECT Name FROM singer ORDER BY Name",  # same multiset as the line above
+    "SELECT count(*) FROM song",
+    "SELECT 6",
+    "SELECT Name FROM singer WHERE Citizenship = 'France'",
+    "SELEC oops",
+    "SELECT * FROM missing_table",
+    "DROP TABLE singer",
+    "",
+]
+_completion = st.builds(
+    lambda sql, form: [sql, sql + ";", f"```sql\n{sql}\n```"][form],
+    st.sampled_from(_POOL_SQL),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_completion, min_size=1, max_size=8), st.lists(_completion, min_size=1, max_size=8))
+def test_memoized_pool_votes_like_separate_executions(dev_examples, singer_catalog, concise, verbose):
+    example = dev_examples[1]
+    arms = [
+        ModelArm("m", PromptDesignId.CONCISE, samples=len(concise)),
+        ModelArm("m", PromptDesignId.VERBOSE, samples=len(verbose)),
+    ]
+    hashes = _render_hashes(example, singer_catalog, arms)
+    gateway = _scripted_gateway(
+        {hashes[PromptDesignId.CONCISE]: concise, hashes[PromptDesignId.VERBOSE]: verbose}
+    )
+    result, pool = run_question(example, singer_catalog, arms, seed=0, gateway=gateway)
+
+    separate = CandidatePool(
+        pool.question_id,
+        tuple(replace(c, outcome=execute(c.sql, singer_catalog)) for c in pool.candidates),
+        pool.arms,
+    )
+    reference = select_by_consistency(separate)
+    assert result == reference
+    assert audit_records(pool, result) == audit_records(separate, reference)
