@@ -1,72 +1,1 @@
 """Text-to-SQL by execution-consistency voting over mixed prompt designs and models."""
-
-from .catalog import (
-    ColumnSchema,
-    ColumnType,
-    DatabaseCatalog,
-    ExampleItem,
-    TableSchema,
-    ValidationReport,
-    load_catalogs,
-    load_examples,
-    validate_catalog,
-)
-from .evaluation import EvalReport, SuiteSpec, evaluate_file, exec_match, generate_suite_db, ts_match
-from .execution import ExecutionOutcome, OutcomeKey, canonical_key, execute, extract_sql, is_order_sensitive
-from .gateway import Completion, Gateway, ModelArm, RemoteBackend, ScriptedBackend, remote_backend
-from .linking import ValueMatch, link_values, score_match
-from .prompts import DemoSet, PromptDesignId, RenderedPrompt, list_designs, render
-from .voting import (
-    Candidate,
-    CandidatePool,
-    SelectionResult,
-    build_pool,
-    filter_errors,
-    run_question,
-    select_by_consistency,
-)
-
-__all__ = [
-    "Candidate",
-    "CandidatePool",
-    "ColumnSchema",
-    "ColumnType",
-    "Completion",
-    "DatabaseCatalog",
-    "DemoSet",
-    "EvalReport",
-    "ExampleItem",
-    "ExecutionOutcome",
-    "Gateway",
-    "ModelArm",
-    "OutcomeKey",
-    "PromptDesignId",
-    "RemoteBackend",
-    "RenderedPrompt",
-    "ScriptedBackend",
-    "SelectionResult",
-    "SuiteSpec",
-    "TableSchema",
-    "ValidationReport",
-    "ValueMatch",
-    "build_pool",
-    "canonical_key",
-    "evaluate_file",
-    "exec_match",
-    "execute",
-    "extract_sql",
-    "filter_errors",
-    "generate_suite_db",
-    "is_order_sensitive",
-    "link_values",
-    "list_designs",
-    "load_catalogs",
-    "load_examples",
-    "remote_backend",
-    "render",
-    "run_question",
-    "score_match",
-    "select_by_consistency",
-    "ts_match",
-    "validate_catalog",
-]

@@ -89,9 +89,6 @@ class DatabaseCatalog:
     def column(self, ref: KeyRef) -> ColumnSchema:
         return self.tables[ref[0]].columns[ref[1]]
 
-    def table_primary_keys(self, table_index: int) -> list[KeyRef]:
-        return [ref for ref in self.primary_keys if ref[0] == table_index]
-
 
 @dataclass(frozen=True)
 class ExampleItem:

@@ -19,10 +19,10 @@ from .gateway import (
     DEFAULT_TEMPERATURE,
     Gateway,
     ModelArm,
+    RemoteBackend,
     ScriptedBackend,
     cache_clear,
     cache_stats,
-    remote_backend,
 )
 from .linking import DEFAULT_MAX_PER_COLUMN, link_values
 from .prompts import EMPTY_DEMOS, DemoSet, PromptDesignId, render
@@ -69,14 +69,8 @@ def load_config(path: Path | str) -> RunConfig:
     raw_arms = raw.get("arms") or []
     if not raw_arms:
         raise ConfigError("no arms configured")
-    explicit_weights = [arm.get("weight") for arm in raw_arms]
-    if any(w is not None for w in explicit_weights):
-        if any(w is None for w in explicit_weights):
-            raise ConfigError("either all arms or no arms may set weight")
-        if abs(sum(explicit_weights) - 1.0) > 1e-9:
-            raise ConfigError("arm weights must sum to 1")
     arms = []
-    for i, arm in enumerate(raw_arms):
+    for arm in raw_arms:
         try:
             design = PromptDesignId.parse(str(arm.get("design", "concise")))
             arms.append(
@@ -86,7 +80,6 @@ def load_config(path: Path | str) -> RunConfig:
                     shots=int(arm.get("shots", 0)),
                     samples=int(arm.get("samples", DEFAULT_SAMPLES)),
                     temperature=float(arm.get("temperature", DEFAULT_TEMPERATURE)),
-                    weight=float(explicit_weights[i] if explicit_weights[i] is not None else 1.0 / len(raw_arms)),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -129,7 +122,7 @@ def build_gateway(config: RunConfig) -> Gateway:
             backend = ScriptedBackend.from_dir(Path(directory))
         elif kind == "remote":
             try:
-                backend = remote_backend(
+                backend = RemoteBackend(
                     endpoint=str(spec["endpoint"]),
                     auth_token_env=str(spec.get("auth_token_env", "")),
                     request_timeout=float(spec.get("request_timeout", 60.0)),

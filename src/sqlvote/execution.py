@@ -1,5 +1,10 @@
 """Sandboxed SQL execution and outcome canonicalization.
 
+One tokenizer (`_tokens`) reads the SQL text for all three lexical
+decisions: where a completion's statement ends (the first `;`), whether it
+has a top-level ORDER BY, and whether it starts with a write verb. It knows
+string literals, quoted identifiers and comments.
+
 Statements run on a read-only, query-only SQLite connection with a
 wall-clock deadline and a row cap; all failures come back as classified
 outcomes, never exceptions. A caller may pass one connection from
@@ -52,9 +57,16 @@ _WRITE_VERBS = frozenset(
     "insert update delete replace drop create alter vacuum reindex attach detach "
     "pragma analyze begin commit rollback savepoint release end".split()
 )
-# The first word after any leading comments; a hidden BEGIN would otherwise
-# leave a pool's shared connection inside a transaction.
-_FIRST_WORD = re.compile(r"(?:\s|--[^\n]*(?:\n|$)|/\*(?:[^*]|\*(?!/))*(?:\*/|$))*([A-Za-z]+)")
+# The one SQL tokenizer. Each match is the whitespace and comments before a
+# token, then the token; the token is missing only after trailing comments.
+_TOKEN = re.compile(
+    r"""
+    (?: \s+ | --[^\n]* | /\*.*?(?:\*/|\Z) )*
+    ( '(?:[^']|'')*'? | "(?:[^"]|"")*"? | `(?:[^`]|``)*`? | \[[^\]]*\]? | \w+ | . )?
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+_QUOTES = "'\"`["
 
 
 class ErrorKind(str, Enum):
@@ -91,51 +103,24 @@ class OutcomeKey:
     key: str
 
 
-def _scan_unquoted(sql: str):
-    """Yield (index, char, depth) for chars outside literals, quoted identifiers and comments.
+def _tokens(sql: str):
+    """Yield (index, text, depth) for each token outside whitespace and comments.
 
-    Skipped spans: '...' strings, "..." / `...` / [...] identifiers, -- line
-    comments (up to the newline) and /* */ block comments; an unterminated
-    span runs to the end of the text.
+    A token is a '...' string, a "..." / `...` / [...] identifier, a word or
+    one other character; doubled quotes escape, and an unterminated literal
+    or comment runs to the end of the text. `depth` counts the parentheses
+    open before the token; a ")" carries the depth it closes to.
     """
     depth = 0
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in "'\"`":
-            quote = ch
-            i += 1
-            while i < n:
-                if sql[i] == quote:
-                    if i + 1 < n and sql[i + 1] == quote:  # doubled-quote escape
-                        i += 2
-                        continue
-                    break
-                i += 1
-            i += 1
+    for match in _TOKEN.finditer(sql):
+        text = match.group(1)
+        if text is None:
             continue
-        if ch == "[":
-            end = sql.find("]", i + 1)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "-" and sql.startswith("-", i + 1):
-            end = sql.find("\n", i + 2)
-            i = n if end == -1 else end
-            continue
-        if ch == "/" and sql.startswith("*", i + 1):
-            end = sql.find("*/", i + 2)
-            i = n if end == -1 else end + 2
-            continue
-        if ch == "(":
-            yield i, ch, depth
-            depth += 1
-        elif ch == ")":
+        if text == ")":
             depth = max(0, depth - 1)
-            yield i, ch, depth
-        else:
-            yield i, ch, depth
-        i += 1
+        yield match.start(1), text, depth
+        if text == "(":
+            depth += 1
 
 
 def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
@@ -155,10 +140,9 @@ def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
             body = rest
         text = body
     text = text.strip()
-    for i, ch, _ in _scan_unquoted(text):
-        if ch == ";":
-            text = text[:i].strip()
-            break
+    cut = next((i for i, token, _ in _tokens(text) if token == ";"), None)
+    if cut is not None:
+        text = text[:cut].strip()
     if not text:
         return ""
     if prefix_select and not text.lower().startswith("select"):
@@ -167,12 +151,19 @@ def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
 
 
 def is_order_sensitive(sql: str) -> bool:
-    """True iff the statement has a top-level ORDER BY outside literals and comments."""
-    top = [" "] * len(sql)
-    for i, ch, depth in _scan_unquoted(sql):
-        if depth == 0 and ch not in "()":
-            top[i] = ch
-    return re.search(r"\border\s+by\b", "".join(top), re.IGNORECASE) is not None
+    """True iff the statement has a top-level ORDER BY outside literals and comments.
+
+    Parenthesized spans and quoted tokens between the two words are skipped.
+    """
+    previous = ""
+    for _, token, depth in _tokens(sql):
+        if depth or token in "()" or token[0] in _QUOTES:
+            continue
+        token = token.lower()
+        if previous == "order" and token == "by":
+            return True
+        previous = token
+    return False
 
 
 def _classify_error(exc: Exception, timed_out: bool) -> tuple[ErrorKind, str]:
@@ -227,8 +218,10 @@ def execute(
     statement = sql.strip()
     if not statement:
         return ExecutionOutcome.error(ErrorKind.EMPTY_SQL)
-    first = _FIRST_WORD.match(statement)
-    if first and first.group(1).lower() in _WRITE_VERBS:
+    # The first token after any comments; a hidden BEGIN would otherwise leave
+    # a pool's shared connection inside a transaction. SQLite keywords are ASCII.
+    first = next((token for _, token, _ in _tokens(statement)), "")
+    if first.isascii() and first.lower() in _WRITE_VERBS:
         return ExecutionOutcome.error(
             ErrorKind.RUNTIME, time.monotonic() - start, "write statements are not allowed"
         )

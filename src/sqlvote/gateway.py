@@ -22,7 +22,7 @@ from .prompts import PromptDesignId, RenderedPrompt, content_hash_of
 
 DEFAULT_SAMPLES = 32
 DEFAULT_TEMPERATURE = 0.5
-DEFAULT_STOP = (";", "\n\n")
+DEFAULT_STOP = (";", "\n\n")  # sent with every remote request; a constant, so not a cache key part
 _RETRY_ATTEMPTS = 3
 _RETRY_BASE_DELAY = 1.0
 
@@ -36,13 +36,10 @@ class ModelArm:
     shots: int = 0
     samples: int = DEFAULT_SAMPLES
     temperature: float = DEFAULT_TEMPERATURE
-    weight: float = 1.0
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError("weight must be in (0, 1]")
 
     def describe(self) -> dict:
         return {
@@ -100,14 +97,12 @@ class RemoteBackend:
         auth_token_env: str,
         request_timeout: float = 60.0,
         model: str | None = None,
-        stop: tuple[str, ...] = DEFAULT_STOP,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.endpoint = endpoint
         self.auth_token_env = auth_token_env
         self.request_timeout = request_timeout
         self.model = model
-        self.stop = list(stop)
         self._sleep = sleep
 
     def _headers(self) -> dict:
@@ -123,7 +118,7 @@ class RemoteBackend:
             "prompt": prompt,
             "n": n,
             "temperature": temperature,
-            "stop": self.stop,
+            "stop": list(DEFAULT_STOP),
         }
         last_error = "no attempt made"
         last_status: int | None = None
@@ -150,15 +145,6 @@ class RemoteBackend:
                 raise BackendError("short response", response.status_code)
             return [str(c) for c in completions[:n]]
         raise BackendError(last_error, last_status)
-
-
-def remote_backend(
-    endpoint: str,
-    auth_token_env: str,
-    request_timeout: float = 60.0,
-    model: str | None = None,
-) -> RemoteBackend:
-    return RemoteBackend(endpoint, auth_token_env, request_timeout, model)
 
 
 @dataclass

@@ -94,9 +94,10 @@ def list_designs() -> list[PromptDesignId]:
 
 
 def _values_by_column(matches: list[ValueMatch]) -> dict[tuple[str, str], list[str]]:
+    """Match values grouped by (table, column), groups in order of first appearance."""
     grouped: dict[tuple[str, str], list[str]] = {}
     for m in matches:
-        grouped.setdefault((m.table_name.lower(), m.column_name.lower()), []).append(m.value)
+        grouped.setdefault((m.table_name, m.column_name), []).append(m.value)
     return grouped
 
 
@@ -107,7 +108,7 @@ def _concise_block(question: str, catalog: DatabaseCatalog, matches: list[ValueM
         cols = []
         for col in table.columns:
             name = col.name.lower()
-            vals = values.get((table.name.lower(), name))
+            vals = values.get((table.name, col.name))
             cols.append(f"{name} ( {' , '.join(vals)} )" if vals else name)
         table_parts.append(f"{table.name.lower()} : {' , '.join(cols)}")
     schema = f"| {catalog.db_id} | " + " | ".join(table_parts)
@@ -163,17 +164,9 @@ def _verbose_block(question: str, catalog: DatabaseCatalog, matches: list[ValueM
 
     values_part = ""
     if matches:
-        grouped: dict[tuple[str, str], list[str]] = {}
-        order: list[tuple[str, str]] = []
-        for m in matches:
-            key = (m.table_name, m.column_name)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(m.value)
         clauses = " ".join(
-            f"Table {table} Column {column.lower()} have values: {', '.join(grouped[(table, column)])};"
-            for table, column in order
+            f"Table {table} Column {column.lower()} have values: {', '.join(values)};"
+            for (table, column), values in _values_by_column(matches).items()
         )
         values_part = (
             f" Columns with relevant values: {clauses}"

@@ -7,6 +7,7 @@ the same contracts.
 
 from __future__ import annotations
 
+import re
 from decimal import ROUND_HALF_EVEN, Decimal
 
 
@@ -98,3 +99,90 @@ def majority_select(entries: list[tuple[int, object, bool]]):
     winner_group = min(leaders, key=lambda g: min(valid[i][0] for i in g))
     winner_position = min(valid[i][0] for i in winner_group)
     return winner_position, best, len(leaders) > 1
+
+
+# --- reference SQL scanners ------------------------------------------------------
+# A character loop for `;` cuts and top-level ORDER BY, and a regex for the
+# first word after leading comments: two separate encodings of the lexical
+# rules that `sqlvote.execution` reads with one tokenizer.
+
+WRITE_VERBS = frozenset(
+    "insert update delete replace drop create alter vacuum reindex attach detach "
+    "pragma analyze begin commit rollback savepoint release end".split()
+)
+# the first run of ASCII letters after leading whitespace and comments
+FIRST_WORD = re.compile(r"(?:\s|--[^\n]*(?:\n|$)|/\*(?:[^*]|\*(?!/))*(?:\*/|$))*([A-Za-z]+)")
+
+
+def scan_unquoted(sql: str):
+    """Yield (index, char, depth) for chars outside literals, quoted identifiers and comments."""
+    depth = 0
+    i = 0
+    n = len(sql)
+    while i < n:
+        ch = sql[i]
+        if ch in "'\"`":
+            quote = ch
+            i += 1
+            while i < n:
+                if sql[i] == quote:
+                    if i + 1 < n and sql[i + 1] == quote:  # doubled-quote escape
+                        i += 2
+                        continue
+                    break
+                i += 1
+            i += 1
+            continue
+        if ch == "[":
+            end = sql.find("]", i + 1)
+            i = n if end == -1 else end + 1
+            continue
+        if ch == "-" and sql.startswith("-", i + 1):
+            end = sql.find("\n", i + 2)
+            i = n if end == -1 else end
+            continue
+        if ch == "/" and sql.startswith("*", i + 1):
+            end = sql.find("*/", i + 2)
+            i = n if end == -1 else end + 2
+            continue
+        if ch == "(":
+            yield i, ch, depth
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+            yield i, ch, depth
+        else:
+            yield i, ch, depth
+        i += 1
+
+
+def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
+    """Fence stripping, then a cut at the first unquoted, uncommented `;`."""
+    text = completion_text
+    if "```" in text:
+        start = text.index("```") + 3
+        end = text.find("```", start)
+        body = text[start:] if end == -1 else text[start:end]
+        first_line, _, rest = body.partition("\n")
+        if first_line.strip().isalpha():
+            body = rest
+        text = body
+    text = text.strip()
+    for i, ch, _ in scan_unquoted(text):
+        if ch == ";":
+            text = text[:i].strip()
+            break
+    if not text:
+        return ""
+    if prefix_select and not text.lower().startswith("select"):
+        text = "SELECT " + text
+    return text
+
+
+def is_order_sensitive(sql: str) -> bool:
+    """Blank everything but top-level code, then search for ORDER BY."""
+    top = [" "] * len(sql)
+    for i, ch, depth in scan_unquoted(sql):
+        if depth == 0 and ch not in "()":
+            top[i] = ch
+    return re.search(r"\border\s+by\b", "".join(top), re.IGNORECASE) is not None

@@ -47,7 +47,7 @@ def test_arm_without_backend(fixture_root, tmp_path):
         load_config(path)
 
 
-def test_weights_must_sum_to_one(fixture_root, tmp_path):
+def test_arm_weight_key_is_ignored(fixture_root, tmp_path):
     config = {
         "manifest": str(fixture_root / "tables.json"),
         "db_dir": str(fixture_root / "database"),
@@ -58,10 +58,13 @@ def test_weights_must_sum_to_one(fixture_root, tmp_path):
             {"model": "m", "design": "verbose", "weight": 0.2},
         ],
     }
-    path = tmp_path / "bad.yaml"
+    path = tmp_path / "weights.yaml"
     path.write_text(yaml.safe_dump(config))
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for arm in config["arms"]:
+        del arm["weight"]
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(yaml.safe_dump(config))
+    assert load_config(path).arms == load_config(plain).arms
 
 
 def test_predict_writes_five_records(mini_run, capsys):

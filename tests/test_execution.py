@@ -1,7 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 import time
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlvote.execution import (
     MAX_ROWS,
@@ -14,6 +20,7 @@ from sqlvote.execution import (
     is_order_sensitive,
 )
 
+import oracles
 from oracles import rows_equal
 
 
@@ -278,3 +285,104 @@ def test_rounding_matches_decimal_oracle():
 
 def test_negative_zero_normalized():
     assert canonical_key(_success([(-0.0,)]), False) == canonical_key(_success([(0,)]), False)
+
+
+# --- one tokenizer against the reference scanners ---------------------------------
+
+_FRAGMENTS = [
+    "'", "''", '"', '""', "`", "```", "```sql\n", "[", "]", "--", "/*", "*/", "*", "/", "-",
+    "(", ")", ";", " ", "\n", "\t", "\u00a0", ".", ",", "order", "ORDER", "by", "By",
+    "select", "SELECT", "drop", "begin", "Rollback", "delete", "1", "_", "x", "é", "ß",
+    "İ", "\u212a",
+]
+_sql_texts = st.lists(
+    st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=2)), max_size=24
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sql_texts, st.booleans())
+def test_extract_sql_equals_reference_scanner(text, prefix_select):
+    assert extract_sql(text, prefix_select) == oracles.extract_sql(text, prefix_select)
+
+
+# words alternate with what may stand between them, so ORDER and BY meet often
+_order_texts = st.lists(
+    st.tuples(
+        st.sampled_from(["order", "ORDER", "by", "BY", "a"]),
+        st.sampled_from([" ", "\n", "(", ")", "'x'", "'", "[z]", "-- c\n", "--", "/* c */", "/*", "."]),
+    ),
+    max_size=8,
+).map(lambda pairs: "".join(word + gap for word, gap in pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_sql_texts, _order_texts))
+def test_order_sensitivity_equals_reference_scanner(sql):
+    assert is_order_sensitive(sql) == oracles.is_order_sensitive(sql)
+
+
+def _unopenable(catalog):
+    # statements that pass the write check fail to open this file, so nothing runs
+    return replace(catalog, db_path=Path("no-such-dir") / "missing.sqlite")
+
+
+_statements = st.one_of(
+    _sql_texts,
+    st.tuples(
+        st.sampled_from(["", " ", "-- c\n", "/* c */", "/**/\n"]),
+        st.sampled_from(sorted(oracles.WRITE_VERBS) + ["BEGIN", "Drop", "ROLLBAC\u212a"]),
+        _sql_texts,
+    ).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_statements)
+def test_write_check_equals_reference_regex(singer_catalog, sql):
+    outcome = execute(sql, _unopenable(singer_catalog))
+    rejected = outcome.detail == "write statements are not allowed"
+    statement = sql.strip()
+    first = oracles.FIRST_WORD.match(statement)
+    reference = first is not None and first.group(1).lower() in oracles.WRITE_VERBS
+    glued = reference and re.match(r"\w", statement[first.end(1):first.end(1) + 1]) is not None
+    # the reference reads only the ASCII letters of "begin1", "drop_x" or "dropé"
+    assert rejected == (reference and not glued), sql
+
+
+def test_verb_glued_to_a_word_is_an_identifier(singer_catalog):
+    for sql in ("begin1", "drop_x", "dropé", "-- c\nbegin1"):
+        assert execute(sql, singer_catalog).error_kind is ErrorKind.SYNTAX, sql
+
+
+# --- properties -------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sql_texts, st.booleans())
+def test_extract_sql_is_idempotent(text, prefix_select):
+    once = extract_sql(text, prefix_select)
+    assert extract_sql(once, prefix_select) == once
+
+
+_int_rows = st.lists(
+    st.lists(st.integers(-(10**15), 10**15), min_size=1, max_size=3).map(tuple), max_size=8
+)
+
+
+@given(_int_rows)
+def test_canonical_key_unifies_int_and_float(rows):
+    as_float = [tuple(float(v) for v in row) for row in rows]
+    for order_sensitive in (False, True):
+        assert canonical_key(_success(rows), order_sensitive) == canonical_key(
+            _success(as_float), order_sensitive
+        )
+
+
+@given(st.data())
+def test_canonical_key_ignores_row_order_when_order_insensitive(data):
+    rows = data.draw(
+        st.lists(st.tuples(st.one_of(st.none(), st.integers(), st.floats(), st.text())), max_size=8)
+    )
+    permuted = data.draw(st.permutations(rows))
+    assert canonical_key(_success(rows), False) == canonical_key(_success(permuted), False)

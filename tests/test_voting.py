@@ -186,6 +186,39 @@ def test_group_permutation_invariance():
         assert result.tie_broken == base.tie_broken
 
 
+_ARMS = tuple(
+    ModelArm(model, design, samples=1)
+    for model in ("m", "n")
+    for design in (PromptDesignId.CONCISE, PromptDesignId.VERBOSE)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_vote_ignores_how_the_pool_is_split_across_arms(data):
+    outcomes = data.draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 3).map(lambda v: _success([(v,)])),
+                st.sampled_from(list(ErrorKind)).map(_error),
+            ),
+            max_size=30,
+        )
+    )
+    # arms take consecutive blocks of the pool, in configuration order
+    n = len(outcomes)
+    owners = sorted(data.draw(st.lists(st.integers(0, len(_ARMS) - 1), min_size=n, max_size=n)))
+    split = CandidatePool(
+        "q",
+        tuple(
+            Candidate(f"SELECT {i}", _ARMS[owner], i, outcome, i)
+            for i, (owner, outcome) in enumerate(zip(owners, outcomes))
+        ),
+        _ARMS,
+    )
+    assert select_by_consistency(split) == select_by_consistency(_pool(outcomes))
+
+
 # --- pipeline-level pooling -------------------------------------------------------
 
 
