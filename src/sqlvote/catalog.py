@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -102,18 +102,6 @@ class ExampleItem:
             raise MalformedDataset(f"example {self.example_id} has empty question")
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def render(self) -> str:
-        return "".join(f"VIOLATION: {v}\n" for v in self.violations)
-
-
 def _check_key_ref(db_id: str, tables: tuple[TableSchema, ...], ref: KeyRef, raw_index: int) -> None:
     t, c = ref
     if t < 0 or t >= len(tables) or c < 0 or c >= len(tables[t].columns):
@@ -203,26 +191,6 @@ def load_catalogs(manifest_path: Path | str, db_dir: Path | str) -> list[Databas
     return [_catalog_from_entry(entry, db_dir) for entry in entries]
 
 
-def catalog_to_manifest(catalog: DatabaseCatalog) -> dict:
-    """Serialize a catalog back to the manifest entry format."""
-    column_names: list[list] = [[-1, "*"]]
-    column_types: list[str] = ["text"]
-    global_of: dict[KeyRef, int] = {}
-    for t, table in enumerate(catalog.tables):
-        for c, col in enumerate(table.columns):
-            global_of[(t, c)] = len(column_names)
-            column_names.append([t, col.name])
-            column_types.append(col.data_type.value)
-    return {
-        "db_id": catalog.db_id,
-        "table_names_original": [t.name for t in catalog.tables],
-        "column_names_original": column_names,
-        "column_types": column_types,
-        "primary_keys": [global_of[ref] for ref in catalog.primary_keys],
-        "foreign_keys": [[global_of[child], global_of[parent]] for child, parent in catalog.foreign_keys],
-    }
-
-
 def load_examples(
     dataset_path: Path | str,
     catalogs: list[DatabaseCatalog] | None = None,
@@ -255,8 +223,13 @@ def load_examples(
 
 
 def catalog_from_sqlite(db_path: Path | str, db_id: str) -> DatabaseCatalog:
-    """Build a catalog by introspecting a SQLite file (PRAGMA metadata)."""
+    """Build a catalog by introspecting a SQLite file (PRAGMA metadata).
+
+    Opened here, not by `execution.connect_readonly`: its authorizer denies PRAGMA.
+    """
     db_path = Path(db_path)
+    if not db_path.is_file():
+        raise MissingDbFile(db_id, str(db_path))
     conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
     try:
         names = [
@@ -305,54 +278,3 @@ def _affinity_type(decl_type: str | None) -> ColumnType:
     if "bool" in decl:
         return ColumnType.BOOLEAN
     return ColumnType.OTHERS
-
-
-def validate_catalog(catalog: DatabaseCatalog) -> ValidationReport:
-    """Report invariant violations plus a cross-check against the SQLite file."""
-    report = ValidationReport()
-    lowered = [t.name.lower() for t in catalog.tables]
-    for name in sorted({n for n in lowered if lowered.count(n) > 1}):
-        report.violations.append(f"duplicate table name '{name}'")
-    for t, table in enumerate(catalog.tables):
-        cols = [c.name.lower() for c in table.columns]
-        for name in sorted({n for n in cols if cols.count(n) > 1}):
-            report.violations.append(f"duplicate column name '{name}' in table '{table.name}'")
-    for t, c in catalog.primary_keys:
-        if t < 0 or t >= len(catalog.tables) or c < 0 or c >= len(catalog.tables[t].columns):
-            report.violations.append(f"primary key ({t}, {c}) out of range")
-    seen_pk: set[KeyRef] = set()
-    for ref in catalog.primary_keys:
-        if ref in seen_pk:
-            report.violations.append(f"repeated primary key entry {ref}")
-        seen_pk.add(ref)
-    for child, parent in catalog.foreign_keys:
-        for ref in (child, parent):
-            t, c = ref
-            if t < 0 or t >= len(catalog.tables) or c < 0 or c >= len(catalog.tables[t].columns):
-                report.violations.append(f"foreign key ref ({t}, {c}) out of range")
-
-    try:
-        conn = sqlite3.connect(f"file:{catalog.db_path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        report.violations.append(f"database not readable: {exc}")
-        return report
-    try:
-        actual_tables = {
-            row[0].lower()
-            for row in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
-        }
-        for table in catalog.tables:
-            if table.name.lower() not in actual_tables:
-                report.violations.append(f"table not found in database: '{table.name}'")
-                continue
-            actual_cols = {
-                row[1].lower() for row in conn.execute(f'PRAGMA table_info("{table.name}")')
-            }
-            for col in table.columns:
-                if col.name.lower() not in actual_cols:
-                    report.violations.append(
-                        f"column not found in database: '{table.name}.{col.name}'"
-                    )
-    finally:
-        conn.close()
-    return report

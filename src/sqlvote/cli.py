@@ -12,7 +12,7 @@ from pathlib import Path
 import yaml
 
 from .catalog import DatabaseCatalog, ExampleItem, load_catalogs, load_examples
-from .errors import ConfigError, SqlVoteError, UnknownDesign
+from .errors import ConfigError, SqlVoteError
 from .evaluation import SuiteSpec, evaluate_file
 from .gateway import (
     DEFAULT_SAMPLES,
@@ -69,46 +69,43 @@ def load_config(path: Path | str) -> RunConfig:
     raw_arms = raw.get("arms") or []
     if not raw_arms:
         raise ConfigError("no arms configured")
-    arms = []
-    for arm in raw_arms:
-        try:
-            design = PromptDesignId.parse(str(arm.get("design", "concise")))
-            arms.append(
-                ModelArm(
-                    model_id=str(arm["model"]),
-                    design=design,
-                    shots=int(arm.get("shots", 0)),
-                    samples=int(arm.get("samples", DEFAULT_SAMPLES)),
-                    temperature=float(arm.get("temperature", DEFAULT_TEMPERATURE)),
-                )
+    # One guard for every value conversion: a wrong type anywhere is a ConfigError.
+    try:
+        arms = [
+            ModelArm(
+                model_id=str(arm["model"]),
+                design=PromptDesignId.parse(str(arm.get("design", "concise"))),
+                shots=int(arm.get("shots", 0)),
+                samples=int(arm.get("samples", DEFAULT_SAMPLES)),
+                temperature=float(arm.get("temperature", DEFAULT_TEMPERATURE)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad arm entry {arm!r}: {exc}") from exc
-
-    backends = raw.get("backends") or {}
-    for spec in backends.values():
-        directory = spec.get("dir") if isinstance(spec, dict) else None
-        if directory is not None and not Path(directory).is_absolute():
-            spec["dir"] = str(base / directory)
-    for arm in arms:
-        if arm.model_id not in backends:
-            raise ConfigError(f"arm model '{arm.model_id}' has no backend entry")
-
-    return RunConfig(
-        arms=arms,
-        seed=int(raw.get("seed", 0)),
-        manifest=_path("manifest"),
-        db_dir=_path("db_dir"),
-        dataset=_path("dataset"),
-        output=_path("output", required=False) or (base / "predictions.jsonl"),
-        timeout=float(raw.get("timeout", 5.0)),
-        fan_out=int(raw.get("fan_out", 8)),
-        audit=bool(raw.get("audit", False)),
-        demo_source=_path("demo_source", required=False),
-        cache_dir=_path("cache_dir", required=False),
-        max_per_column=int(raw.get("max_per_column", DEFAULT_MAX_PER_COLUMN)),
-        backends=backends,
-    )
+            for arm in raw_arms
+        ]
+        backends = raw.get("backends") or {}
+        for spec in backends.values():
+            directory = spec.get("dir")
+            if directory is not None and not Path(directory).is_absolute():
+                spec["dir"] = str(base / directory)
+        for arm in arms:
+            if arm.model_id not in backends:
+                raise ConfigError(f"arm model '{arm.model_id}' has no backend entry")
+        return RunConfig(
+            arms=arms,
+            seed=int(raw.get("seed", 0)),
+            manifest=_path("manifest"),
+            db_dir=_path("db_dir"),
+            dataset=_path("dataset"),
+            output=_path("output", required=False) or (base / "predictions.jsonl"),
+            timeout=float(raw.get("timeout", 5.0)),
+            fan_out=int(raw.get("fan_out", 8)),
+            audit=bool(raw.get("audit", False)),
+            demo_source=_path("demo_source", required=False),
+            cache_dir=_path("cache_dir", required=False),
+            max_per_column=int(raw.get("max_per_column", DEFAULT_MAX_PER_COLUMN)),
+            backends=backends,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value in {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def build_gateway(config: RunConfig) -> Gateway:
@@ -346,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_show_prompt(config, args.example, args.design, args.shots)
         if args.command == "cache":
             return cmd_cache(args.action, args.dir)
-    except (SqlVoteError, UnknownDesign, OSError) as exc:
+    except (SqlVoteError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     return 2

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .catalog import ColumnType, DatabaseCatalog, catalog_from_sqlite, load_examples
-from .errors import GenerationFailed, GoldExecutionFailed, MissingPrediction
-from .execution import canonical_key, execute, is_order_sensitive
+from .errors import ConfigError, GenerationFailed, GoldExecutionFailed, MissingPrediction
+from .execution import canonical_key, connect_readonly, execute, is_order_sensitive
 
+TIMEOUT = 30.0  # seconds per gold or predicted statement
 _ORIGINAL_VALUE_CAP = 200
 _ORIGINAL_SHARE = 0.5  # chance a fuzzed cell reuses an observed value
 
@@ -33,9 +34,9 @@ class SuiteSpec:
 
     def __post_init__(self):
         if self.suite_count < 1:
-            raise ValueError("suite_count must be >= 1")
+            raise ConfigError("suite_count must be >= 1")
         if self.rows_per_table < 1:
-            raise ValueError("rows_per_table must be >= 1")
+            raise ConfigError("rows_per_table must be >= 1")
 
 
 @dataclass
@@ -69,7 +70,6 @@ def exec_match(
     pred_sql: str,
     gold_sql: str,
     catalog: DatabaseCatalog,
-    timeout: float = 30.0,
     example_id: str | None = None,
 ) -> bool:
     """True iff both statements succeed and their canonical outcomes agree.
@@ -78,10 +78,10 @@ def exec_match(
     ORDER BY. A failing gold statement is a dataset defect, not a score:
     it raises GoldExecutionFailed naming `example_id`.
     """
-    gold_outcome = execute(gold_sql, catalog, timeout)
+    gold_outcome = execute(gold_sql, catalog, TIMEOUT)
     if not gold_outcome.is_success:
         raise GoldExecutionFailed(example_id, gold_outcome.detail)
-    pred_outcome = execute(pred_sql, catalog, timeout)
+    pred_outcome = execute(pred_sql, catalog, TIMEOUT)
     if not pred_outcome.is_success:
         return False
     sensitive = is_order_sensitive(gold_sql)
@@ -126,8 +126,7 @@ def _topological_tables(catalog: DatabaseCatalog) -> tuple[list[int], set[tuple]
 
 def _observed_values(catalog: DatabaseCatalog) -> dict[tuple[int, int], list]:
     observed: dict[tuple[int, int], list] = {}
-    conn = sqlite3.connect(f"file:{catalog.db_path}?mode=ro", uri=True)
-    conn.text_factory = lambda b: b.decode("utf-8", "replace")
+    conn = connect_readonly(catalog)
     try:
         for t, table in enumerate(catalog.tables):
             for c, col in enumerate(table.columns):
@@ -269,7 +268,6 @@ def generate_suite_db(
             conn.executemany(f'INSERT INTO "{table.name}" VALUES ({placeholders})', rows)
         conn.commit()
     except sqlite3.Error as exc:
-        conn.close()
         raise GenerationFailed(str(exc)) from exc
     finally:
         conn.close()
@@ -304,28 +302,22 @@ def ts_match(
     catalog: DatabaseCatalog,
     spec: SuiteSpec,
     suite_dir: Path | str | None = None,
-    timeout: float = 30.0,
-    suites: list[DatabaseCatalog] | None = None,
 ) -> bool:
     """EX on the original database plus every generated suite.
 
     A gold statement failing on a fuzzed suite skips that suite; failing on
     the original raises as in exec_match.
     """
-    if not exec_match(pred_sql, gold_sql, catalog, timeout):
+    if not exec_match(pred_sql, gold_sql, catalog):
         return False
-    if suites is None:
-        suites = suite_catalogs(catalog, spec, suite_dir)
-    return _suites_match(pred_sql, gold_sql, suites, timeout)
+    return _suites_match(pred_sql, gold_sql, suite_catalogs(catalog, spec, suite_dir))
 
 
-def _suites_match(
-    pred_sql: str, gold_sql: str, suites: list[DatabaseCatalog], timeout: float
-) -> bool:
+def _suites_match(pred_sql: str, gold_sql: str, suites: list[DatabaseCatalog]) -> bool:
     """The suite half of TS: EX on every suite whose gold statement succeeds."""
     for suite_catalog in suites:
         try:
-            if not exec_match(pred_sql, gold_sql, suite_catalog, timeout):
+            if not exec_match(pred_sql, gold_sql, suite_catalog):
                 return False
         except GoldExecutionFailed:
             continue
@@ -353,7 +345,6 @@ def evaluate_file(
     db_dir: Path | str,
     spec: SuiteSpec | None = None,
     suite_dir: Path | str | None = None,
-    timeout: float = 30.0,
 ) -> EvalReport:
     """Score a prediction file against a dataset; TS only when a spec is given."""
     predictions = load_predictions(pred_path)
@@ -377,11 +368,11 @@ def evaluate_file(
         pred_sql = predictions[example.example_id]
         gold_sql = example.gold_sql or ""
         try:
-            ex = exec_match(pred_sql, gold_sql, catalog, timeout, example.example_id)
+            ex = exec_match(pred_sql, gold_sql, catalog, example.example_id)
             ts = None
             if spec is not None:
                 # TS includes EX, so only the suites are left to score
-                ts = ex and _suites_match(pred_sql, gold_sql, suites[example.db_id], timeout)
+                ts = ex and _suites_match(pred_sql, gold_sql, suites[example.db_id])
             per_question.append(QuestionScore(example.example_id, ex, ts))
         except GoldExecutionFailed as failure:
             gold_failures += 1

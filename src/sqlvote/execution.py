@@ -31,7 +31,7 @@ MAX_ROWS = 100_000  # larger results are TOO_LARGE errors, bounding result memor
 _PROGRESS_GRANULARITY = 500  # VM steps between deadline checks
 
 # Operations a candidate statement is never allowed to perform; everything
-# else is still write-blocked by mode=ro + query_only.
+# else is still write-blocked by the read-only open and query_only.
 _DENIED_ACTIONS = [
     name
     for name in (

@@ -139,7 +139,7 @@ class RemoteBackend:
                 raise BackendError(response.text[:200], response.status_code)
             try:
                 completions = response.json()["completions"]
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # TypeError: a body that is no object
                 raise BackendError(f"bad response body: {exc}", response.status_code) from exc
             if not isinstance(completions, list) or len(completions) < n:
                 raise BackendError("short response", response.status_code)

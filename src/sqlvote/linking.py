@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .catalog import ColumnType, DatabaseCatalog
 from .errors import DbUnreadable
+from .execution import connect_readonly
 
 MATCH_THRESHOLD = 0.85
 DEFAULT_MAX_PER_COLUMN = 3
@@ -100,20 +101,18 @@ def _distinct_column_values(conn: sqlite3.Connection, table: str, column: str, c
     return list(seen)
 
 
-def _scan(db_path: str, columns: tuple[tuple[str, str], ...]) -> tuple[_ColumnValues, ...]:
+def _scan(catalog: DatabaseCatalog, columns: tuple[tuple[str, str], ...]) -> tuple[_ColumnValues, ...]:
     try:
-        conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+        conn = connect_readonly(catalog)
     except sqlite3.Error as exc:
-        raise DbUnreadable(db_path, str(exc)) from exc
-    conn.text_factory = lambda b: b.decode("utf-8", "replace")
-
+        raise DbUnreadable(str(catalog.db_path), str(exc)) from exc
     scanned = []
     try:
         for table, column in columns:
             try:
                 values = _distinct_column_values(conn, table, column, SCAN_CAP)
             except sqlite3.Error:
-                continue  # schema drift between manifest and file; validator reports it
+                continue  # column missing from the file (manifest drift): skip it
             lowered = []
             for value in values:
                 low = value.lower()
@@ -141,7 +140,7 @@ def _text_columns(catalog: DatabaseCatalog) -> tuple[_ColumnValues, ...]:
     with _scans_lock:
         entry = _scans.get(db_path)
         if entry is None or entry[0] != stamp:
-            entry = (stamp, _scan(db_path, columns))
+            entry = (stamp, _scan(catalog, columns))
             _scans[db_path] = entry
     return entry[1]
 

@@ -89,10 +89,6 @@ def content_hash_of(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def list_designs() -> list[PromptDesignId]:
-    return [PromptDesignId.CONCISE, PromptDesignId.VERBOSE, PromptDesignId.BASELINE_DEFAULT]
-
-
 def _values_by_column(matches: list[ValueMatch]) -> dict[tuple[str, str], list[str]]:
     """Match values grouped by (table, column), groups in order of first appearance."""
     grouped: dict[tuple[str, str], list[str]] = {}
@@ -212,14 +208,10 @@ def render(
     demos: DemoSet = EMPTY_DEMOS,
 ) -> RenderedPrompt:
     """Render the full prompt: demo blocks (each ending in its gold SQL), then the test block."""
-    if not isinstance(design, PromptDesignId):
-        design = PromptDesignId.parse(str(design))
-    block = _BLOCK_RENDERERS.get(design)
-    if block is None:
-        raise UnknownDesign(str(design))
     if not catalog.tables:
         raise CatalogEmpty(catalog.db_id)
 
+    block = _BLOCK_RENDERERS[design]
     parts = []
     for i, (item, gold_sql) in enumerate(demos.demos):
         demo_catalog = demos.catalogs[item.db_id]

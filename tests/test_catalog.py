@@ -7,15 +7,10 @@ import sqlite3
 import pytest
 
 from sqlvote.catalog import (
-    ColumnSchema,
     ColumnType,
-    DatabaseCatalog,
-    TableSchema,
     catalog_from_sqlite,
-    catalog_to_manifest,
     load_catalogs,
     load_examples,
-    validate_catalog,
 )
 from sqlvote.errors import (
     KeyIndexOutOfRange,
@@ -75,6 +70,15 @@ def test_malformed_manifest(tmp_path):
         load_catalogs(manifest, tmp_path)
 
 
+def test_duplicate_table_name_rejected_on_load(tmp_path, fixture_root):
+    entry = json.loads(json.dumps(CAR_MANIFEST))
+    entry["table_names_original"][1] = entry["table_names_original"][0].upper()
+    manifest = tmp_path / "tables.json"
+    manifest.write_text(json.dumps([entry]))
+    with pytest.raises(MalformedManifest, match="duplicate table name"):
+        load_catalogs(manifest, fixture_root / "database")
+
+
 def test_unknown_type_maps_to_others(tmp_path, fixture_root):
     entry = json.loads(json.dumps(CAR_MANIFEST))
     entry["column_types"][1] = "blob-ish"
@@ -115,47 +119,6 @@ def test_load_examples_count(tmp_path, catalogs):
     assert len(load_examples(dataset, catalogs)) == 1034
 
 
-def test_validate_clean(car_catalog, singer_catalog, features_catalog):
-    for catalog in (car_catalog, singer_catalog, features_catalog):
-        report = validate_catalog(catalog)
-        assert report.ok, report.render()
-        assert report.render() == ""
-
-
-def test_validate_missing_table(car_catalog):
-    extra = TableSchema("ghost", (ColumnSchema("x", ColumnType.TEXT, 99),))
-    broken = DatabaseCatalog(
-        car_catalog.db_id,
-        car_catalog.tables + (extra,),
-        car_catalog.primary_keys,
-        car_catalog.foreign_keys,
-        car_catalog.db_path,
-    )
-    report = validate_catalog(broken)
-    assert any("table not found in database" in v for v in report.violations)
-    assert report.render().startswith("VIOLATION: ")
-
-
-def test_validate_duplicate_table(car_catalog):
-    dup = DatabaseCatalog(
-        car_catalog.db_id,
-        car_catalog.tables + (car_catalog.tables[0],),
-        car_catalog.primary_keys,
-        car_catalog.foreign_keys,
-        car_catalog.db_path,
-    )
-    report = validate_catalog(dup)
-    assert any("duplicate table name" in v for v in report.violations)
-
-
-def test_manifest_round_trip(fixture_root, catalogs):
-    entries = [catalog_to_manifest(c) for c in catalogs]
-    rewritten = fixture_root / "tables_roundtrip.json"
-    rewritten.write_text(json.dumps(entries))
-    reloaded = load_catalogs(rewritten, fixture_root / "database")
-    assert reloaded == catalogs
-
-
 def test_load_is_deterministic(fixture_root):
     first = load_catalogs(fixture_root / "tables.json", fixture_root / "database")
     second = load_catalogs(fixture_root / "tables.json", fixture_root / "database")
@@ -192,7 +155,7 @@ def _random_catalog_entry(rng: random.Random, db_id: str) -> dict:
 
 
 def test_random_valid_catalogs_validate_clean(tmp_path):
-    """Keys generated inside tables always resolve, so validation stays empty."""
+    """Keys generated inside tables always load and resolve to columns."""
     rng = random.Random(20240811)
     entries = [_random_catalog_entry(rng, f"db{i}") for i in range(25)]
     manifest = tmp_path / "tables.json"
@@ -206,9 +169,11 @@ def test_random_valid_catalogs_validate_clean(tmp_path):
             conn.execute(f'CREATE TABLE "{table}" ({", ".join(cols)})')
         conn.commit()
         conn.close()
-    for catalog in load_catalogs(manifest, tmp_path):
-        report = validate_catalog(catalog)
-        assert report.ok, report.render()
+    catalogs = load_catalogs(manifest, tmp_path)
+    assert [c.db_id for c in catalogs] == [e["db_id"] for e in entries]
+    for catalog in catalogs:
+        for ref in catalog.primary_keys:
+            assert catalog.column(ref) is not None
         for child, parent in catalog.foreign_keys:
             assert catalog.column(child) is not None
             assert catalog.column(parent) is not None

@@ -67,6 +67,21 @@ def test_arm_weight_key_is_ignored(fixture_root, tmp_path):
     assert load_config(path).arms == load_config(plain).arms
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("arms", ["concise"]), ("seed", "abc"), ("backends", ["scripted-a"])],
+    ids=["arm-not-a-mapping", "seed-not-a-number", "backends-not-a-mapping"],
+)
+def test_malformed_config_value_is_a_config_error(mini_run, capsys, key, value):
+    fixture_root, work, config_path = mini_run
+    config = yaml.safe_load(config_path.read_text())
+    config[key] = value
+    config_path.write_text(yaml.safe_dump(config))
+    assert main(["predict", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad config value in ") and err.count("\n") == 1
+
+
 def test_predict_writes_five_records(mini_run, capsys):
     fixture_root, work, config_path = mini_run
     assert main(["predict", "--config", str(config_path)]) == 0
@@ -153,6 +168,33 @@ def test_evaluate_ts_line_and_bound(mini_run, capsys, tmp_path):
     ex = float(out.split("EX: ")[1].split()[0])
     ts = float(out.split("TS (simplified): ")[1].split()[0])
     assert ts <= ex
+
+
+def test_evaluate_missing_db_file(fixture_root, tmp_path, capsys):
+    dataset = tmp_path / "ghost.json"
+    dataset.write_text(json.dumps([{"question": "q?", "query": "SELECT 1", "db_id": "ghost"}]))
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text(json.dumps({"example_id": "000000", "sql": "SELECT 1"}) + "\n")
+    code = main([
+        "evaluate", "--pred", str(pred_path), "--dataset", str(dataset),
+        "--db-dir", str(fixture_root / "database"),
+    ])
+    assert code == 1
+    assert str(fixture_root / "database" / "ghost" / "ghost.sqlite") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--suites", "--rows"])
+def test_evaluate_ts_rejects_zero(fixture_root, tmp_path, capsys, flag):
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text("")
+    code = main([
+        "evaluate", "--pred", str(pred_path),
+        "--dataset", str(fixture_root / "mini_dev.json"),
+        "--db-dir", str(fixture_root / "database"),
+        "--ts", flag, "0", "--suite-dir", str(tmp_path / "suites"),
+    ])
+    assert code == 1
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("design", ["concise", "verbose", "baseline_default"])

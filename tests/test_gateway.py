@@ -216,6 +216,19 @@ def test_remote_short_response():
         server.shutdown()
 
 
+@pytest.mark.parametrize("body", [[], "null", "\"text\""])
+def test_remote_body_not_an_object(body):
+    script = _Script([(200, body)])
+    server, url = _serve(script)
+    try:
+        with pytest.raises(BackendError) as err:
+            _remote(url).generate("p", 1, 0.5, 0)
+        assert "bad response body" in str(err.value)
+        assert len(script.requests) == 1
+    finally:
+        server.shutdown()
+
+
 def test_remote_retries_then_succeeds():
     script = _Script([(503, "boom"), (200, {"completions": ["SELECT 2"]})])
     server, url = _serve(script)

@@ -9,7 +9,6 @@ from sqlvote.prompts import (
     DemoSet,
     PromptDesignId,
     content_hash_of,
-    list_designs,
     render,
 )
 
@@ -27,13 +26,13 @@ def car_matches(car_catalog, car_example):
 
 
 def test_list_designs_fixed_registry():
-    designs = list_designs()
+    designs = list(PromptDesignId)
     assert designs == [
         PromptDesignId.CONCISE,
         PromptDesignId.VERBOSE,
         PromptDesignId.BASELINE_DEFAULT,
     ]
-    assert list_designs() == designs
+    assert list(PromptDesignId) == designs
     assert designs.index(PromptDesignId.CONCISE) == 0
 
 
@@ -65,7 +64,7 @@ def test_baseline_landmarks(car_example, car_catalog, car_matches):
 
 
 def test_suffixes(car_example, car_catalog, car_matches):
-    for design in list_designs():
+    for design in list(PromptDesignId):
         text = render(design, car_example, car_catalog, car_matches).text
         assert text.endswith(ELICITATION_SUFFIX[design])
 
@@ -80,7 +79,7 @@ def test_render_is_deterministic(car_example, car_catalog, car_matches):
 def test_designs_differ(car_example, car_catalog, car_matches):
     texts = {
         design: render(design, car_example, car_catalog, car_matches).text
-        for design in list_designs()
+        for design in list(PromptDesignId)
     }
     assert len(set(texts.values())) == 3
 
@@ -114,7 +113,7 @@ def _demo_set(dev_examples, catalogs, count):
 def test_four_shot_contains_zero_shot(car_example, car_catalog, car_matches, dev_examples, catalogs):
     demos = _demo_set(dev_examples, catalogs, 4)
     assert demos.shots == 4
-    for design in list_designs():
+    for design in list(PromptDesignId):
         zero = render(design, car_example, car_catalog, car_matches).text
         four = render(design, car_example, car_catalog, car_matches, demos).text
         assert zero in four
@@ -136,9 +135,10 @@ def test_baseline_demo_has_single_select(car_example, car_catalog, car_matches, 
     assert "SELECTSELECT" not in text and "SELECT SELECT" not in text
 
 
-def test_unknown_design(car_example, car_catalog, car_matches):
+def test_unknown_design():
     with pytest.raises(UnknownDesign):
-        render("cryptic", car_example, car_catalog, car_matches)
+        PromptDesignId.parse("cryptic")
+    assert PromptDesignId.parse("verbose") is PromptDesignId.VERBOSE
 
 
 def test_empty_catalog_rejected(car_example, car_catalog, car_matches):
