@@ -14,6 +14,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import (
+    DbUnreadable,
     KeyIndexOutOfRange,
     MalformedDataset,
     MalformedManifest,
@@ -262,6 +263,8 @@ def catalog_from_sqlite(db_path: Path | str, db_id: str) -> DatabaseCatalog:
                     fks.append(((t, table.column_index(child_col)), (p, tables[p].column_index(parent_col))))
                 except KeyError:
                     continue
+    except sqlite3.Error as exc:  # e.g. a file that is not SQLite, found on the first read
+        raise DbUnreadable(str(db_path), str(exc)) from exc
     finally:
         conn.close()
     return DatabaseCatalog(db_id, tuple(tables), tuple(pks), tuple(fks), db_path)

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -125,8 +125,10 @@ def build_gateway(config: RunConfig) -> Gateway:
                     request_timeout=float(spec.get("request_timeout", 60.0)),
                     model=model_id,
                 )
-            except KeyError as exc:
-                raise ConfigError(f"remote backend '{model_id}' missing {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"bad config value for remote backend '{model_id}': {type(exc).__name__}: {exc}"
+                ) from exc
         else:
             raise ConfigError(f"unknown backend type '{kind}' for '{model_id}'")
         gateway.register_backend(model_id, backend)
@@ -247,19 +249,8 @@ def cmd_evaluate(
     if report_path is None:
         report_path = Path(str(pred) + ".report.jsonl")
     with open(report_path, "w", encoding="utf-8") as handle:
-        for score in report.per_question:
-            handle.write(
-                json.dumps(
-                    {
-                        "example_id": score.example_id,
-                        "ex": score.ex,
-                        "ts": score.ts,
-                        "gold_error": score.gold_error,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        for score in report.per_question:  # keys in QuestionScore field order
+            handle.write(json.dumps(asdict(score), ensure_ascii=False) + "\n")
     return 0
 
 

@@ -5,6 +5,15 @@ original database. TS re-runs the comparison on randomly generated databases
 that share the schema and keys. The generator here is a schema-respecting
 fuzzer, not the distilled suites of the published benchmark tooling, so all
 reports label the metric "TS (simplified)".
+
+`evaluate_file` runs each (statement, database file, gold order flag) once
+per call: a memo keeps the statement's canonical key, or its error outcome,
+never its rows. The memo lives only for that call, because the next run
+rewrites suite files at the same paths. Each report record gives the
+`reason` for its score, read from the memo: None on a match, "gold_error",
+"pred_error:<kind>" (the pred fails on the original database; an ErrorKind
+value), "differs:original", or "differs:suite<k>" (k is the 1-based index of
+the first suite on which the pred fails or differs).
 """
 
 from __future__ import annotations
@@ -19,7 +28,14 @@ from pathlib import Path
 
 from .catalog import ColumnType, DatabaseCatalog, catalog_from_sqlite, load_examples
 from .errors import ConfigError, GenerationFailed, GoldExecutionFailed, MissingPrediction
-from .execution import canonical_key, connect_readonly, execute, is_order_sensitive
+from .execution import (
+    ExecutionOutcome,
+    OutcomeKey,
+    canonical_key,
+    connect_readonly,
+    execute,
+    is_order_sensitive,
+)
 
 TIMEOUT = 30.0  # seconds per gold or predicted statement
 _ORIGINAL_VALUE_CAP = 200
@@ -45,6 +61,7 @@ class QuestionScore:
     ex: bool
     ts: bool | None = None
     gold_error: str | None = None
+    reason: str | None = None
 
 
 @dataclass
@@ -66,26 +83,51 @@ class EvalReport:
         return lines
 
 
+# (SQL text, database path, gold order flag) -> canonical key, or error outcome
+Memo = dict[tuple[str, Path, bool], OutcomeKey | ExecutionOutcome]
+
+
+def _outcome(
+    sql: str, catalog: DatabaseCatalog, sensitive: bool, memo: Memo
+) -> OutcomeKey | ExecutionOutcome:
+    """The statement's canonical key, or its error outcome; executed once per memo."""
+    memo_key = (sql, catalog.db_path, sensitive)
+    entry = memo.get(memo_key)
+    if entry is None:
+        outcome = execute(sql, catalog, TIMEOUT)
+        entry = canonical_key(outcome, sensitive) if outcome.is_success else outcome
+        memo[memo_key] = entry
+    return entry
+
+
 def exec_match(
     pred_sql: str,
     gold_sql: str,
     catalog: DatabaseCatalog,
     example_id: str | None = None,
+    memo: Memo | None = None,
 ) -> bool:
     """True iff both statements succeed and their canonical outcomes agree.
 
     Row order matters exactly when the gold statement has a top-level
     ORDER BY. A failing gold statement is a dataset defect, not a score:
-    it raises GoldExecutionFailed naming `example_id`.
+    it raises GoldExecutionFailed naming `example_id`. Outcomes already in
+    `memo` are not executed again; new ones are added to it.
     """
-    gold_outcome = execute(gold_sql, catalog, TIMEOUT)
-    if not gold_outcome.is_success:
-        raise GoldExecutionFailed(example_id, gold_outcome.detail)
-    pred_outcome = execute(pred_sql, catalog, TIMEOUT)
-    if not pred_outcome.is_success:
-        return False
+    memo = {} if memo is None else memo
     sensitive = is_order_sensitive(gold_sql)
-    return canonical_key(pred_outcome, sensitive) == canonical_key(gold_outcome, sensitive)
+    gold = _outcome(gold_sql, catalog, sensitive, memo)
+    if not isinstance(gold, OutcomeKey):
+        raise GoldExecutionFailed(example_id, gold.detail)
+    return _outcome(pred_sql, catalog, sensitive, memo) == gold
+
+
+def _original_miss(pred_sql: str, gold_sql: str, catalog: DatabaseCatalog, memo: Memo) -> str:
+    """Why a pred that exec_match scored with this memo missed on `catalog`."""
+    entry = _outcome(pred_sql, catalog, is_order_sensitive(gold_sql), memo)
+    if isinstance(entry, OutcomeKey):
+        return "differs:original"
+    return f"pred_error:{entry.error_kind.value}"
 
 
 # --- suite database generation -------------------------------------------------
@@ -220,6 +262,10 @@ def generate_suite_db(
 
     conn = sqlite3.connect(path)
     try:
+        # A suite is rebuilt whenever it is needed, so it skips the rollback
+        # journal and fsync; neither changes the bytes of the finished file.
+        conn.execute("PRAGMA journal_mode = OFF")
+        conn.execute("PRAGMA synchronous = OFF")
         _create_schema(conn, catalog)
         for t in order:
             table = catalog.tables[t]
@@ -310,18 +356,24 @@ def ts_match(
     """
     if not exec_match(pred_sql, gold_sql, catalog):
         return False
-    return _suites_match(pred_sql, gold_sql, suite_catalogs(catalog, spec, suite_dir))
+    return _suites_match(pred_sql, gold_sql, suite_catalogs(catalog, spec, suite_dir)) is None
 
 
-def _suites_match(pred_sql: str, gold_sql: str, suites: list[DatabaseCatalog]) -> bool:
-    """The suite half of TS: EX on every suite whose gold statement succeeds."""
-    for suite_catalog in suites:
+def _suites_match(
+    pred_sql: str, gold_sql: str, suites: list[DatabaseCatalog], memo: Memo | None = None
+) -> int | None:
+    """The suite half of TS: EX on every suite whose gold statement succeeds.
+
+    Returns None when the pred matches on all of them, else the 1-based
+    index of the first suite on which it fails or differs.
+    """
+    for k, suite_catalog in enumerate(suites, 1):
         try:
-            if not exec_match(pred_sql, gold_sql, suite_catalog):
-                return False
+            if not exec_match(pred_sql, gold_sql, suite_catalog, memo=memo):
+                return k
         except GoldExecutionFailed:
             continue
-    return True
+    return None
 
 
 # --- file-level evaluation -----------------------------------------------------
@@ -353,6 +405,7 @@ def evaluate_file(
 
     catalogs: dict[str, DatabaseCatalog] = {}
     suites: dict[str, list[DatabaseCatalog]] = {}
+    memo: Memo = {}  # this call only: another run rewrites the suite files in place
     per_question: list[QuestionScore] = []
     gold_failures = 0
     for example in examples:
@@ -368,17 +421,20 @@ def evaluate_file(
         pred_sql = predictions[example.example_id]
         gold_sql = example.gold_sql or ""
         try:
-            ex = exec_match(pred_sql, gold_sql, catalog, example.example_id)
-            ts = None
-            if spec is not None:
-                # TS includes EX, so only the suites are left to score
-                ts = ex and _suites_match(pred_sql, gold_sql, suites[example.db_id])
-            per_question.append(QuestionScore(example.example_id, ex, ts))
+            ex = exec_match(pred_sql, gold_sql, catalog, example.example_id, memo)
         except GoldExecutionFailed as failure:
             gold_failures += 1
             per_question.append(
-                QuestionScore(example.example_id, False, None, gold_error=str(failure))
+                QuestionScore(example.example_id, False, None, str(failure), "gold_error")
             )
+            continue
+        reason = None if ex else _original_miss(pred_sql, gold_sql, catalog, memo)
+        ts = None if spec is None else ex
+        if ts:  # TS includes EX, so only the suites are left to score
+            suite = _suites_match(pred_sql, gold_sql, suites[example.db_id], memo)
+            ts = suite is None
+            reason = None if ts else f"differs:suite{suite}"
+        per_question.append(QuestionScore(example.example_id, ex, ts, None, reason))
 
     scored = [q for q in per_question if q.gold_error is None]
     ex_accuracy = sum(q.ex for q in scored) / len(scored) if scored else 0.0

@@ -183,6 +183,66 @@ def test_evaluate_missing_db_file(fixture_root, tmp_path, capsys):
     assert str(fixture_root / "database" / "ghost" / "ghost.sqlite") in capsys.readouterr().err
 
 
+def test_evaluate_unreadable_db_file(tmp_path, capsys):
+    junk = tmp_path / "database" / "junk" / "junk.sqlite"
+    junk.parent.mkdir(parents=True)
+    junk.write_text("not a database")
+    dataset = tmp_path / "junk.json"
+    dataset.write_text(json.dumps([{"question": "q?", "query": "SELECT 1", "db_id": "junk"}]))
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text(json.dumps({"example_id": "000000", "sql": "SELECT 1"}) + "\n")
+    code = main([
+        "evaluate", "--pred", str(pred_path), "--dataset", str(dataset),
+        "--db-dir", str(tmp_path / "database"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read database at {junk}: ") and err.count("\n") == 1
+
+
+def test_evaluate_report_records_give_a_reason(fixture_root, tmp_path):
+    records = [
+        {"question": "q0", "query": "SELECT Name FROM singer", "db_id": "singer"},
+        {"question": "q1", "query": "SELECT Name FROM singer", "db_id": "singer"},
+        {"question": "q2", "query": "SELECT nope FROM nothing", "db_id": "singer"},
+    ]
+    dataset = tmp_path / "three.json"
+    dataset.write_text(json.dumps(records))
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text("".join(
+        json.dumps({"example_id": f"{i:06d}", "sql": sql}) + "\n"
+        for i, sql in enumerate(["SELECT Name FROM singer", "SELEC Name", "SELECT 1"])
+    ))
+    report = tmp_path / "report.jsonl"
+    code = main([
+        "evaluate", "--pred", str(pred_path), "--dataset", str(dataset),
+        "--db-dir", str(fixture_root / "database"), "--report", str(report),
+    ])
+    assert code == 0
+    scores = [json.loads(line) for line in report.read_text().splitlines()]
+    assert [list(score) for score in scores] == [["example_id", "ex", "ts", "gold_error", "reason"]] * 3
+    assert [score["reason"] for score in scores] == [None, "pred_error:syntax", "gold_error"]
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [
+        ({"type": "remote", "endpoint": "http://localhost:9", "request_timeout": "abc"}, "ValueError"),
+        ({"type": "remote"}, "KeyError"),
+    ],
+    ids=["timeout-not-a-number", "no-endpoint"],
+)
+def test_bad_remote_backend_value_is_a_config_error(mini_run, capsys, spec, kind):
+    fixture_root, work, config_path = mini_run
+    config = yaml.safe_load(config_path.read_text())
+    config["backends"]["remote-x"] = spec
+    config_path.write_text(yaml.safe_dump(config))
+    assert main(["predict", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad config value for remote backend 'remote-x': {kind}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--suites", "--rows"])
 def test_evaluate_ts_rejects_zero(fixture_root, tmp_path, capsys, flag):
     pred_path = tmp_path / "pred.jsonl"

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sqlvote import evaluation
+from sqlvote import evaluation, execution
 from sqlvote.catalog import load_catalogs
 from sqlvote.errors import GoldExecutionFailed, MissingPrediction
 from sqlvote.evaluation import (
     SuiteSpec,
+    _suites_match,
     cycle_broken_edges,
     evaluate_file,
     exec_match,
@@ -194,6 +198,23 @@ def test_suite_deterministic_bytes(singer_catalog, tmp_path):
     first = generate_suite_db(singer_catalog, spec, 1, tmp_path / "a")
     second = generate_suite_db(singer_catalog, spec, 1, tmp_path / "b")
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_suite_bytes_do_not_depend_on_journal_or_sync(singer_catalog, tmp_path, monkeypatch):
+    spec = SuiteSpec(suite_count=1, rows_per_table=30, seed=11)
+    unsynced = generate_suite_db(singer_catalog, spec, 1, tmp_path / "a")
+
+    class Journaled(sqlite3.Connection):  # SQLite's defaults: rollback journal, full sync
+        def execute(self, sql, *args):
+            if sql.startswith(("PRAGMA journal_mode", "PRAGMA synchronous")):
+                return self.cursor()
+            return super().execute(sql, *args)
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: connect(*a, factory=Journaled, **k))
+    journaled = generate_suite_db(singer_catalog, spec, 1, tmp_path / "b")
+    assert unsynced.read_bytes() == journaled.read_bytes()
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [unsynced.name]
 
 
 def test_suite_differs_across_indices(singer_catalog, tmp_path):
@@ -384,3 +405,144 @@ def test_suite_catalogs_reads_observed_values_once(singer_catalog, tmp_path, mon
         index = int(suite.db_path.name.split("__suite")[1][:3])
         alone = generate_suite_db(singer_catalog, spec, index, tmp_path / "b")
         assert alone.read_bytes() == suite.db_path.read_bytes()
+
+
+# --- the per-call memo and the reason of each score -------------------------------
+
+_ENDLESS = "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) SELECT count(*) FROM c"
+_TOO_LARGE = "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c LIMIT 101) SELECT x FROM c"
+_GOLDS = [
+    "SELECT Name FROM singer WHERE Birth_Year = 1948",
+    "SELECT Name FROM singer WHERE Singer_ID > 0",
+    "SELECT Name FROM singer ORDER BY Net_Worth_Millions DESC",
+    "SELECT Citizenship, COUNT(*) FROM singer GROUP BY Citizenship",
+    "SELECT nope FROM nothing",
+]
+_PREDS = _GOLDS + [
+    "SELECT Name FROM singer",  # matches the unordered gold, differs from the ordered one
+    "SELECT Name FROM singer WHERE Net_Worth_Millions = 25",  # same rows as _GOLDS[0] on the original only
+    "SELEC Name FROM singer",
+    "SELECT nope FROM singer",
+    "",
+    _ENDLESS,
+    _TOO_LARGE,
+]
+
+
+@pytest.fixture()
+def small_limits(monkeypatch):
+    """Make _ENDLESS a timeout and _TOO_LARGE too large, quickly."""
+    monkeypatch.setattr(evaluation, "TIMEOUT", 0.1)
+    monkeypatch.setattr(execution, "MAX_ROWS", 100)
+
+
+def _evaluate_pairs(fixture_root, work, pairs, spec):
+    """evaluate_file on singer questions given as (gold, pred) pairs."""
+    work.mkdir(parents=True, exist_ok=True)
+    dataset = work / "pairs.json"
+    dataset.write_text(json.dumps(
+        [{"question": f"q{i}", "query": gold, "db_id": "singer"} for i, (gold, _) in enumerate(pairs)]
+    ))
+    _write_predictions(work / "pred.jsonl", [(f"{i:06d}", pred) for i, (_, pred) in enumerate(pairs)])
+    return evaluate_file(
+        work / "pred.jsonl", dataset, fixture_root / "database", spec, work / "suites"
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, len(_GOLDS) - 1), st.integers(0, len(_PREDS) - 1)), min_size=1, max_size=6
+))
+@example([(1, 5), (2, 5), (0, 6), (4, 0)])
+def test_memo_scores_like_unmemoized_calls(fixture_root, singer_catalog, tmp_path_factory, draws):
+    work = tmp_path_factory.mktemp("memo")
+    spec = SuiteSpec(suite_count=2, rows_per_table=10, seed=3)
+    pairs = [(_GOLDS[g], _PREDS[p]) for g, p in draws]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "TIMEOUT", 0.1)
+        patch.setattr(execution, "MAX_ROWS", 100)
+        report = _evaluate_pairs(fixture_root, work / "memo", pairs, spec)
+        for i, ((gold, pred), score) in enumerate(zip(pairs, report.per_question)):
+            try:
+                ex = exec_match(pred, gold, singer_catalog, f"{i:06d}")
+            except GoldExecutionFailed as failure:
+                assert (score.ex, score.ts, score.gold_error) == (False, None, str(failure))
+                continue
+            ts = ts_match(pred, gold, singer_catalog, spec, work / "plain")
+            assert (score.ex, score.ts, score.gold_error) == (ex, ts, None)
+
+
+def test_evaluate_executes_each_statement_once(fixture_root, tmp_path, monkeypatch):
+    """One execution per distinct (sql, database file, gold order flag) that scoring reaches."""
+    golds = [q["query"] for q in json.loads((fixture_root / "mini_dev.json").read_text())]
+    preds = ["SELECT 1", "SELECT Name FROM singer", "SELEC Name"]
+    pairs = [(g, g) for g in golds] + [(g, p) for g in golds for p in preds] + [
+        ("SELECT nope FROM nothing", "SELECT 1")
+    ] * 2
+    pairs *= 2  # every question twice, as repeated questions or paraphrases would be
+    matches, executed = [], []
+    match, run = evaluation.exec_match, evaluation.execute
+
+    def recording_match(pred, gold, catalog, *args, **kwargs):
+        try:
+            result = match(pred, gold, catalog, *args, **kwargs)
+        except GoldExecutionFailed:
+            matches.append((pred, gold, catalog.db_path, False))
+            raise
+        matches.append((pred, gold, catalog.db_path, True))
+        return result
+
+    def recording_execute(sql, catalog, *args, **kwargs):
+        executed.append((sql, catalog.db_path))
+        return run(sql, catalog, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "exec_match", recording_match)
+    monkeypatch.setattr(evaluation, "execute", recording_execute)
+    _evaluate_pairs(fixture_root, tmp_path, pairs, SuiteSpec(suite_count=3, rows_per_table=10, seed=1))
+    reached = set()
+    for pred, gold, path, gold_ran in matches:
+        flag = execution.is_order_sensitive(gold)
+        reached.add((gold, path, flag))
+        if gold_ran:
+            reached.add((pred, path, flag))
+    assert Counter(executed) == Counter((sql, path) for sql, path, _ in reached)
+    # the same pred under an ORDER BY gold and an unordered one is two entries
+    original = fixture_root / "database" / "singer" / "singer.sqlite"
+    assert executed.count(("SELECT Name FROM singer", original)) == 2
+    assert len(executed) < len(matches)
+
+
+_SINGER_GOLD = "SELECT Name FROM singer WHERE Birth_Year = 1948 OR Birth_Year = 1949"
+
+
+@pytest.mark.parametrize(
+    "gold, pred, reason",
+    [
+        pytest.param(
+            _SINGER_GOLD, "SELECT name FROM singer WHERE birth_year IN (1948, 1949)", None, id="match"
+        ),
+        pytest.param("SELECT nope FROM nothing", "SELECT 1", "gold_error", id="gold_error"),
+        pytest.param(_SINGER_GOLD, "SELEC Name FROM singer", "pred_error:syntax", id="syntax"),
+        pytest.param(_SINGER_GOLD, "SELECT nope FROM singer", "pred_error:runtime", id="runtime"),
+        pytest.param(_SINGER_GOLD, _ENDLESS, "pred_error:timeout", id="timeout"),
+        pytest.param(_SINGER_GOLD, "", "pred_error:empty_sql", id="empty_sql"),
+        pytest.param(_SINGER_GOLD, _TOO_LARGE, "pred_error:too_large", id="too_large"),
+        pytest.param(_SINGER_GOLD, "SELECT Name FROM singer", "differs:original", id="differs"),
+    ],
+)
+@pytest.mark.parametrize("ts", [False, True], ids=["ex", "ts"])
+def test_reason_on_the_original_database(fixture_root, tmp_path, small_limits, gold, pred, reason, ts):
+    spec = SuiteSpec(suite_count=2, rows_per_table=10, seed=3) if ts else None
+    (score,) = _evaluate_pairs(fixture_root, tmp_path, [(gold, pred)], spec).per_question
+    assert score.reason == reason
+    assert score.ex is (reason is None)
+
+
+def test_reason_names_the_first_differing_suite(fixture_root, singer_catalog, tmp_path):
+    gold, pred = TS_FALSE_POSITIVE
+    spec = SuiteSpec(suite_count=10, rows_per_table=50, seed=13)
+    suites = suite_catalogs(singer_catalog, spec, tmp_path / "alone")
+    first = next(k for k, suite in enumerate(suites, 1) if not exec_match(pred, gold, suite))
+    assert _suites_match(pred, gold, suites) == first
+    (score,) = _evaluate_pairs(fixture_root, tmp_path, [(gold, pred)], spec).per_question
+    assert (score.ex, score.ts, score.reason) == (True, False, f"differs:suite{first}")
