@@ -27,9 +27,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .catalog import ColumnType, DatabaseCatalog, catalog_from_sqlite, load_examples
-from .errors import ConfigError, GenerationFailed, GoldExecutionFailed, MissingPrediction
+from .errors import (
+    ConfigError, GenerationFailed, GoldExecutionFailed, MissingPrediction, SqlVoteError,
+)
 from .execution import (
-    ExecutionOutcome,
+    KeyOrError,
     OutcomeKey,
     canonical_key,
     connect_readonly,
@@ -84,12 +86,10 @@ class EvalReport:
 
 
 # (SQL text, database path, gold order flag) -> canonical key, or error outcome
-Memo = dict[tuple[str, Path, bool], OutcomeKey | ExecutionOutcome]
+Memo = dict[tuple[str, Path, bool], KeyOrError]
 
 
-def _outcome(
-    sql: str, catalog: DatabaseCatalog, sensitive: bool, memo: Memo
-) -> OutcomeKey | ExecutionOutcome:
+def _outcome(sql: str, catalog: DatabaseCatalog, sensitive: bool, memo: Memo) -> KeyOrError:
     """The statement's canonical key, or its error outcome; executed once per memo."""
     memo_key = (sql, catalog.db_path, sensitive)
     entry = memo.get(memo_key)
@@ -380,13 +380,22 @@ def _suites_match(
 
 
 def load_predictions(pred_path: Path | str) -> dict[str, str]:
+    """example_id -> SQL; a line that is not such a record raises SqlVoteError."""
     predictions: dict[str, str] = {}
     with open(pred_path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            if not (isinstance(record, dict) and "example_id" in record
+                    and isinstance(record.get("sql"), str)):
+                raise SqlVoteError(
+                    f"{pred_path}:{number}: not a JSON object with an example_id and a string sql"
+                )
             predictions[str(record["example_id"])] = record["sql"]
     return predictions
 

@@ -10,7 +10,8 @@ wall-clock deadline and a row cap; all failures come back as classified
 outcomes, never exceptions. A caller may pass one connection from
 `connect_readonly` for many statements (a voting pool does); otherwise each
 statement opens and closes its own. Success outcomes reduce to stable keys so
-voting and evaluation can compare result sets across candidates.
+voting and evaluation can compare result sets across candidates; both keep
+only that key, or the error outcome, never the rows (`KeyOrError`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import DatabaseCatalog
+from .errors import DbUnreadable
 
 DEFAULT_TIMEOUT = 5.0
 MAX_ROWS = 100_000  # larger results are TOO_LARGE errors, bounding result memory
@@ -101,6 +103,9 @@ class ExecutionOutcome:
 @dataclass(frozen=True)
 class OutcomeKey:
     key: str
+
+
+KeyOrError = OutcomeKey | ExecutionOutcome  # what voting and evaluation keep of a statement
 
 
 def _tokens(sql: str):
@@ -186,17 +191,22 @@ def connect_readonly(catalog: DatabaseCatalog) -> sqlite3.Connection:
 
     The file is opened read-only, the connection is set query-only, and
     schema/attach/pragma/write operations are denied by an authorizer.
-    Raises sqlite3.Error when the database cannot be opened. The caller
-    closes the connection; keep it no longer than the file stays unchanged.
+    Reading `sqlite_master` once proves the file is an SQLite database.
+    Raises DbUnreadable for any sqlite3.Error. The caller closes the
+    connection; keep it no longer than the file stays unchanged.
     """
-    conn = sqlite3.connect(f"file:{catalog.db_path}?mode=ro", uri=True)
+    try:
+        conn = sqlite3.connect(f"file:{catalog.db_path}?mode=ro", uri=True)
+    except sqlite3.Error as exc:
+        raise DbUnreadable(str(catalog.db_path), str(exc)) from exc
     try:
         conn.text_factory = lambda b: b.decode("utf-8", "replace")
         conn.execute("PRAGMA query_only = ON")
+        conn.execute("SELECT count(*) FROM sqlite_master").fetchone()
         conn.set_authorizer(_authorize)
-    except sqlite3.Error:
+    except sqlite3.Error as exc:
         conn.close()
-        raise
+        raise DbUnreadable(str(catalog.db_path), str(exc)) from exc
     return conn
 
 
@@ -229,7 +239,7 @@ def execute(
         return _run(conn, statement, start, timeout)
     try:
         conn = connect_readonly(catalog)
-    except sqlite3.Error as exc:
+    except DbUnreadable as exc:
         return ExecutionOutcome.error(ErrorKind.RUNTIME, time.monotonic() - start, str(exc))
     try:
         return _run(conn, statement, start, timeout)

@@ -102,10 +102,7 @@ def _distinct_column_values(conn: sqlite3.Connection, table: str, column: str, c
 
 
 def _scan(catalog: DatabaseCatalog, columns: tuple[tuple[str, str], ...]) -> tuple[_ColumnValues, ...]:
-    try:
-        conn = connect_readonly(catalog)
-    except sqlite3.Error as exc:
-        raise DbUnreadable(str(catalog.db_path), str(exc)) from exc
+    conn = connect_readonly(catalog)
     scanned = []
     try:
         for table, column in columns:

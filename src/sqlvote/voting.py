@@ -3,21 +3,22 @@
 For each question every arm renders its prompt, samples completions, and
 executes them; the pool concatenates all candidates in configuration order.
 Each distinct extracted statement runs once per pool, on one read-only
-connection, and candidates with the same statement share its outcome object.
-Error outcomes are filtered, survivors are grouped by canonical execution
-outcome, and the largest group's earliest candidate wins.
+connection, and is reduced at once to what the vote reads: its
+order-insensitive outcome key, or its error outcome. A pool holds no rows.
+Error candidates are filtered, survivors are grouped by outcome key, and the
+largest group's earliest candidate wins.
 """
 
 from __future__ import annotations
 
-import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .catalog import DatabaseCatalog, ExampleItem
 from .execution import (
     ErrorKind,
     ExecutionOutcome,
+    KeyOrError,
     OutcomeKey,
     canonical_key,
     connect_readonly,
@@ -36,7 +37,7 @@ class Candidate:
     sql: str
     arm: ModelArm
     sample_index: int
-    outcome: ExecutionOutcome
+    outcome: KeyOrError  # order-insensitive key on success, else the error outcome
     pool_position: int
 
 
@@ -70,15 +71,17 @@ def build_pool(
     """Sample and execute every arm's candidates, in configuration order.
 
     Each distinct extracted statement executes once, and every candidate
-    holding it shares that outcome (elapsed time included). The statements
-    share one read-only connection that is closed before this returns; it is
-    never kept across pools, since a database file may be rewritten between
-    them.
+    holding it shares its key or error outcome. Values are linked only when
+    some arm's design renders them. The statements share one read-only
+    connection that is closed before this returns; it is never kept across
+    pools, since a database file may be rewritten between them. An
+    unreadable database raises DbUnreadable.
     """
-    matches = link_values(question.question, catalog, max_per_column) if arms else []
+    renders_values = any(arm.design is not PromptDesignId.BASELINE_DEFAULT for arm in arms)
+    matches = link_values(question.question, catalog, max_per_column) if renders_values else []
     candidates: list[Candidate] = []
-    outcomes: dict[str, ExecutionOutcome] = {}
-    conn = _open_or_none(catalog) if arms else None
+    outcomes: dict[str, KeyOrError] = {}
+    conn = connect_readonly(catalog)
     try:
         for arm in arms:
             demos = demos_for(arm) if demos_for is not None else EMPTY_DEMOS
@@ -96,60 +99,35 @@ def build_pool(
                     )
                     outcome = outcomes.get(sql)
                     if outcome is None:
-                        outcome = outcomes[sql] = execute(sql, catalog, timeout, conn)
+                        executed = execute(sql, catalog, timeout, conn)
+                        outcome = outcomes[sql] = (
+                            canonical_key(executed, order_sensitive=False)
+                            if executed.is_success
+                            else executed
+                        )
                 candidates.append(
                     Candidate(sql, arm, completion.sample_index, outcome, len(candidates))
                 )
     finally:
-        if conn is not None:
-            conn.close()
+        conn.close()
     return CandidatePool(question.example_id, tuple(candidates), tuple(arms))
-
-
-def _open_or_none(catalog: DatabaseCatalog) -> sqlite3.Connection | None:
-    # None makes execute open its own connection and report why that fails
-    try:
-        return connect_readonly(catalog)
-    except sqlite3.Error:
-        return None
-
-
-def _outcome_keys(candidates: tuple[Candidate, ...]) -> list[OutcomeKey | None]:
-    """Order-insensitive key of each candidate, computed once per outcome object."""
-    by_outcome: dict[int, OutcomeKey | None] = {}
-    keys = []
-    for candidate in candidates:
-        outcome = candidate.outcome
-        if id(outcome) not in by_outcome:
-            by_outcome[id(outcome)] = (
-                canonical_key(outcome, order_sensitive=False) if outcome.is_success else None
-            )
-        keys.append(by_outcome[id(outcome)])
-    return keys
-
-
-def filter_errors(pool: CandidatePool) -> CandidatePool:
-    """Drop error-outcome candidates; order and pool positions are preserved."""
-    kept = tuple(c for c in pool.candidates if c.outcome.is_success)
-    return replace(pool, candidates=kept)
 
 
 def select_by_consistency(pool: CandidatePool) -> SelectionResult:
     """Majority vote over order-insensitive outcome keys.
 
-    Ties go to the group holding the smallest pool position, and the winning
-    group's earliest candidate supplies the SQL. Unfiltered pools are
-    filtered here first, so the error count reflects the whole pool.
+    Error candidates count in `filtered_error_count` and nowhere else. Ties
+    go to the group holding the smallest pool position, and the winning
+    group's earliest candidate supplies the SQL.
     """
-    total = len(pool.candidates)
-    survivors = filter_errors(pool).candidates
-    filtered = total - len(survivors)
-
     groups: dict[OutcomeKey, list[Candidate]] = {}
-    for candidate, key in zip(survivors, _outcome_keys(survivors)):
-        groups.setdefault(key, []).append(candidate)
+    for candidate in pool.candidates:
+        if isinstance(candidate.outcome, OutcomeKey):
+            groups.setdefault(candidate.outcome, []).append(candidate)
 
+    total = len(pool.candidates)
     tallies = {key: len(members) for key, members in groups.items()}
+    filtered = total - sum(tallies.values())
     if not groups:
         return SelectionResult(None, None, {}, filtered, total, False)
 
@@ -186,23 +164,23 @@ def run_question(
 
 def audit_records(pool: CandidatePool, result: SelectionResult) -> list[dict]:
     """One record per candidate, suitable for line-delimited audit output."""
-    keys = _outcome_keys(pool.candidates)
-    winner_position = None
-    if result.selected_sql is not None and result.winning_key is not None:
-        winner_position = next(
-            (c.pool_position for c, key in zip(pool.candidates, keys) if key == result.winning_key),
-            None,
+    winner_position = next(
+        (c.pool_position for c in pool.candidates if c.outcome == result.winning_key), None
+    )
+    records = []
+    for candidate in pool.candidates:
+        outcome = candidate.outcome
+        succeeded = isinstance(outcome, OutcomeKey)
+        records.append(
+            {
+                "pool_position": candidate.pool_position,
+                "sql": candidate.sql,
+                "arm": candidate.arm.describe(),
+                "sample_index": candidate.sample_index,
+                "outcome_kind": "success" if succeeded else outcome.kind,
+                "error_kind": None if succeeded else outcome.error_kind.value,
+                "outcome_key": outcome.key if succeeded else None,
+                "selected": candidate.pool_position == winner_position,
+            }
         )
-    return [
-        {
-            "pool_position": candidate.pool_position,
-            "sql": candidate.sql,
-            "arm": candidate.arm.describe(),
-            "sample_index": candidate.sample_index,
-            "outcome_kind": candidate.outcome.kind,
-            "error_kind": candidate.outcome.error_kind.value if candidate.outcome.error_kind else None,
-            "outcome_key": key.key if key else None,
-            "selected": candidate.pool_position == winner_position,
-        }
-        for candidate, key in zip(pool.candidates, keys)
-    ]
+    return records

@@ -15,7 +15,7 @@ import pytest
 from sqlvote.catalog import load_examples
 from sqlvote.cli import main
 from sqlvote.evaluation import SuiteSpec, evaluate_file, exec_match, generate_suite_db, ts_match
-from sqlvote.execution import ErrorKind, ExecutionOutcome, canonical_key, execute
+from sqlvote.execution import ErrorKind, ExecutionOutcome, OutcomeKey, canonical_key, execute
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
 from sqlvote.linking import link_values
 from sqlvote.prompts import PromptDesignId, render
@@ -59,8 +59,13 @@ def _success(rows):
 
 
 def _pool(outcomes):
+    """A pool as build_pool leaves it: each outcome reduced to its key, or kept as an error."""
     candidates = tuple(
-        Candidate(f"SELECT {i}", _ARM, i, outcome, i) for i, outcome in enumerate(outcomes)
+        Candidate(
+            f"SELECT {i}", _ARM, i,
+            canonical_key(outcome, False) if outcome.is_success else outcome, i,
+        )
+        for i, outcome in enumerate(outcomes)
     )
     return CandidatePool("q", candidates, (_ARM,))
 
@@ -83,8 +88,8 @@ def test_vote_oracle_thousand_pools(capsys):
         result = select_by_consistency(pool)
         winner_position, best, tie = majority_select(
             [
-                (c.pool_position, list(c.outcome.rows or []), not c.outcome.is_success)
-                for c in pool.candidates
+                (position, list(outcome.rows or []), not outcome.is_success)
+                for position, outcome in enumerate(outcomes)
             ]
         )
         if winner_position is None:
@@ -191,11 +196,7 @@ def test_error_filtering_contributes(fixture_root, catalogs, capsys):
         tallies: dict = {}
         first_position: dict = {}
         for candidate in pool.candidates:
-            key = (
-                "ERRORS"
-                if not candidate.outcome.is_success
-                else canonical_key(candidate.outcome, order_sensitive=False)
-            )
+            key = candidate.outcome if isinstance(candidate.outcome, OutcomeKey) else "ERRORS"
             tallies[key] = tallies.get(key, 0) + 1
             first_position.setdefault(key, candidate.pool_position)
         best = max(tallies.values())

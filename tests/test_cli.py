@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 import yaml
@@ -198,6 +199,48 @@ def test_evaluate_unreadable_db_file(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"cannot read database at {junk}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["not json", '{"example_id": "000000"}', '{"example_id": "000000", "sql": 5}'],
+    ids=["not-json", "no-sql", "sql-not-a-string"],
+)
+def test_evaluate_malformed_prediction_line(fixture_root, tmp_path, capsys, line):
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text(json.dumps({"example_id": "000001", "sql": "SELECT 1"}) + "\n" + line + "\n")
+    code = main([
+        "evaluate", "--pred", str(pred_path),
+        "--dataset", str(fixture_root / "mini_dev.json"),
+        "--db-dir", str(fixture_root / "database"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{pred_path}:2: ") and err.count("\n") == 1
+
+
+def test_predict_unreadable_db_fails_each_question(fixture_root, tmp_path, capsys):
+    db_dir = tmp_path / "database"
+    shutil.copytree(fixture_root / "database", db_dir)
+    junk = db_dir / "singer" / "singer.sqlite"
+    junk.write_text("not a database")
+    scripted = tmp_path / "scripted"
+    scripted.mkdir()
+    config_path = write_run_config(fixture_root, tmp_path, scripted)
+    config = yaml.safe_load(config_path.read_text())
+    config["db_dir"] = str(db_dir)
+    # a baseline-only arm renders no values, so value linking never reads the file
+    config["arms"] = [{"model": "scripted-a", "design": "baseline_default", "samples": 2}]
+    config_path.write_text(yaml.safe_dump(config))
+    assert main(["predict", "--config", str(config_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "predicted 5 questions: 0 tie-breaks, 0 all-filtered, 5 failures\n"
+    failed = [line for line in captured.err.splitlines() if "FAILED" in line]
+    assert failed == [
+        f"{i:06d}: FAILED (cannot read database at {junk}: file is not a database)" for i in range(5)
+    ]
+    records = [json.loads(line) for line in (tmp_path / "predictions.jsonl").read_text().splitlines()]
+    assert [r["sql"] for r in records] == ["SELECT NULL"] * 5
 
 
 def test_evaluate_report_records_give_a_reason(fixture_root, tmp_path):

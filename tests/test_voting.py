@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlvote import voting
-from sqlvote.execution import ErrorKind, ExecutionOutcome, canonical_key, execute
+from sqlvote.execution import ErrorKind, ExecutionOutcome, OutcomeKey, canonical_key, execute
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
 from sqlvote.prompts import PromptDesignId
 from sqlvote.voting import (
@@ -17,7 +17,6 @@ from sqlvote.voting import (
     CandidatePool,
     audit_records,
     build_pool,
-    filter_errors,
     run_question,
     select_by_consistency,
 )
@@ -35,9 +34,14 @@ def _error(kind=ErrorKind.SYNTAX):
     return ExecutionOutcome.error(kind)
 
 
+def _reduced(outcome):
+    """What build_pool keeps of an outcome: its order-insensitive key, or the error."""
+    return canonical_key(outcome, False) if outcome.is_success else outcome
+
+
 def _pool(outcomes, question_id="q"):
     candidates = tuple(
-        Candidate(f"SELECT {i}", ARM, i, outcome, i) for i, outcome in enumerate(outcomes)
+        Candidate(f"SELECT {i}", ARM, i, _reduced(outcome), i) for i, outcome in enumerate(outcomes)
     )
     return CandidatePool(question_id, candidates, (ARM,))
 
@@ -81,15 +85,6 @@ def test_single_candidate():
     assert not result.tie_broken
 
 
-def test_filter_errors_counts():
-    pool = _pool([_success([(1,)]), _error(), _success([(1,)]), _success([(2,)])])
-    filtered = filter_errors(pool)
-    assert len(filtered.candidates) == 3
-    assert [c.pool_position for c in filtered.candidates] == [0, 2, 3]
-    assert filter_errors(filtered) == filtered
-    assert len(filter_errors(_pool([_error(), _error()])).candidates) == 0
-
-
 def test_tallies_plus_errors_equals_total():
     pool = _pool([_success([(1,)]), _error(), _success([(2,)]), _success([(2,)]), _error()])
     result = select_by_consistency(pool)
@@ -102,34 +97,36 @@ def _random_outcome(rng, n_keys):
     return _success([(rng.randrange(n_keys),)])
 
 
-def _random_pool(rng):
+def _random_outcomes(rng):
     size = rng.randint(0, 40)
     n_keys = rng.randint(1, 5)
     error_rate = rng.uniform(0.0, 0.3)
-    outcomes = [
+    return [
         _error(rng.choice(list(ErrorKind))) if rng.random() < error_rate else _random_outcome(rng, n_keys)
         for _ in range(size)
     ]
-    return _pool(outcomes)
+
+
+def _random_pool(rng):
+    return _pool(_random_outcomes(rng))
 
 
 def test_thousand_pools_match_bruteforce_oracle():
     rng = random.Random(20240810)
     for trial in range(1000):
-        pool = _random_pool(rng)
+        outcomes = _random_outcomes(rng)
+        pool = _pool(outcomes)
         result = select_by_consistency(pool)
         entries = [
-            (c.pool_position, list(c.outcome.rows or []), not c.outcome.is_success)
-            for c in pool.candidates
+            (position, list(outcome.rows or []), not outcome.is_success)
+            for position, outcome in enumerate(outcomes)
         ]
         winner_position, best_count, tie = majority_select(entries)
         if winner_position is None:
             assert result.selected_sql is None, trial
         else:
             assert result.selected_sql == pool.candidates[winner_position].sql, trial
-            assert result.winning_key == canonical_key(
-                pool.candidates[winner_position].outcome, False
-            ), trial
+            assert result.winning_key == canonical_key(outcomes[winner_position], False), trial
             assert result.tallies[result.winning_key] == best_count, trial
             assert result.tie_broken == tie, trial
 
@@ -157,11 +154,7 @@ def test_duplication_monotonicity():
         base = select_by_consistency(pool)
         if base.winning_key is None:
             continue
-        winners = [
-            c
-            for c in pool.candidates
-            if c.outcome.is_success and canonical_key(c.outcome, False) == base.winning_key
-        ]
+        winners = [c for c in pool.candidates if c.outcome == base.winning_key]
         clone = winners[0]
         extended = CandidatePool(
             pool.question_id,
@@ -211,7 +204,7 @@ def test_vote_ignores_how_the_pool_is_split_across_arms(data):
     split = CandidatePool(
         "q",
         tuple(
-            Candidate(f"SELECT {i}", _ARMS[owner], i, outcome, i)
+            Candidate(f"SELECT {i}", _ARMS[owner], i, _reduced(outcome), i)
             for i, (owner, outcome) in enumerate(zip(owners, outcomes))
         ),
         _ARMS,
@@ -379,10 +372,75 @@ def test_identical_sql_executes_once_per_pool(dev_examples, singer_catalog, monk
     assert len(pool.candidates) == k
     assert {c.sql for c in pool.candidates} == {sql}
     assert all(c.outcome is pool.candidates[0].outcome for c in pool.candidates)
-    assert pool.candidates[0].outcome.rows == execute(sql, singer_catalog).rows
+    assert pool.candidates[0].outcome == canonical_key(execute(sql, singer_catalog), False)
     assert len(connections) == 1
     with pytest.raises(sqlite3.ProgrammingError):  # closed once the pool is built
         connections[0].execute("SELECT 1")
+
+
+def _mixed_pool_gateway(example, catalog, k):
+    arms = [ModelArm("m", PromptDesignId.CONCISE, samples=k)]
+    hashes = _render_hashes(example, catalog, arms)
+    completions = [
+        "SELECT Name FROM singer",
+        "SELECT Name FROM singer ORDER BY Name;",  # same key as the line above
+        "SELECT count(*) FROM song",
+        "SELEC oops",
+        "SELECT Name FROM singer",
+    ]
+    return arms, _scripted_gateway({hashes[PromptDesignId.CONCISE]: completions})
+
+
+def test_pool_keeps_keys_or_errors_never_rows(dev_examples, singer_catalog):
+    example = dev_examples[1]
+    arms, gateway = _mixed_pool_gateway(example, singer_catalog, 5)
+    pool = build_pool(example, singer_catalog, arms, seed=0, gateway=gateway)
+    outcomes = [c.outcome for c in pool.candidates]
+    assert [type(o) for o in outcomes] == [OutcomeKey] * 3 + [ExecutionOutcome, OutcomeKey]
+    assert outcomes[3].error_kind is ErrorKind.SYNTAX and outcomes[3].rows is None
+    for candidate in pool.candidates:
+        if isinstance(candidate.outcome, OutcomeKey):
+            assert candidate.outcome == canonical_key(execute(candidate.sql, singer_catalog), False)
+
+
+def test_canonical_key_once_per_distinct_success_and_never_in_audit(
+    dev_examples, singer_catalog, monkeypatch
+):
+    example = dev_examples[1]
+    arms, gateway = _mixed_pool_gateway(example, singer_catalog, 5)
+    keyed = []
+
+    def counting_key(outcome, order_sensitive):
+        keyed.append(outcome)
+        return canonical_key(outcome, order_sensitive)
+
+    monkeypatch.setattr(voting, "canonical_key", counting_key)
+    result, pool = run_question(example, singer_catalog, arms, seed=0, gateway=gateway)
+    assert len(keyed) == 3  # three distinct statements succeed, one fails
+    records = audit_records(pool, result)
+    assert len(keyed) == 3
+    assert [r["outcome_kind"] for r in records] == ["success"] * 3 + ["error", "success"]
+    assert [r["selected"] for r in records] == [True, False, False, False, False]
+
+
+def test_values_are_linked_only_for_designs_that_render_them(
+    dev_examples, singer_catalog, monkeypatch
+):
+    calls = []
+
+    def counting_link(*args):
+        calls.append(args[0])
+        return []
+
+    monkeypatch.setattr(voting, "link_values", counting_link)
+    example = dev_examples[1]
+    baseline = ModelArm("m", PromptDesignId.BASELINE_DEFAULT, samples=1)
+    concise = ModelArm("m", PromptDesignId.CONCISE, samples=1)
+    gateway = _scripted_gateway({})
+    build_pool(example, singer_catalog, [baseline, baseline], seed=0, gateway=gateway)
+    assert calls == []
+    build_pool(example, singer_catalog, [baseline, concise], seed=0, gateway=gateway)
+    assert calls == [example.question]
 
 
 def test_timeout_does_not_spoil_the_pool_connection(dev_examples, singer_catalog):
@@ -396,7 +454,7 @@ def test_timeout_does_not_spoil_the_pool_connection(dev_examples, singer_catalog
     pool = build_pool(example, singer_catalog, arms, seed=0, gateway=gateway, timeout=0.2)
     first, second, third = (c.outcome for c in pool.candidates)
     assert first.error_kind is ErrorKind.TIMEOUT
-    assert second.is_success and second.rows == execute("SELECT count(*) FROM song", singer_catalog).rows
+    assert second == canonical_key(execute("SELECT count(*) FROM song", singer_catalog), False)
     assert third is first
 
 
@@ -434,7 +492,7 @@ def test_memoized_pool_votes_like_separate_executions(dev_examples, singer_catal
 
     separate = CandidatePool(
         pool.question_id,
-        tuple(replace(c, outcome=execute(c.sql, singer_catalog)) for c in pool.candidates),
+        tuple(replace(c, outcome=_reduced(execute(c.sql, singer_catalog))) for c in pool.candidates),
         pool.arms,
     )
     reference = select_by_consistency(separate)
