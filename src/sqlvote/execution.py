@@ -11,19 +11,21 @@ outcomes, never exceptions. A caller may pass one connection from
 `connect_readonly` for many statements (a voting pool does); otherwise each
 statement opens and closes its own. Success outcomes reduce to stable keys so
 voting and evaluation can compare result sets across candidates; both keep
-only that key, or the error outcome, never the rows (`KeyOrError`).
+only that key, or the error outcome, never the rows (`KeyOrError`). Keys are
+built a column at a time, and each equals the digest of the row-at-a-time
+JSON serialization.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 import sqlite3
 import time
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as _encode_text
 
 from .catalog import DatabaseCatalog
 from .errors import DbUnreadable
@@ -293,18 +295,33 @@ def _canonical_scalar(value) -> object:
     return f"t:{value}"
 
 
+def _encoded_column(column: tuple) -> list[str]:
+    """Each value's canonical scalar as JSON text, as `json.dumps` writes it inside a row.
+
+    A column of exactly `str` or exactly `int` values is mapped in one pass;
+    an int's float is integral, so rounding and the -0.0 fold leave it as is.
+    Any other column goes value by value through `_canonical_scalar`.
+    """
+    types = set(map(type, column))
+    if types == {str}:
+        return list(map(_encode_text, map("t:".__add__, column)))
+    if types == {int}:
+        return list(map('"n:%.6f"'.__mod__, column))
+    return ["null" if s is None else _encode_text(s) for s in map(_canonical_scalar, column)]
+
+
 def canonical_key(outcome: ExecutionOutcome, order_sensitive: bool) -> OutcomeKey | None:
     """Stable key for a success outcome; None for errors.
 
     Numbers unify across int/float at 1e-6 rounding, text stays verbatim,
     NULL is its own token. Order-insensitive keys compare rows as multisets.
+    The digest covers each row's compact JSON list of canonical scalars, one
+    line per row; the lists are built a column at a time.
     """
     if not outcome.is_success:
         return None
-    serialized = [
-        json.dumps([_canonical_scalar(v) for v in row], ensure_ascii=False, separators=(",", ":"))
-        for row in outcome.rows or ()
-    ]
+    columns = map(_encoded_column, zip(*outcome.rows or ()))
+    serialized = ["[" + ",".join(row) + "]" for row in zip(*columns)]
     if not order_sensitive:
         serialized.sort()
     digest = hashlib.sha256("\n".join(serialized).encode("utf-8")).hexdigest()

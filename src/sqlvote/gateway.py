@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ DEFAULT_TEMPERATURE = 0.5
 DEFAULT_STOP = (";", "\n\n")  # sent with every remote request; a constant, so not a cache key part
 _RETRY_ATTEMPTS = 3
 _RETRY_BASE_DELAY = 1.0
+_TEMP_SUFFIX = ".tmp"  # a write in progress; never read as an entry
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,6 @@ class Gateway:
 
     cache_dir: Path | None = None
     _backends: dict[str, GenerationBackend] = field(default_factory=dict)
-    _write_lock: threading.Lock = field(default_factory=threading.Lock)
 
     def register_backend(self, model_id: str, backend: GenerationBackend) -> None:
         if model_id in self._backends:
@@ -200,14 +199,27 @@ class Gateway:
                     )
                 for i, text in zip(missing, texts):
                     results[i] = Completion(text, arm, i)
-                    path = self._cache_path(arm, prompt, seed, i)
-                    if path is not None:
-                        with self._write_lock:
-                            path.parent.mkdir(parents=True, exist_ok=True)
-                            tmp = path.with_suffix(".tmp")
-                            tmp.write_text(text, encoding="utf-8")
-                            tmp.replace(path)
+                if self.cache_dir is not None and texts:
+                    self._cache_path(arm, prompt, seed, 0).parent.mkdir(parents=True, exist_ok=True)
+                    for i, text in zip(missing, texts):
+                        _publish(self._cache_path(arm, prompt, seed, i), text)
         return [c for c in results if c is not None]
+
+
+def _publish(path: Path, text: str) -> None:
+    """Write `text` to a temp file of its own beside `path`, then rename it into place.
+
+    Each write has its own random temp name, so writers in other threads or
+    processes sharing the cache never rename or truncate each other's file.
+    """
+    tmp = path.with_name(f"{path.stem}.{os.urandom(16).hex()}{_TEMP_SUFFIX}")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
@@ -223,7 +235,7 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
 
 
 def cache_clear(cache_dir: Path | str) -> int:
-    """Remove all cache entries; returns how many were deleted."""
+    """Remove all cache entries and stray temp files; returns how many entries were deleted."""
     removed = 0
     root = Path(cache_dir)
     if not root.is_dir():
@@ -231,6 +243,8 @@ def cache_clear(cache_dir: Path | str) -> int:
     for path in sorted(root.rglob("*.txt"), reverse=True):
         path.unlink()
         removed += 1
+    for path in list(root.rglob("*" + _TEMP_SUFFIX)):  # left by a writer that was killed
+        path.unlink()
     for path in sorted((p for p in root.rglob("*") if p.is_dir()), reverse=True):
         try:
             path.rmdir()

@@ -7,6 +7,9 @@ the same contracts.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import re
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -64,6 +67,39 @@ def normalize_rows(rows, order_sensitive: bool) -> tuple:
     if not order_sensitive:
         normalized.sort()
     return tuple(normalized)
+
+
+def _canonical_scalar(value) -> object:
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        value = int(value)
+    if isinstance(value, (int, float)):
+        v = float(value)
+        if not math.isfinite(v):
+            return f"n:{v}"
+        v = round(v, 6)
+        if v == 0:
+            v = 0.0
+        return f"n:{v:.6f}"
+    if isinstance(value, bytes):
+        return f"b:{value.hex()}"
+    return f"t:{value}"
+
+
+def canonical_digest(rows, order_sensitive: bool) -> str:
+    """A row at a time: the serialization `sqlvote.execution.canonical_key` must reproduce.
+
+    Each row is the compact JSON list of its canonical scalars; the digest is
+    the SHA-256 of those lines, sorted unless order matters.
+    """
+    serialized = [
+        json.dumps([_canonical_scalar(v) for v in row], ensure_ascii=False, separators=(",", ":"))
+        for row in rows
+    ]
+    if not order_sensitive:
+        serialized.sort()
+    return hashlib.sha256("\n".join(serialized).encode("utf-8")).hexdigest()
 
 
 def rows_equal(rows_a, rows_b, order_sensitive: bool) -> bool:

@@ -287,6 +287,60 @@ def test_negative_zero_normalized():
     assert canonical_key(_success([(-0.0,)]), False) == canonical_key(_success([(0,)]), False)
 
 
+# Digests computed with the row-at-a-time serialization; an audit file's
+# `outcome_key` is such a digest, so these must never drift.
+_PINNED = [
+    ([], False, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ([(2, "b"), (1, "a"), (2, "b")], False, "c0bc7b505529fc2cb99fa3d7aef0c1460cce221a1cceffdfbdf85a403163492f"),
+    ([(2, "b"), (1, "a"), (2, "b")], True, "25482f15784954c08ff919955d05ebee15da70d100134c804f17e8f60bec68ae"),
+    (
+        [
+            (None, 1.5, b"\x00\xff", True),
+            ("t:1", -0.0, float("nan"), 2**63),
+            ("null", float("-inf"), 4.9999995e-7, -(2**63)),
+        ],
+        False,
+        "7dc50841843c4dfd4d067b21c6e0e14234a71d3d3731b1ec5352af0aee0e8da3",
+    ),
+    (
+        [('say "hi"\\', "é\x01\n日本"), ("", "a,b]")],
+        True,
+        "40e919861c0714ee82b121ff070818e90e033a42e13cf72e7ab174351c8dc965",
+    ),
+]
+
+
+def test_canonical_key_digests_are_pinned():
+    for rows, order_sensitive, digest in _PINNED:
+        assert canonical_key(_success(rows), order_sensitive).key == digest, (rows, order_sensitive)
+
+
+_edge_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, -1, 2**63 - 1, -(2**63), 2**63, 10**15 + 1]),
+    st.integers(),
+    st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan"), 5e-7, 4.9999995e-7, 1.0000005, -2.5e-7]),
+    st.floats(),
+    st.binary(max_size=4),
+    st.sampled_from(["t:1", "null", "n:1.000000", '"', "\\", "\x00\x1f\x7f", "a,b]", "é", "日本", "\u2028"]),
+    st.text(max_size=6),
+)
+# each column draws from one of: exactly str, exactly int, or anything
+_column_values = st.sampled_from([st.text(max_size=6), st.integers(), _edge_scalars])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_canonical_key_equals_row_at_a_time_reference(data):
+    columns = data.draw(st.lists(_column_values, min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.tuples(*columns), max_size=8))
+    for order_sensitive in (False, True):
+        assert canonical_key(_success(rows), order_sensitive).key == oracles.canonical_digest(
+            rows, order_sensitive
+        )
+
+
 # --- one tokenizer against the reference scanners ---------------------------------
 
 _FRAGMENTS = [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -123,11 +124,51 @@ def test_cache_stats_and_clear(tmp_path):
     gateway = Gateway(cache_dir=tmp_path)
     gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1", "SELECT 2"]))
     gateway.sample(_arm(samples=2), prompt, seed=0)
+    entry = next(tmp_path.rglob("0.txt"))
+    (entry.parent / "1.tmp").write_text("SEL", encoding="utf-8")  # left by a killed writer
     entries, total = cache_stats(tmp_path)
     assert entries == 2
     assert total > 0
     assert cache_clear(tmp_path) == 2
     assert cache_stats(tmp_path) == (0, 0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_writers_share_one_cache(tmp_path):
+    """Two gateways on one cache, each writing the same entries at the same time."""
+    prompt = _prompt()
+    arm = _arm(samples=8)
+    texts = {name: [f"SELECT '{name}{k}' " * 200 for k in range(8)] for name in "AB"}
+    barrier = threading.Barrier(2, timeout=30)
+    errors: list[Exception] = []
+
+    def writer(name):
+        gateway = Gateway(cache_dir=tmp_path)
+        gateway.register_backend("scripted-a", _scripted_for(prompt, texts[name]))
+        try:
+            for seed in range(150):
+                barrier.wait()
+                gateway.sample(arm, prompt, seed=seed)
+        except Exception as exc:  # recorded for the main thread to report
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(name,)) for name in "AB"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    cached = [path.read_text(encoding="utf-8") for path in tmp_path.rglob("*.txt")]
+    assert len(cached) == 150 * 8
+    assert set(cached) <= set(texts["A"]) | set(texts["B"])  # whole texts a backend returned
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 # --- remote backend wire contract ------------------------------------------------
