@@ -6,11 +6,13 @@ that share the schema and keys. The generator here is a schema-respecting
 fuzzer, not the distilled suites of the published benchmark tooling, so all
 reports label the metric "TS (simplified)".
 
-`evaluate_file` runs each (statement, database file, gold order flag) once
-per call: a memo keeps the statement's canonical key, or its error outcome,
-never its rows. The memo lives only for that call, because the next run
-rewrites suite files at the same paths. Each report record gives the
-`reason` for its score, read from the memo: None on a match, "gold_error",
+`evaluate_file` scores one database at a time, over one read-only connection
+per file (the original and each suite). A memo runs each (statement, file,
+gold order flag) once and keeps its canonical key or error outcome, never
+its rows; it lives while its database is scored, because the next run
+rewrites suite files at the same paths. Suite cells come from one draw fixed
+per column. Each report record gives the `reason` for its score, read from
+the memo: None on a match, "gold_error",
 "pred_error:<kind>" (the pred fails on the original database; an ErrorKind
 value), "differs:original", or "differs:suite<k>" (k is the 1-based index of
 the first suite on which the pred fails or differs).
@@ -23,8 +25,10 @@ import json
 import random
 import sqlite3
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .catalog import ColumnType, DatabaseCatalog, catalog_from_sqlite, load_examples
 from .errors import (
@@ -42,6 +46,7 @@ from .execution import (
 TIMEOUT = 30.0  # seconds per gold or predicted statement
 _ORIGINAL_VALUE_CAP = 200
 _ORIGINAL_SHARE = 0.5  # chance a fuzzed cell reuses an observed value
+_FIRST_DAY = datetime.date(1990, 1, 1)  # fresh TIME values span 41 years from here
 
 
 @dataclass(frozen=True)
@@ -85,18 +90,29 @@ class EvalReport:
         return lines
 
 
-# (SQL text, database path, gold order flag) -> canonical key, or error outcome
-Memo = dict[tuple[str, Path, bool], KeyOrError]
+@dataclass
+class Memo:
+    """Outcomes by (SQL text, database path, gold order flag), gold order flags, and
+    open `connect_readonly` connections by path (other files get their own)."""
+
+    outcomes: dict[tuple[str, Path, bool], KeyOrError] = field(default_factory=dict)
+    order: dict[str, bool] = field(default_factory=dict)
+    conns: dict[Path, sqlite3.Connection] = field(default_factory=dict)
+
+    def order_sensitive(self, gold_sql: str) -> bool:
+        if gold_sql not in self.order:
+            self.order[gold_sql] = is_order_sensitive(gold_sql)
+        return self.order[gold_sql]
 
 
 def _outcome(sql: str, catalog: DatabaseCatalog, sensitive: bool, memo: Memo) -> KeyOrError:
     """The statement's canonical key, or its error outcome; executed once per memo."""
     memo_key = (sql, catalog.db_path, sensitive)
-    entry = memo.get(memo_key)
+    entry = memo.outcomes.get(memo_key)
     if entry is None:
-        outcome = execute(sql, catalog, TIMEOUT)
+        outcome = execute(sql, catalog, TIMEOUT, memo.conns.get(catalog.db_path))
         entry = canonical_key(outcome, sensitive) if outcome.is_success else outcome
-        memo[memo_key] = entry
+        memo.outcomes[memo_key] = entry
     return entry
 
 
@@ -112,10 +128,11 @@ def exec_match(
     Row order matters exactly when the gold statement has a top-level
     ORDER BY. A failing gold statement is a dataset defect, not a score:
     it raises GoldExecutionFailed naming `example_id`. Outcomes already in
-    `memo` are not executed again; new ones are added to it.
+    `memo` are not executed again; new ones run on its connection for the
+    file, if it holds one, and are added to it.
     """
-    memo = {} if memo is None else memo
-    sensitive = is_order_sensitive(gold_sql)
+    memo = Memo() if memo is None else memo
+    sensitive = memo.order_sensitive(gold_sql)
     gold = _outcome(gold_sql, catalog, sensitive, memo)
     if not isinstance(gold, OutcomeKey):
         raise GoldExecutionFailed(example_id, gold.detail)
@@ -124,7 +141,7 @@ def exec_match(
 
 def _original_miss(pred_sql: str, gold_sql: str, catalog: DatabaseCatalog, memo: Memo) -> str:
     """Why a pred that exec_match scored with this memo missed on `catalog`."""
-    entry = _outcome(pred_sql, catalog, is_order_sensitive(gold_sql), memo)
+    entry = _outcome(pred_sql, catalog, memo.order_sensitive(gold_sql), memo)
     if isinstance(entry, OutcomeKey):
         return "differs:original"
     return f"pred_error:{entry.error_kind.value}"
@@ -166,9 +183,13 @@ def _topological_tables(catalog: DatabaseCatalog) -> tuple[list[int], set[tuple]
     return order, dropped
 
 
-def _observed_values(catalog: DatabaseCatalog) -> dict[tuple[int, int], list]:
+def _observed_values(
+    catalog: DatabaseCatalog, conn: sqlite3.Connection | None = None
+) -> dict[tuple[int, int], list]:
+    """Distinct non-NULL values per column, through `conn` (left open) if given."""
     observed: dict[tuple[int, int], list] = {}
-    conn = connect_readonly(catalog)
+    own = connect_readonly(catalog) if conn is None else None
+    conn = own or conn
     try:
         for t, table in enumerate(catalog.tables):
             for c, col in enumerate(table.columns):
@@ -186,7 +207,8 @@ def _observed_values(catalog: DatabaseCatalog) -> dict[tuple[int, int], list]:
                         break
                 observed[(t, c)] = list(seen)
     finally:
-        conn.close()
+        if own is not None:
+            own.close()
     return observed
 
 
@@ -194,19 +216,23 @@ def _random_word(rng: random.Random) -> str:
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(3, 8)))
 
 
-def _random_value(rng: random.Random, col_type: ColumnType, observed: list):
+def _cell_draw(rng: random.Random, col_type: ColumnType, source: list) -> Callable[[], object]:
+    """Draws an observed value with chance _ORIGINAL_SHARE (never when there is
+    none), else a fresh one; a fresh NUMBER spans the observed numeric range."""
     if col_type is ColumnType.NUMBER:
-        numeric = [v for v in observed if isinstance(v, (int, float))]
-        if numeric:
-            low, high = min(numeric), max(numeric)
-            return rng.randint(int(low), max(int(low), int(high)))
-        return rng.randint(-1000, 1000)
-    if col_type is ColumnType.TIME:
-        day = datetime.date(1990, 1, 1) + datetime.timedelta(days=rng.randint(0, 14975))
-        return day.isoformat()
-    if col_type is ColumnType.BOOLEAN:
-        return rng.randint(0, 1)
-    return " ".join(_random_word(rng) for _ in range(rng.randint(1, 3)))
+        numeric = [v for v in source if isinstance(v, (int, float))]
+        low, high = (int(min(numeric)), int(max(numeric))) if numeric else (-1000, 1000)
+        fresh = partial(rng.randint, low, max(low, high))
+    elif col_type is ColumnType.TIME:
+        fresh = lambda: (_FIRST_DAY + datetime.timedelta(days=rng.randint(0, 14975))).isoformat()
+    elif col_type is ColumnType.BOOLEAN:
+        fresh = partial(rng.randint, 0, 1)
+    else:
+        fresh = lambda: " ".join(_random_word(rng) for _ in range(rng.randint(1, 3)))
+    if not source:
+        return fresh
+    coin, choice = rng.random, rng.choice
+    return lambda: choice(source) if coin() < _ORIGINAL_SHARE else fresh()
 
 
 def _column_ddl_type(col_type: ColumnType) -> str:
@@ -276,39 +302,33 @@ def generate_suite_db(
                 if child_t == t and fk not in dropped:
                     fk_of[child_c] = (parent_t, parent_c)
 
-            parent_pool: dict[int, list] = {}
-            for c, (parent_t, parent_c) in fk_of.items():
-                pool = sorted(
-                    {row[parent_c] for row in generated.get(parent_t, ()) if row[parent_c] is not None},
-                    key=repr,
-                )
-                parent_pool[c] = pool
+            draws = []  # one per column, built before the rows without drawing from `rng`
+            for c, col in enumerate(table.columns):
+                if c in fk_of:
+                    parent_t, parent_c = fk_of[c]
+                    pool = sorted(
+                        {row[parent_c] for row in generated.get(parent_t, ()) if row[parent_c] is not None},
+                        key=repr,
+                    )
+                    draws.append(partial(rng.choice, pool) if pool else lambda: None)
+                elif c in pk_indices and col.data_type is ColumnType.NUMBER:
+                    # wide range so uniqueness is reachable at any row count
+                    draws.append(partial(rng.randint, 1, max(1000, spec.rows_per_table * 20)))
+                else:
+                    draws.append(_cell_draw(rng, col.data_type, observed[(t, c)]))
 
             rows: list[tuple] = []
             pk_seen: set[tuple] = set()
             attempts = 0
             while len(rows) < spec.rows_per_table and attempts < spec.rows_per_table * 20:
                 attempts += 1
-                row = []
-                for c, col in enumerate(table.columns):
-                    if c in fk_of:
-                        pool = parent_pool[c]
-                        row.append(rng.choice(pool) if pool else None)
-                    elif c in pk_indices and col.data_type is ColumnType.NUMBER:
-                        # wide range so uniqueness is reachable at any row count
-                        row.append(rng.randint(1, max(1000, spec.rows_per_table * 20)))
-                    else:
-                        source = observed[(t, c)]
-                        if source and rng.random() < _ORIGINAL_SHARE:
-                            row.append(rng.choice(source))
-                        else:
-                            row.append(_random_value(rng, col.data_type, source))
+                row = tuple([draw() for draw in draws])
                 if pk_indices:
                     pk_tuple = tuple(row[c] for c in pk_indices)
                     if pk_tuple in pk_seen or None in pk_tuple:
                         continue
                     pk_seen.add(pk_tuple)
-                rows.append(tuple(row))
+                rows.append(row)
             generated[t] = rows
             placeholders = ", ".join("?" for _ in table.columns)
             conn.executemany(f'INSERT INTO "{table.name}" VALUES ({placeholders})', rows)
@@ -330,9 +350,11 @@ def suite_catalogs(
     catalog: DatabaseCatalog,
     spec: SuiteSpec,
     suite_dir: Path | str | None = None,
+    observed: dict[tuple[int, int], list] | None = None,
 ) -> list[DatabaseCatalog]:
     """Generate all suites for a catalog, returned as catalogs over the new files."""
-    observed = _observed_values(catalog)
+    if observed is None:
+        observed = _observed_values(catalog)
     return [
         replace(
             catalog,
@@ -407,44 +429,50 @@ def evaluate_file(
     spec: SuiteSpec | None = None,
     suite_dir: Path | str | None = None,
 ) -> EvalReport:
-    """Score a prediction file against a dataset; TS only when a spec is given."""
+    """Score a prediction file against a dataset; TS only when a spec is given.
+
+    Databases go in order of first appearance; the report keeps dataset order.
+    """
     predictions = load_predictions(pred_path)
     examples = load_examples(dataset_path)
-    db_dir = Path(db_dir)
-
-    catalogs: dict[str, DatabaseCatalog] = {}
-    suites: dict[str, list[DatabaseCatalog]] = {}
-    memo: Memo = {}  # this call only: another run rewrites the suite files in place
-    per_question: list[QuestionScore] = []
-    gold_failures = 0
-    for example in examples:
+    for example in examples:  # before any suite is written
         if example.example_id not in predictions:
             raise MissingPrediction(example.example_id)
-        if example.db_id not in catalogs:
-            catalogs[example.db_id] = catalog_from_sqlite(
-                db_dir / example.db_id / f"{example.db_id}.sqlite", example.db_id
-            )
-        catalog = catalogs[example.db_id]
-        if spec is not None and example.db_id not in suites:
-            suites[example.db_id] = suite_catalogs(catalog, spec, suite_dir)
-        pred_sql = predictions[example.example_id]
-        gold_sql = example.gold_sql or ""
-        try:
-            ex = exec_match(pred_sql, gold_sql, catalog, example.example_id, memo)
-        except GoldExecutionFailed as failure:
-            gold_failures += 1
-            per_question.append(
-                QuestionScore(example.example_id, False, None, str(failure), "gold_error")
-            )
-            continue
-        reason = None if ex else _original_miss(pred_sql, gold_sql, catalog, memo)
-        ts = None if spec is None else ex
-        if ts:  # TS includes EX, so only the suites are left to score
-            suite = _suites_match(pred_sql, gold_sql, suites[example.db_id], memo)
-            ts = suite is None
-            reason = None if ts else f"differs:suite{suite}"
-        per_question.append(QuestionScore(example.example_id, ex, ts, None, reason))
+    by_db: dict[str, list[int]] = {}
+    for position, example in enumerate(examples):
+        by_db.setdefault(example.db_id, []).append(position)
 
+    scores: dict[int, QuestionScore] = {}
+    for db_id, positions in by_db.items():
+        catalog = catalog_from_sqlite(Path(db_dir) / db_id / f"{db_id}.sqlite", db_id)
+        memo = Memo()  # this database only: another run rewrites its suite files in place
+        try:
+            original = memo.conns[catalog.db_path] = connect_readonly(catalog)
+            suites = None
+            if spec is not None:
+                suites = suite_catalogs(catalog, spec, suite_dir, _observed_values(catalog, original))
+                for suite in suites:
+                    memo.conns[suite.db_path] = connect_readonly(suite)
+            for position in positions:
+                example_id = examples[position].example_id
+                pred_sql, gold_sql = predictions[example_id], examples[position].gold_sql or ""
+                try:
+                    ex = exec_match(pred_sql, gold_sql, catalog, example_id, memo)
+                except GoldExecutionFailed as failure:
+                    scores[position] = QuestionScore(example_id, False, None, str(failure), "gold_error")
+                    continue
+                reason = None if ex else _original_miss(pred_sql, gold_sql, catalog, memo)
+                ts = None if suites is None else ex
+                if ts:  # TS includes EX, so only the suites are left to score
+                    suite = _suites_match(pred_sql, gold_sql, suites, memo)
+                    ts = suite is None
+                    reason = None if ts else f"differs:suite{suite}"
+                scores[position] = QuestionScore(example_id, ex, ts, None, reason)
+        finally:
+            for conn in memo.conns.values():
+                conn.close()
+
+    per_question = [scores[position] for position in range(len(examples))]
     scored = [q for q in per_question if q.gold_error is None]
     ex_accuracy = sum(q.ex for q in scored) / len(scored) if scored else 0.0
     ts_accuracy = None
@@ -453,7 +481,7 @@ def evaluate_file(
     counts = {
         "total": len(per_question),
         "scored": len(scored),
-        "gold_failures": gold_failures,
+        "gold_failures": len(per_question) - len(scored),
         "ex_true": sum(q.ex for q in scored),
         "ts_true": sum(bool(q.ts) for q in scored) if spec is not None else 0,
     }

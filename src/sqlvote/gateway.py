@@ -182,7 +182,8 @@ class Gateway:
         for i in range(arm.samples):
             path = self._cache_path(arm, prompt, seed, i)
             if path is not None and path.is_file():
-                results[i] = Completion(path.read_text(encoding="utf-8"), arm, i, from_cache=True)
+                with open(path, encoding="utf-8", newline="") as handle:  # keep \r and \r\n as written
+                    results[i] = Completion(handle.read(), arm, i, from_cache=True)
             else:
                 missing.append(i)
 
@@ -214,7 +215,7 @@ def _publish(path: Path, text: str) -> None:
     """
     tmp = path.with_name(f"{path.stem}.{os.urandom(16).hex()}{_TEMP_SUFFIX}")
     try:
-        with open(tmp, "x", encoding="utf-8") as handle:
+        with open(tmp, "x", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -7,10 +7,13 @@ the same contracts.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import json
 import math
+import random
 import re
+import string
 from decimal import ROUND_HALF_EVEN, Decimal
 
 
@@ -222,3 +225,83 @@ def is_order_sensitive(sql: str) -> bool:
         if depth == 0 and ch not in "()":
             top[i] = ch
     return re.search(r"\border\s+by\b", "".join(top), re.IGNORECASE) is not None
+
+
+# --- reference suite rows ----------------------------------------------------------
+# The per-cell row loop that `sqlvote.evaluation.generate_suite_db` replaced
+# with a draw fixed per column: every cell re-reads its column's kind and, for
+# a fresh NUMBER value, rebuilds the observed numeric list. Same RNG, same
+# draws, same order.
+
+
+def _random_word(rng: random.Random) -> str:
+    return "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(3, 8)))
+
+
+def _random_value(rng: random.Random, col_type: str, observed: list):
+    if col_type == "number":
+        numeric = [v for v in observed if isinstance(v, (int, float))]
+        if numeric:
+            low, high = min(numeric), max(numeric)
+            return rng.randint(int(low), max(int(low), int(high)))
+        return rng.randint(-1000, 1000)
+    if col_type == "time":
+        day = datetime.date(1990, 1, 1) + datetime.timedelta(days=rng.randint(0, 14975))
+        return day.isoformat()
+    if col_type == "boolean":
+        return rng.randint(0, 1)
+    return " ".join(_random_word(rng) for _ in range(rng.randint(1, 3)))
+
+
+def suite_rows(catalog, spec, suite_index: int, observed: dict, order: list[int], dropped: set):
+    """(table name, rows) in insertion order, drawn a cell at a time.
+
+    `order` is the parent-first table order and `dropped` the foreign keys
+    the generator leaves unenforced; `observed` maps (table, column) to the
+    original column's distinct values.
+    """
+    rng = random.Random(f"{catalog.db_id}/{spec.seed}/{suite_index}")
+    generated: dict[int, list[tuple]] = {}
+    written = []
+    for t in order:
+        table = catalog.tables[t]
+        pk_indices = [c for (pt, c) in catalog.primary_keys if pt == t]
+        fk_of = {}
+        for fk in catalog.foreign_keys:
+            (child_t, child_c), (parent_t, parent_c) = fk
+            if child_t == t and fk not in dropped:
+                fk_of[child_c] = (parent_t, parent_c)
+        parent_pool = {
+            c: sorted(
+                {row[parent_c] for row in generated.get(parent_t, ()) if row[parent_c] is not None},
+                key=repr,
+            )
+            for c, (parent_t, parent_c) in fk_of.items()
+        }
+        rows: list[tuple] = []
+        pk_seen: set[tuple] = set()
+        attempts = 0
+        while len(rows) < spec.rows_per_table and attempts < spec.rows_per_table * 20:
+            attempts += 1
+            row = []
+            for c, col in enumerate(table.columns):
+                if c in fk_of:
+                    pool = parent_pool[c]
+                    row.append(rng.choice(pool) if pool else None)
+                elif c in pk_indices and col.data_type.value == "number":
+                    row.append(rng.randint(1, max(1000, spec.rows_per_table * 20)))
+                else:
+                    source = observed[(t, c)]
+                    if source and rng.random() < 0.5:
+                        row.append(rng.choice(source))
+                    else:
+                        row.append(_random_value(rng, col.data_type.value, source))
+            if pk_indices:
+                pk_tuple = tuple(row[c] for c in pk_indices)
+                if pk_tuple in pk_seen or None in pk_tuple:
+                    continue
+                pk_seen.add(pk_tuple)
+            rows.append(tuple(row))
+        generated[t] = rows
+        written.append((table.name, rows))
+    return written

@@ -184,6 +184,25 @@ def test_evaluate_missing_db_file(fixture_root, tmp_path, capsys):
     assert str(fixture_root / "database" / "ghost" / "ghost.sqlite") in capsys.readouterr().err
 
 
+def test_evaluate_checks_predictions_before_generating_suites(fixture_root, tmp_path, capsys):
+    dataset = tmp_path / "two.json"
+    dataset.write_text(json.dumps([
+        {"question": "q0", "query": "SELECT 1", "db_id": "singer"},
+        {"question": "q1", "query": "SELECT 1", "db_id": "car_1"},
+    ]))
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text(json.dumps({"example_id": "000000", "sql": "SELECT 1"}) + "\n")
+    suite_dir = tmp_path / "suites"
+    code = main([
+        "evaluate", "--pred", str(pred_path), "--dataset", str(dataset),
+        "--db-dir", str(fixture_root / "database"), "--ts", "--suites", "2",
+        "--suite-dir", str(suite_dir),
+    ])
+    assert code == 1
+    assert "no prediction for example 000001" in capsys.readouterr().err
+    assert not (suite_dir.exists() and any(suite_dir.iterdir()))
+
+
 def test_evaluate_unreadable_db_file(tmp_path, capsys):
     junk = tmp_path / "database" / "junk" / "junk.sqlite"
     junk.parent.mkdir(parents=True)

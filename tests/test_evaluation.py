@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 from collections import Counter
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sqlvote import evaluation, execution
-from sqlvote.catalog import load_catalogs
-from sqlvote.errors import GoldExecutionFailed, MissingPrediction
+from sqlvote.catalog import ColumnSchema, ColumnType, DatabaseCatalog, TableSchema, load_catalogs
+from sqlvote.errors import GenerationFailed, GoldExecutionFailed, MissingDbFile, MissingPrediction
 from sqlvote.evaluation import (
     SuiteSpec,
     _suites_match,
@@ -546,3 +548,213 @@ def test_reason_names_the_first_differing_suite(fixture_root, singer_catalog, tm
     assert _suites_match(pred, gold, suites) == first
     (score,) = _evaluate_pairs(fixture_root, tmp_path, [(gold, pred)], spec).per_question
     assert (score.ex, score.ts, score.reason) == (True, False, f"differs:suite{first}")
+
+
+# --- the suite generator against the per-cell reference ---------------------------
+
+
+def _suite_digest(path) -> str:
+    """SHA-256 of a suite file, with the writing library's version stamp zeroed.
+
+    Bytes 96-99 of an SQLite header hold SQLITE_VERSION_NUMBER of the last
+    library that wrote the file; every other byte comes from the generator.
+    """
+    data = bytearray(path.read_bytes())
+    data[96:100] = bytes(4)
+    return hashlib.sha256(data).hexdigest()
+
+
+_PINNED_SUITES = {
+    ("singer", 1): "61333abbe187227167fe5b19dc43c9c87d0bb32508b697dc10c86273df7e87c0",
+    ("singer", 2): "75529288de1dd0df522f13e3b47762a838a73e68db606daf589bad047cbd021d",
+    ("car_1", 1): "87be2e13e124fc3071d81d087604b9c512e8f5a0bb8bf3168aa0ad54919e0d9d",
+    ("car_1", 2): "5ee5e0c8a2cf22f6a1ecaaf6534686549958900e15f98dec29fa02993f42a998",
+}
+
+
+def test_suite_files_are_pinned(singer_catalog, car_catalog, tmp_path):
+    spec = SuiteSpec(suite_count=2, rows_per_table=40, seed=7)
+    digests = {
+        (catalog.db_id, index): _suite_digest(generate_suite_db(catalog, spec, index, tmp_path))
+        for catalog in (singer_catalog, car_catalog)
+        for index in (1, 2)
+    }
+    assert digests == _PINNED_SUITES
+
+
+_KINDS = [ColumnType.NUMBER, ColumnType.TEXT, ColumnType.TIME, ColumnType.BOOLEAN, ColumnType.OTHERS]
+_WORDS = st.text("abcxyz", min_size=1, max_size=4)  # never read as a number by NUMERIC affinity
+_OBSERVED = {
+    ColumnType.NUMBER: st.one_of(st.integers(-50, 50), st.floats(-50, 50).map(lambda v: round(v, 2)), _WORDS),
+    ColumnType.TIME: st.dates().map(lambda d: d.isoformat()),
+    ColumnType.BOOLEAN: st.integers(0, 1),
+}
+
+
+@st.composite
+def _suite_cases(draw):
+    """(tables as kind lists, primary keys, foreign keys, observed values, spec, suite index)."""
+    tables = draw(st.lists(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4), min_size=1, max_size=3))
+    refs = st.sampled_from([(t, c) for t, kinds in enumerate(tables) for c in range(len(kinds))])
+    primary = draw(st.lists(refs, unique=True, max_size=3))
+    foreign = draw(st.lists(st.tuples(refs, refs), max_size=4))
+    observed = {
+        (t, c): draw(st.lists(_OBSERVED.get(kind, _WORDS), max_size=5, unique_by=repr))
+        for t, kinds in enumerate(tables)
+        for c, kind in enumerate(kinds)
+    }
+    spec = SuiteSpec(suite_count=1, rows_per_table=draw(st.integers(1, 8)), seed=draw(st.integers(0, 9)))
+    return tables, primary, foreign, observed, spec, draw(st.integers(1, 3))
+
+
+def _fuzz_catalog(tables, primary, foreign, path) -> DatabaseCatalog:
+    schemas = tuple(
+        TableSchema(f"t{t}", tuple(ColumnSchema(f"c{c}", kind, 0) for c, kind in enumerate(kinds)))
+        for t, kinds in enumerate(tables)
+    )
+    return DatabaseCatalog("fuzz", schemas, tuple(primary), tuple(foreign), path)
+
+
+_CYCLE_CASE = (  # every kind, an empty observed column, a numeric PK, an FK 2-cycle and a self-reference
+    [[ColumnType.NUMBER, ColumnType.NUMBER, ColumnType.TEXT],
+     [ColumnType.BOOLEAN, ColumnType.NUMBER, ColumnType.TIME, ColumnType.OTHERS]],
+    [(0, 0), (1, 0)],
+    [((0, 1), (1, 1)), ((1, 1), (0, 0)), ((0, 2), (0, 2))],
+    {(0, 0): [3, 4], (0, 1): [], (0, 2): ["ab"], (1, 0): [1], (1, 1): [2.5, "x"], (1, 2): [],
+     (1, 3): ["z"]},
+    SuiteSpec(suite_count=1, rows_per_table=6, seed=1),
+    2,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_suite_cases())
+@example(_CYCLE_CASE)
+def test_suite_rows_equal_per_cell_reference(tmp_path_factory, case):
+    tables, primary, foreign, observed, spec, index = case
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    catalog = _fuzz_catalog(tables, primary, foreign, out_dir / "fuzz.sqlite")
+    inserted = []
+
+    class Recording(sqlite3.Connection):
+        def executemany(self, sql, rows):
+            rows = list(rows)
+            inserted.append((sql.split('"')[1], rows))
+            return super().executemany(sql, rows)
+
+    connect = sqlite3.connect
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sqlite3, "connect", lambda *a, **k: connect(*a, factory=Recording, **k))
+        generate_suite_db(catalog, spec, index, out_dir, observed=observed)
+    order, dropped = evaluation._topological_tables(catalog)
+    expected = oracles.suite_rows(catalog, spec, index, observed, order, dropped)
+    assert repr(inserted) == repr(expected)
+
+
+# --- one database at a time: connections, order flags -----------------------------
+
+
+class _Recorded:
+    """A connection that reports its own close to the recorder that opened it."""
+
+    def __init__(self, conn, path, recorder):
+        self._conn, self._path, self._recorder = conn, path, recorder
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def close(self):
+        self._recorder.open.discard(self._path)
+        self._conn.close()
+
+
+class _ConnectionRecorder:
+    def __init__(self, connect):
+        self._connect = connect
+        self.opened: list = []
+        self.open: set = set()
+        self.most_open = 0
+
+    def __call__(self, catalog):
+        conn = _Recorded(self._connect(catalog), catalog.db_path, self)
+        self.opened.append(catalog.db_path)
+        self.open.add(catalog.db_path)
+        self.most_open = max(self.most_open, len(self.open))
+        return conn
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """Record every read-only connection that evaluation or execution opens."""
+    recorder = _ConnectionRecorder(execution.connect_readonly)
+    monkeypatch.setattr(evaluation, "connect_readonly", recorder)
+    monkeypatch.setattr(execution, "connect_readonly", recorder)
+    return recorder
+
+
+def _two_database_dataset(fixture_root, work, last_db="car_1"):
+    singer = json.loads((fixture_root / "mini_dev.json").read_text())
+    records = singer * 2 + [
+        {"question": "q car", "query": "SELECT count(*) FROM cars_data", "db_id": last_db},
+        {"question": "q one", "query": "SELECT 1", "db_id": "singer"},
+        {"question": "q one car", "query": "SELECT 1", "db_id": last_db},
+    ]
+    work.mkdir(parents=True, exist_ok=True)
+    dataset = work / "two.json"
+    dataset.write_text(json.dumps(records))
+    pred_path = work / "pred.jsonl"
+    _write_predictions(pred_path, [(f"{i:06d}", r["query"]) for i, r in enumerate(records)])
+    return pred_path, dataset
+
+
+def test_evaluate_opens_each_file_once_and_closes_all(fixture_root, tmp_path, connections):
+    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path)
+    spec = SuiteSpec(suite_count=3, rows_per_table=10, seed=2)
+    report = evaluate_file(pred_path, dataset, fixture_root / "database", spec, tmp_path / "suites")
+    assert report.ex_accuracy == 1.0
+    assert len(connections.opened) == len(set(connections.opened)) == 2 * (spec.suite_count + 1)
+    assert connections.most_open == spec.suite_count + 1
+    assert not connections.open
+
+
+def test_evaluate_closes_connections_when_a_database_fails(fixture_root, tmp_path, connections):
+    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path, last_db="ghost")
+    spec = SuiteSpec(suite_count=2, rows_per_table=10, seed=2)
+    with pytest.raises(MissingDbFile):
+        evaluate_file(pred_path, dataset, fixture_root / "database", spec, tmp_path / "suites")
+    assert len(connections.opened) == spec.suite_count + 1  # the singer database was scored
+    assert not connections.open
+
+
+def test_evaluate_closes_connections_when_generation_fails(fixture_root, tmp_path, connections, monkeypatch):
+    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path)
+    generate = evaluation.generate_suite_db
+
+    def failing_generate(catalog, spec, suite_index, *args, **kwargs):
+        if catalog.db_id == "car_1" and suite_index == 2:
+            raise GenerationFailed("disk full")
+        return generate(catalog, spec, suite_index, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "generate_suite_db", failing_generate)
+    spec = SuiteSpec(suite_count=3, rows_per_table=10, seed=2)
+    with pytest.raises(GenerationFailed):
+        evaluate_file(pred_path, dataset, fixture_root / "database", spec, tmp_path / "suites")
+    assert connections.opened[-1] == fixture_root / "database" / "car_1" / "car_1.sqlite"
+    assert not connections.open
+
+
+def test_evaluate_reads_each_gold_order_flag_once_per_database(fixture_root, tmp_path, monkeypatch):
+    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path)
+    flags = []
+    order_sensitive = evaluation.is_order_sensitive
+
+    def recording_flag(sql):
+        flags.append(sql)
+        return order_sensitive(sql)
+
+    monkeypatch.setattr(evaluation, "is_order_sensitive", recording_flag)
+    evaluate_file(
+        pred_path, dataset, fixture_root / "database", SuiteSpec(2, 10, 2), tmp_path / "suites"
+    )
+    golds = {(r["query"], r["db_id"]) for r in json.loads(dataset.read_text())}
+    assert Counter(flags) == Counter(gold for gold, _ in golds)

@@ -62,6 +62,18 @@ def test_cache_round_trip(tmp_path):
     assert all(c.from_cache for c in warm)
 
 
+def test_cache_keeps_carriage_returns(tmp_path):
+    prompt = _prompt()
+    texts = ["SELECT 1\r\nFROM t\rX", "SELECT 2\r"]
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", _scripted_for(prompt, texts))
+    cold = gateway.sample(_arm(), prompt, seed=3)
+    warm = gateway.sample(_arm(), prompt, seed=3)
+    assert [c.text for c in cold] == texts
+    assert [c.text for c in warm] == texts
+    assert all(c.from_cache for c in warm)
+
+
 def test_exactly_n_with_failures(tmp_path):
     prompt = _prompt()
     gateway = Gateway(cache_dir=tmp_path)
