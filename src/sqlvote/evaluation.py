@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import random
 import sqlite3
 import string
@@ -194,17 +195,15 @@ def _observed_values(
         for t, table in enumerate(catalog.tables):
             for c, col in enumerate(table.columns):
                 seen: dict = {}
-                try:
-                    cursor = conn.execute(f'SELECT "{col.name}" FROM "{table.name}"')
+                try:  # a missing column, or a value over MAX_VALUE_BYTES: none observed
+                    for (value,) in conn.execute(f'SELECT "{col.name}" FROM "{table.name}"'):
+                        if value is None or value in seen:
+                            continue
+                        seen[value] = None
+                        if len(seen) >= _ORIGINAL_VALUE_CAP:
+                            break
                 except sqlite3.Error:
-                    observed[(t, c)] = []
-                    continue
-                for (value,) in cursor:
-                    if value is None or value in seen:
-                        continue
-                    seen[value] = None
-                    if len(seen) >= _ORIGINAL_VALUE_CAP:
-                        break
+                    seen = {}
                 observed[(t, c)] = list(seen)
     finally:
         if own is not None:
@@ -218,9 +217,9 @@ def _random_word(rng: random.Random) -> str:
 
 def _cell_draw(rng: random.Random, col_type: ColumnType, source: list) -> Callable[[], object]:
     """Draws an observed value with chance _ORIGINAL_SHARE (never when there is
-    none), else a fresh one; a fresh NUMBER spans the observed numeric range."""
+    none), else a fresh one; a fresh NUMBER spans the observed finite range."""
     if col_type is ColumnType.NUMBER:
-        numeric = [v for v in source if isinstance(v, (int, float))]
+        numeric = [v for v in source if isinstance(v, (int, float)) and math.isfinite(v)]
         low, high = (int(min(numeric)), int(max(numeric))) if numeric else (-1000, 1000)
         fresh = partial(rng.randint, low, max(low, high))
     elif col_type is ColumnType.TIME:

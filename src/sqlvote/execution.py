@@ -6,19 +6,34 @@ has a top-level ORDER BY, and whether it starts with a write verb. It knows
 string literals, quoted identifiers and comments.
 
 Statements run on a read-only, query-only SQLite connection with a
-wall-clock deadline and a row cap; all failures come back as classified
-outcomes, never exceptions. A caller may pass one connection from
+wall-clock deadline, a row cap and a byte budget; all failures come back as
+classified outcomes, never exceptions. A caller may pass one connection from
 `connect_readonly` for many statements (a voting pool does); otherwise each
-statement opens and closes its own. Success outcomes reduce to stable keys so
-voting and evaluation can compare result sets across candidates; both keep
-only that key, or the error outcome, never the rows (`KeyOrError`). Keys are
-built a column at a time, and each equals the digest of the row-at-a-time
-JSON serialization.
+statement opens and closes its own.
+
+SQLite builds no string, blob or row longer than MAX_VALUE_BYTES, and rows
+are fetched in chunks of which even one full of such values fits in
+MAX_RESULT_BYTES. A result over MAX_ROWS rows, or over MAX_RESULT_BYTES
+bytes (each value's `marshal` form plus a fixed overhead), is TOO_LARGE, so
+a statement never holds much more than three budgets (a chunk's `marshal`
+copy included). Text goes through SQLite's own UTF-8 decoder; only a result
+holding invalid UTF-8 is fetched again, under the same deadline, with the
+lenient decoder `connect_readonly` installs (invalid bytes read as U+FFFD).
+Either way the rows are the same.
+
+Success outcomes reduce to stable keys so voting and evaluation can compare
+result sets across candidates; both keep only that key, or the error
+outcome, never the rows (`KeyOrError`). Each column adds one piece to a
+%-format, chosen once from its value types: plain text goes in verbatim,
+ints within ±2**53 as `%d`, other columns encoded value by value. Each row's
+line is then one `row_format % row`, and the digest equals that of the
+row-at-a-time JSON serialization.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
 import re
 import sqlite3
@@ -32,7 +47,10 @@ from .errors import DbUnreadable
 
 DEFAULT_TIMEOUT = 5.0
 MAX_ROWS = 100_000  # larger results are TOO_LARGE errors, bounding result memory
+MAX_RESULT_BYTES = 64 * 2**20  # so are results over this many bytes, as `_fetch` counts them
+MAX_VALUE_BYTES = 2**20  # SQLITE_LIMIT_LENGTH: longer strings, blobs and rows are TOO_LARGE
 _PROGRESS_GRANULARITY = 500  # VM steps between deadline checks
+_VALUE_OVERHEAD = 64  # bytes a fetched value holds besides its data: object header, tuple slot
 
 # Operations a candidate statement is never allowed to perform; everything
 # else is still write-blocked by the read-only open and query_only.
@@ -54,6 +72,7 @@ _DENIED_ACTIONS = [
 _DENIED_CODES = {getattr(sqlite3, name) for name in _DENIED_ACTIONS}
 
 _SYNTAX_MARKERS = ("syntax error", "unrecognized token", "incomplete input")
+_DECODE_FAILURE = "Could not decode to UTF-8"  # how the C decoder rejects a text cell
 
 # First keywords that always signal write intent; rejected before execution so
 # even no-op forms (e.g. DROP TABLE IF EXISTS on a missing table) fail.
@@ -95,7 +114,7 @@ class ExecutionOutcome:
 
     @staticmethod
     def success(rows: list[tuple], elapsed: float) -> "ExecutionOutcome":
-        return ExecutionOutcome("success", tuple(tuple(r) for r in rows), None, elapsed)
+        return ExecutionOutcome("success", tuple(map(tuple, rows)), None, elapsed)
 
     @staticmethod
     def error(error_kind: ErrorKind, elapsed: float = 0.0, detail: str = "") -> "ExecutionOutcome":
@@ -177,6 +196,8 @@ def _classify_error(exc: Exception, timed_out: bool) -> tuple[ErrorKind, str]:
     message = str(exc)
     if timed_out and "interrupt" in message.lower():
         return ErrorKind.TIMEOUT, message
+    if isinstance(exc, sqlite3.DataError):  # SQLITE_TOOBIG: over MAX_VALUE_BYTES
+        return ErrorKind.TOO_LARGE, message
     if isinstance(exc, sqlite3.OperationalError):
         lowered = message.lower()
         if any(marker in lowered for marker in _SYNTAX_MARKERS):
@@ -188,11 +209,17 @@ def _authorize(action, *_):
     return sqlite3.SQLITE_DENY if action in _DENIED_CODES else sqlite3.SQLITE_OK
 
 
+def _decode_leniently(raw: bytes) -> str:
+    return raw.decode("utf-8", "replace")
+
+
 def connect_readonly(catalog: DatabaseCatalog) -> sqlite3.Connection:
     """Open the catalog's database for untrusted statements.
 
     The file is opened read-only, the connection is set query-only, and
     schema/attach/pragma/write operations are denied by an authorizer.
+    Values longer than MAX_VALUE_BYTES are refused by SQLite itself, and
+    text decodes leniently (invalid UTF-8 reads as U+FFFD).
     Reading `sqlite_master` once proves the file is an SQLite database.
     Raises DbUnreadable for any sqlite3.Error. The caller closes the
     connection; keep it no longer than the file stays unchanged.
@@ -202,7 +229,8 @@ def connect_readonly(catalog: DatabaseCatalog) -> sqlite3.Connection:
     except sqlite3.Error as exc:
         raise DbUnreadable(str(catalog.db_path), str(exc)) from exc
     try:
-        conn.text_factory = lambda b: b.decode("utf-8", "replace")
+        conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_VALUE_BYTES)
+        conn.text_factory = _decode_leniently
         conn.execute("PRAGMA query_only = ON")
         conn.execute("SELECT count(*) FROM sqlite_master").fetchone()
         conn.set_authorizer(_authorize)
@@ -223,7 +251,8 @@ def execute(
     `conn`, when given, must come from `connect_readonly(catalog)` and stays
     open; without it the statement gets its own connection. The database
     file is never modified. The deadline counts from this call; results
-    over MAX_ROWS rows are TOO_LARGE errors. All failures are encoded in the
+    over MAX_ROWS rows or MAX_RESULT_BYTES bytes, and values over
+    MAX_VALUE_BYTES, are TOO_LARGE errors. All failures are encoded in the
     outcome.
     """
     start = time.monotonic()
@@ -261,20 +290,53 @@ def _run(conn: sqlite3.Connection, statement: str, start: float, timeout: float)
         return 0
 
     conn.set_progress_handler(_progress, _PROGRESS_GRANULARITY)
-    cursor = conn.cursor()
+    factory = conn.text_factory
     try:
-        cursor.execute(statement)
-        rows = cursor.fetchmany(MAX_ROWS + 1)  # builds the list row by row, stops at the cap
+        conn.text_factory = str  # SQLite's C decoder: no Python call per text cell
+        try:
+            rows, size = _fetch(conn, statement)
+        except sqlite3.OperationalError as exc:
+            if not str(exc).startswith(_DECODE_FAILURE):
+                raise
+            conn.text_factory = _decode_leniently
+            rows, size = _fetch(conn, statement)
     except (sqlite3.Error, sqlite3.Warning) as exc:
         kind, detail = _classify_error(exc, timed_out)
         return ExecutionOutcome.error(kind, time.monotonic() - start, detail)
     finally:
-        cursor.close()
+        conn.text_factory = factory
     if len(rows) > MAX_ROWS:
         return ExecutionOutcome.error(
             ErrorKind.TOO_LARGE, time.monotonic() - start, f"result exceeds {MAX_ROWS} rows"
         )
+    if size > MAX_RESULT_BYTES:
+        return ExecutionOutcome.error(
+            ErrorKind.TOO_LARGE, time.monotonic() - start, f"result exceeds {MAX_RESULT_BYTES} bytes"
+        )
     return ExecutionOutcome.success(rows, time.monotonic() - start)
+
+
+def _fetch(conn: sqlite3.Connection, statement: str) -> tuple[list[tuple], int]:
+    """The statement's rows and their size, fetched until past MAX_ROWS or MAX_RESULT_BYTES.
+
+    A chunk of values each at the length limit still fits in the budget.
+    """
+    cursor = conn.cursor()
+    try:
+        cursor.execute(statement)
+        columns = len(cursor.description or ()) or 1
+        step = max(1, MAX_RESULT_BYTES // (MAX_VALUE_BYTES * columns))
+        rows: list[tuple] = []
+        size = 0
+        while len(rows) <= MAX_ROWS and size <= MAX_RESULT_BYTES:
+            chunk = cursor.fetchmany(step)
+            if not chunk:
+                break
+            size += len(marshal.dumps(chunk)) + _VALUE_OVERHEAD * columns * len(chunk)  # one C pass
+            rows += chunk
+    finally:
+        cursor.close()
+    return rows, size
 
 
 def _canonical_scalar(value) -> object:
@@ -295,19 +357,27 @@ def _canonical_scalar(value) -> object:
     return f"t:{value}"
 
 
-def _encoded_column(column: tuple) -> list[str]:
-    """Each value's canonical scalar as JSON text, as `json.dumps` writes it inside a row.
+_JSON_ESCAPED = re.compile(r'[\x00-\x1f"\\]')  # the characters `_encode_text` escapes
+_EXACT_INT = 2**53  # ints strictly within ±_EXACT_INT are exact as floats
 
-    A column of exactly `str` or exactly `int` values is mapped in one pass;
-    an int's float is integral, so rounding and the -0.0 fold leave it as is.
-    Any other column goes value by value through `_canonical_scalar`.
+
+def _column_format(column: tuple) -> tuple[str, tuple | list]:
+    """One column's %-format piece and the values it formats.
+
+    The piece writes each value as `json.dumps` writes its canonical scalar
+    inside a row. Text without a character JSON escapes goes in verbatim; an
+    exact int's float is integral, so rounding and the -0.0 fold leave it as
+    is. Other text is escaped in one pass, and any other column goes value by
+    value through `_canonical_scalar`.
     """
     types = set(map(type, column))
     if types == {str}:
-        return list(map(_encode_text, map("t:".__add__, column)))
-    if types == {int}:
-        return list(map('"n:%.6f"'.__mod__, column))
-    return ["null" if s is None else _encode_text(s) for s in map(_canonical_scalar, column)]
+        if _JSON_ESCAPED.search("".join(column)) is None:
+            return '"t:%s"', column
+        return "%s", list(map(_encode_text, map("t:".__add__, column)))
+    if types == {int} and -_EXACT_INT < min(column) and max(column) < _EXACT_INT:
+        return '"n:%d.000000"', column
+    return "%s", ["null" if s is None else _encode_text(s) for s in map(_canonical_scalar, column)]
 
 
 def canonical_key(outcome: ExecutionOutcome, order_sensitive: bool) -> OutcomeKey | None:
@@ -316,12 +386,13 @@ def canonical_key(outcome: ExecutionOutcome, order_sensitive: bool) -> OutcomeKe
     Numbers unify across int/float at 1e-6 rounding, text stays verbatim,
     NULL is its own token. Order-insensitive keys compare rows as multisets.
     The digest covers each row's compact JSON list of canonical scalars, one
-    line per row; the lists are built a column at a time.
+    line per row; each line is one `row_format % row`.
     """
     if not outcome.is_success:
         return None
-    columns = map(_encoded_column, zip(*outcome.rows or ()))
-    serialized = ["[" + ",".join(row) + "]" for row in zip(*columns)]
+    formats = [_column_format(column) for column in zip(*outcome.rows)]
+    row_format = "[" + ",".join(piece for piece, _ in formats) + "]"
+    serialized = list(map(row_format.__mod__, zip(*(values for _, values in formats))))
     if not order_sensitive:
         serialized.sort()
     digest = hashlib.sha256("\n".join(serialized).encode("utf-8")).hexdigest()

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 import oracles
 from sqlvote import evaluation, execution
-from sqlvote.catalog import ColumnSchema, ColumnType, DatabaseCatalog, TableSchema, load_catalogs
+from sqlvote.catalog import (
+    ColumnSchema,
+    ColumnType,
+    DatabaseCatalog,
+    TableSchema,
+    catalog_from_sqlite,
+    load_catalogs,
+)
 from sqlvote.errors import GenerationFailed, GoldExecutionFailed, MissingDbFile, MissingPrediction
 from sqlvote.evaluation import (
     SuiteSpec,
@@ -254,6 +261,38 @@ def test_cycle_reported_and_broken(tmp_path):
     fk_bad = _fk_violations(conn, catalog, dropped)
     conn.close()
     assert pk_bad == 0 and fk_bad == 0
+
+
+def test_infinite_numbers_do_not_bound_fresh_draws(tmp_path):
+    (tmp_path / "inf").mkdir()
+    conn = sqlite3.connect(tmp_path / "inf" / "inf.sqlite")
+    conn.execute("CREATE TABLE t (a NUMERIC, b TEXT)")
+    conn.executemany("INSERT INTO t VALUES (?, ?)", [(9e999, "x"), (1, "y"), (-9e999, "z")])
+    conn.commit()
+    conn.close()
+    catalog = catalog_from_sqlite(tmp_path / "inf" / "inf.sqlite", "inf")
+
+    suite = generate_suite_db(catalog, SuiteSpec(suite_count=1, rows_per_table=30, seed=2), 1, tmp_path)
+    conn = sqlite3.connect(suite)
+    values = {a for (a,) in conn.execute("SELECT a FROM t")}
+    conn.close()
+    assert values <= {float("inf"), float("-inf"), 1}  # fresh draws span the finite range [1, 1]
+    assert 1 in values
+
+
+def test_a_value_over_the_length_limit_is_not_observed(tmp_path, monkeypatch):
+    monkeypatch.setattr(execution, "MAX_VALUE_BYTES", 1024)
+    (tmp_path / "long").mkdir()
+    conn = sqlite3.connect(tmp_path / "long" / "long.sqlite")
+    conn.execute("CREATE TABLE t (a TEXT, b TEXT)")
+    conn.executemany("INSERT INTO t VALUES (?, ?)", [("short", "x"), ("y" * 2000, "z")])
+    conn.commit()
+    conn.close()
+    catalog = catalog_from_sqlite(tmp_path / "long" / "long.sqlite", "long")
+
+    assert evaluation._observed_values(catalog) == {(0, 0): [], (0, 1): ["x", "z"]}
+    spec = SuiteSpec(suite_count=1, rows_per_table=10, seed=2)
+    assert len(suite_catalogs(catalog, spec, tmp_path / "suites")) == 1
 
 
 def test_handcrafted_tie_breaks_order_by_limit(singer_catalog, tmp_path):
@@ -538,6 +577,13 @@ def test_reason_on_the_original_database(fixture_root, tmp_path, small_limits, g
     (score,) = _evaluate_pairs(fixture_root, tmp_path, [(gold, pred)], spec).per_question
     assert score.reason == reason
     assert score.ex is (reason is None)
+
+
+def test_gold_over_the_byte_budget_is_a_gold_error(fixture_root, tmp_path, monkeypatch):
+    monkeypatch.setattr(execution, "MAX_RESULT_BYTES", 64 * 1024)
+    gold = "SELECT zeroblob(20000) FROM singer"  # 6 rows of 20 kB
+    (score,) = _evaluate_pairs(fixture_root, tmp_path, [(gold, "SELECT 1")], None).per_question
+    assert score.reason == "gold_error"
 
 
 def test_reason_names_the_first_differing_suite(fixture_root, singer_catalog, tmp_path):

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import random
 import re
+import sqlite3
 import time
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlvote import evaluation, execution, linking
+from sqlvote.catalog import catalog_from_sqlite
 from sqlvote.execution import (
     MAX_ROWS,
     ErrorKind,
@@ -211,6 +215,82 @@ def test_shared_connection_denies_writes(singer_catalog):
     assert singer_catalog.db_path.read_bytes() == before
 
 
+_BLOBS = (
+    "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM r WHERE x < {n}) "
+    "SELECT zeroblob({size}) FROM r"
+)
+
+
+def test_byte_budget(singer_catalog, monkeypatch):
+    monkeypatch.setattr(execution, "MAX_RESULT_BYTES", 64 * 1024)
+    conn = connect_readonly(singer_catalog)
+    try:
+        within = execute(_BLOBS.format(n=50, size=1000), singer_catalog, conn=conn)
+        assert within.is_success and len(within.rows) == 50
+        over = execute(_BLOBS.format(n=200, size=1000), singer_catalog, conn=conn)
+        assert over.error_kind is ErrorKind.TOO_LARGE and over.rows is None
+        assert "bytes" in over.detail
+        assert execute(_COUNT_TO.format(n=500), singer_catalog, conn=conn).is_success
+        # small values count by the memory they hold, not only by their data
+        many = execute(_COUNT_TO.format(n=2000), singer_catalog, conn=conn)
+        assert many.error_kind is ErrorKind.TOO_LARGE
+        assert execute("SELECT 1", singer_catalog, conn=conn).rows == ((1,),)
+    finally:
+        conn.close()
+
+
+def test_value_length_limit(singer_catalog, monkeypatch):
+    monkeypatch.setattr(execution, "MAX_VALUE_BYTES", 64 * 1024)
+    assert execute("SELECT zeroblob(60000)", singer_catalog).is_success
+    for sql in ("SELECT zeroblob(70000)", "SELECT randomblob(70000)", "SELECT hex(zeroblob(40000))"):
+        outcome = execute(sql, singer_catalog)
+        assert outcome.error_kind is ErrorKind.TOO_LARGE, sql
+
+
+@pytest.fixture()
+def invalid_utf8(tmp_path):
+    """A catalog whose one TEXT cell holds invalid UTF-8, beside a valid one."""
+    path = tmp_path / "bad.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (a TEXT, b INTEGER)")
+    conn.execute("INSERT INTO t VALUES (CAST(x'ff41c3' AS TEXT), 1)")
+    conn.execute("INSERT INTO t VALUES ('fine', 2)")
+    conn.commit()
+    conn.close()
+    return catalog_from_sqlite(path, "bad")
+
+
+def test_invalid_utf8_reads_as_replacement_characters(invalid_utf8, monkeypatch):
+    decoded = []
+
+    def counting(raw):
+        decoded.append(raw)
+        return raw.decode("utf-8", "replace")
+
+    monkeypatch.setattr(execution, "_decode_leniently", counting)
+    conn = connect_readonly(invalid_utf8)
+    try:
+        outcome = execute("SELECT a FROM t", invalid_utf8, conn=conn)
+        assert outcome.rows == (("\ufffdA\ufffd",), ("fine",))
+        # the rows and digest the per-cell lenient decoder gave
+        assert canonical_key(outcome, False).key == (
+            "f938acc3b5b516ba1dd28e266311588fcc919ce7b89c15c4e15b716898510f52"
+        )
+        assert decoded == [b"\xffA\xc3", b"fine"]  # only the retry decodes in Python
+        assert conn.text_factory is counting  # left as connect_readonly set it
+        after = execute("SELECT a, b FROM t WHERE b = 2", invalid_utf8, conn=conn)
+        assert after.rows == (("fine", 2),)
+        assert len(decoded) == 2  # the next statement used SQLite's decoder
+    finally:
+        conn.close()
+
+
+def test_invalid_utf8_is_read_by_linking_and_suites(invalid_utf8):
+    assert "\ufffdA\ufffd" in evaluation._observed_values(invalid_utf8)[(0, 0)]
+    matches = linking.link_values("is the value \ufffdA\ufffd there?", invalid_utf8)
+    assert ("t", "a", "\ufffdA\ufffd") in [(m.table_name, m.column_name, m.value) for m in matches]
+
+
 def test_execute_deterministic_keys(singer_catalog):
     sql = "SELECT Name, Net_Worth_Millions FROM singer WHERE Citizenship = 'France'"
     key_a = canonical_key(execute(sql, singer_catalog), order_sensitive=False)
@@ -307,6 +387,16 @@ _PINNED = [
         True,
         "40e919861c0714ee82b121ff070818e90e033a42e13cf72e7ab174351c8dc965",
     ),
+    (
+        [("100% sure", 2**53 - 1), ("%s and %%d", -(2**53 - 1)), ("plain", 0)],
+        False,
+        "ec73fa4d707754b4587c94deaa9b4dea218c885960c87f7dc182b3c44ee1cbd2",
+    ),
+    (
+        [(2**53 + 1,), (-(2**53 + 1),), (2**53,)],
+        False,
+        "280dbd9f8eef64b2675426c3a68e7a24b9ee1c46606dcc7654fc59ef1cefb469",
+    ),
 ]
 
 
@@ -315,10 +405,21 @@ def test_canonical_key_digests_are_pinned():
         assert canonical_key(_success(rows), order_sensitive).key == digest, (rows, order_sensitive)
 
 
+_exact_int_edges = [2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 2**53 + 1, -(2**53 + 1)]
+# printable ASCII with %-format directives; as often as not a column holds no
+# character JSON escapes, else one or more kinds of them
+_plain_chars = st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='"\\')
+_ascii_text = st.lists(
+    st.one_of(
+        st.sampled_from(["%", "%s", "%%", "%d", "%(a)s", '"', "\\", "\n", "\x1f"]),
+        st.text(_plain_chars, max_size=3),
+    ),
+    max_size=4,
+).map("".join)
 _edge_scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.sampled_from([0, -1, 2**63 - 1, -(2**63), 2**63, 10**15 + 1]),
+    st.sampled_from([0, -1, 2**63 - 1, -(2**63), 2**63, 10**15 + 1] + _exact_int_edges),
     st.integers(),
     st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan"), 5e-7, 4.9999995e-7, 1.0000005, -2.5e-7]),
     st.floats(),
@@ -326,8 +427,14 @@ _edge_scalars = st.one_of(
     st.sampled_from(["t:1", "null", "n:1.000000", '"', "\\", "\x00\x1f\x7f", "a,b]", "é", "日本", "\u2028"]),
     st.text(max_size=6),
 )
-# each column draws from one of: exactly str, exactly int, or anything
-_column_values = st.sampled_from([st.text(max_size=6), st.integers(), _edge_scalars])
+# each column draws from one of: exactly str, ASCII str, exactly int, ints near 2**53, or anything
+_column_values = st.sampled_from([
+    st.text(max_size=6),
+    _ascii_text,
+    st.integers(),
+    st.one_of(st.sampled_from(_exact_int_edges), st.integers(-100, 100)),
+    _edge_scalars,
+])
 
 
 @settings(max_examples=400, deadline=None)
