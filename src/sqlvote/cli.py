@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -250,7 +250,7 @@ def cmd_evaluate(
         report_path = Path(str(pred) + ".report.jsonl")
     with open(report_path, "w", encoding="utf-8") as handle:
         for score in report.per_question:  # keys in QuestionScore field order
-            handle.write(json.dumps(asdict(score), ensure_ascii=False) + "\n")
+            handle.write(json.dumps(vars(score), ensure_ascii=False) + "\n")
     return 0
 
 

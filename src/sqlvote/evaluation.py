@@ -11,8 +11,15 @@ per file (the original and each suite). A memo runs each (statement, file,
 gold order flag) once and keeps its canonical key or error outcome, never
 its rows; it lives while its database is scored, because the next run
 rewrites suite files at the same paths. Suite cells come from one draw fixed
-per column. Each report record gives the `reason` for its score, read from
-the memo: None on a match, "gold_error",
+per column. Suite k is generated and opened the first time a score reads it,
+and the database's observed values are read when its first suite is; a
+suite no score reads is never written, and a file an earlier run left for it
+in the suite directory is neither read nor rewritten. A prediction whose
+text is its gold's takes its EX as its TS without running on any suite: the
+memo already gives it the gold's outcome on every file. Scores and suite
+bytes are those of generating every suite up front. Each report record
+gives the `reason` for its score, read from the memo: None on a match,
+"gold_error",
 "pred_error:<kind>" (the pred fails on the original database; an ErrorKind
 value), "differs:original", or "differs:suite<k>" (k is the 1-based index of
 the first suite on which the pred fails or differs).
@@ -29,7 +36,7 @@ import string
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .catalog import ColumnType, DatabaseCatalog, catalog_from_sqlite, load_examples
 from .errors import (
@@ -381,20 +388,50 @@ def ts_match(
 
 
 def _suites_match(
-    pred_sql: str, gold_sql: str, suites: list[DatabaseCatalog], memo: Memo | None = None
+    pred_sql: str, gold_sql: str, suites: Sequence[DatabaseCatalog], memo: Memo | None = None
 ) -> int | None:
     """The suite half of TS: EX on every suite whose gold statement succeeds.
 
     Returns None when the pred matches on all of them, else the 1-based
-    index of the first suite on which it fails or differs.
+    index of the first suite on which it fails or differs. Suites are
+    indexed in order, so a `_LazySuites` builds only those it reaches.
     """
-    for k, suite_catalog in enumerate(suites, 1):
+    for k in range(1, len(suites) + 1):
         try:
-            if not exec_match(pred_sql, gold_sql, suite_catalog, memo=memo):
+            if not exec_match(pred_sql, gold_sql, suites[k - 1], memo=memo):
                 return k
         except GoldExecutionFailed:
             continue
     return None
+
+
+class _LazySuites:
+    """A catalog's suites, each generated and opened into `memo.conns` on first use.
+
+    The observed values are read through the original's open connection when
+    the first suite is built.
+    """
+
+    def __init__(self, catalog: DatabaseCatalog, spec: SuiteSpec, suite_dir, memo: Memo):
+        self._catalog, self._spec, self._suite_dir, self._memo = catalog, spec, suite_dir, memo
+        self._built: dict[int, DatabaseCatalog] = {}
+        self._observed: dict[tuple[int, int], list] | None = None
+
+    def __len__(self) -> int:
+        return self._spec.suite_count
+
+    def __getitem__(self, index: int) -> DatabaseCatalog:
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        if index not in self._built:
+            if self._observed is None:
+                self._observed = _observed_values(self._catalog, self._memo.conns[self._catalog.db_path])
+            path = generate_suite_db(
+                self._catalog, self._spec, index + 1, self._suite_dir, observed=self._observed
+            )
+            suite = self._built[index] = replace(self._catalog, db_path=path)
+            self._memo.conns[path] = connect_readonly(suite)
+        return self._built[index]
 
 
 # --- file-level evaluation -----------------------------------------------------
@@ -446,12 +483,8 @@ def evaluate_file(
         catalog = catalog_from_sqlite(Path(db_dir) / db_id / f"{db_id}.sqlite", db_id)
         memo = Memo()  # this database only: another run rewrites its suite files in place
         try:
-            original = memo.conns[catalog.db_path] = connect_readonly(catalog)
-            suites = None
-            if spec is not None:
-                suites = suite_catalogs(catalog, spec, suite_dir, _observed_values(catalog, original))
-                for suite in suites:
-                    memo.conns[suite.db_path] = connect_readonly(suite)
+            memo.conns[catalog.db_path] = connect_readonly(catalog)
+            suites = None if spec is None else _LazySuites(catalog, spec, suite_dir, memo)
             for position in positions:
                 example_id = examples[position].example_id
                 pred_sql, gold_sql = predictions[example_id], examples[position].gold_sql or ""
@@ -462,7 +495,9 @@ def evaluate_file(
                     continue
                 reason = None if ex else _original_miss(pred_sql, gold_sql, catalog, memo)
                 ts = None if suites is None else ex
-                if ts:  # TS includes EX, so only the suites are left to score
+                # TS includes EX, so only the suites are left; the gold's own text
+                # shares the gold's memo entry on every suite, so it needs none
+                if ts and pred_sql != gold_sql:
                     suite = _suites_match(pred_sql, gold_sql, suites, memo)
                     ts = suite is None
                     reason = None if ts else f"differs:suite{suite}"

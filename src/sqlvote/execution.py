@@ -305,6 +305,7 @@ def _run(conn: sqlite3.Connection, statement: str, start: float, timeout: float)
         return ExecutionOutcome.error(kind, time.monotonic() - start, detail)
     finally:
         conn.text_factory = factory
+        conn.set_progress_handler(None, 0)  # no deadline outlives its statement
     if len(rows) > MAX_ROWS:
         return ExecutionOutcome.error(
             ErrorKind.TOO_LARGE, time.monotonic() - start, f"result exceeds {MAX_ROWS} rows"
@@ -357,7 +358,7 @@ def _canonical_scalar(value) -> object:
     return f"t:{value}"
 
 
-_JSON_ESCAPED = re.compile(r'[\x00-\x1f"\\]')  # the characters `_encode_text` escapes
+_JSON_ESCAPED = bytes(range(0x20)) + b'"\\'  # the ASCII characters `_encode_text` escapes
 _EXACT_INT = 2**53  # ints strictly within ±_EXACT_INT are exact as floats
 
 
@@ -372,7 +373,9 @@ def _column_format(column: tuple) -> tuple[str, tuple | list]:
     """
     types = set(map(type, column))
     if types == {str}:
-        if _JSON_ESCAPED.search("".join(column)) is None:
+        # UTF-8 puts an ASCII byte only for an ASCII character; lone surrogates pass too
+        joined = "".join(column).encode("utf-8", "surrogatepass")
+        if len(joined.translate(None, _JSON_ESCAPED)) == len(joined):
             return '"t:%s"', column
         return "%s", list(map(_encode_text, map("t:".__add__, column)))
     if types == {int} and -_EXACT_INT < min(column) and max(column) < _EXACT_INT:

@@ -492,9 +492,15 @@ def _evaluate_pairs(fixture_root, work, pairs, spec):
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(
-    st.tuples(st.integers(0, len(_GOLDS) - 1), st.integers(0, len(_PREDS) - 1)), min_size=1, max_size=6
+    st.one_of(
+        st.tuples(st.integers(0, len(_GOLDS) - 1), st.integers(0, len(_PREDS) - 1)),
+        st.integers(0, len(_GOLDS) - 1).map(lambda g: (g, g)),  # the prediction is its gold
+    ),
+    min_size=1,
+    max_size=6,
 ))
 @example([(1, 5), (2, 5), (0, 6), (4, 0)])
+@example([(0, 0), (0, 6), (3, 3), (4, 4), (1, 1)])
 def test_memo_scores_like_unmemoized_calls(fixture_root, singer_catalog, tmp_path_factory, draws):
     work = tmp_path_factory.mktemp("memo")
     spec = SuiteSpec(suite_count=2, rows_per_table=10, seed=3)
@@ -738,7 +744,9 @@ def connections(monkeypatch):
     return recorder
 
 
-def _two_database_dataset(fixture_root, work, last_db="car_1"):
+def _two_database_dataset(fixture_root, work, last_db="car_1", reworded=False):
+    """Singer and `last_db` questions; predicted by their golds, or with `reworded`
+    by the golds with lower-case keywords: other texts with the same results."""
     singer = json.loads((fixture_root / "mini_dev.json").read_text())
     records = singer * 2 + [
         {"question": "q car", "query": "SELECT count(*) FROM cars_data", "db_id": last_db},
@@ -749,12 +757,13 @@ def _two_database_dataset(fixture_root, work, last_db="car_1"):
     dataset = work / "two.json"
     dataset.write_text(json.dumps(records))
     pred_path = work / "pred.jsonl"
-    _write_predictions(pred_path, [(f"{i:06d}", r["query"]) for i, r in enumerate(records)])
+    preds = [r["query"].replace("SELECT", "select") if reworded else r["query"] for r in records]
+    _write_predictions(pred_path, [(f"{i:06d}", sql) for i, sql in enumerate(preds)])
     return pred_path, dataset
 
 
 def test_evaluate_opens_each_file_once_and_closes_all(fixture_root, tmp_path, connections):
-    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path)
+    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path, reworded=True)
     spec = SuiteSpec(suite_count=3, rows_per_table=10, seed=2)
     report = evaluate_file(pred_path, dataset, fixture_root / "database", spec, tmp_path / "suites")
     assert report.ex_accuracy == 1.0
@@ -764,7 +773,7 @@ def test_evaluate_opens_each_file_once_and_closes_all(fixture_root, tmp_path, co
 
 
 def test_evaluate_closes_connections_when_a_database_fails(fixture_root, tmp_path, connections):
-    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path, last_db="ghost")
+    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path, last_db="ghost", reworded=True)
     spec = SuiteSpec(suite_count=2, rows_per_table=10, seed=2)
     with pytest.raises(MissingDbFile):
         evaluate_file(pred_path, dataset, fixture_root / "database", spec, tmp_path / "suites")
@@ -773,7 +782,7 @@ def test_evaluate_closes_connections_when_a_database_fails(fixture_root, tmp_pat
 
 
 def test_evaluate_closes_connections_when_generation_fails(fixture_root, tmp_path, connections, monkeypatch):
-    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path)
+    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path, reworded=True)
     generate = evaluation.generate_suite_db
 
     def failing_generate(catalog, spec, suite_index, *args, **kwargs):
@@ -785,8 +794,50 @@ def test_evaluate_closes_connections_when_generation_fails(fixture_root, tmp_pat
     spec = SuiteSpec(suite_count=3, rows_per_table=10, seed=2)
     with pytest.raises(GenerationFailed):
         evaluate_file(pred_path, dataset, fixture_root / "database", spec, tmp_path / "suites")
-    assert connections.opened[-1] == fixture_root / "database" / "car_1" / "car_1.sqlite"
+    assert connections.opened[-1] == tmp_path / "suites" / "car_1__suite001__seed2.sqlite"
     assert not connections.open
+
+
+# --- suites built on first use ----------------------------------------------------
+
+
+def test_gold_identical_predictions_open_no_suite(fixture_root, tmp_path, connections):
+    pred_path, dataset = _two_database_dataset(fixture_root, tmp_path)
+    spec = SuiteSpec(suite_count=3, rows_per_table=10, seed=2)
+    report = evaluate_file(pred_path, dataset, fixture_root / "database", spec, tmp_path / "suites")
+    assert report.ts_accuracy == 1.0
+    assert all(q.reason is None for q in report.per_question)
+    database = fixture_root / "database"
+    assert connections.opened == [database / "singer" / "singer.sqlite", database / "car_1" / "car_1.sqlite"]
+    assert not list((tmp_path / "suites").glob("*"))
+    assert not connections.open
+
+
+def test_a_miss_on_the_first_suite_writes_only_that_suite(fixture_root, singer_catalog, tmp_path):
+    gold = "SELECT count(*) FROM singer"
+    (count,) = execution.execute(gold, singer_catalog).rows[0]
+    spec = SuiteSpec(suite_count=4, rows_per_table=count + 3, seed=1)
+    pairs = [(gold, gold), (gold, f"SELECT {count}"), (gold, f"SELECT {count} + 0"), (gold, "SELECT 0")]
+    report = _evaluate_pairs(fixture_root, tmp_path, pairs, spec)
+    assert [(q.ex, q.ts, q.reason) for q in report.per_question] == [
+        (True, True, None),
+        (True, False, "differs:suite1"),
+        (True, False, "differs:suite1"),
+        (False, False, "differs:original"),
+    ]
+    assert [p.name for p in (tmp_path / "suites").iterdir()] == ["singer__suite001__seed1.sqlite"]
+
+
+def test_suites_built_on_first_use_equal_suites_built_alone(fixture_root, singer_catalog, tmp_path):
+    spec = SuiteSpec(suite_count=3, rows_per_table=10, seed=4)
+    gold = "SELECT Name FROM singer WHERE Birth_Year > 1940"
+    pairs = [(gold, "SELECT 1"), (gold, gold.replace("SELECT", "select"))]  # the second reads every suite
+    report = _evaluate_pairs(fixture_root, tmp_path, pairs, spec)
+    assert [q.ts for q in report.per_question] == [False, True]
+    for k in range(1, spec.suite_count + 1):
+        lazy = tmp_path / "suites" / f"singer__suite{k:03d}__seed4.sqlite"
+        alone = generate_suite_db(singer_catalog, spec, k, tmp_path / "alone")
+        assert lazy.read_bytes() == alone.read_bytes()
 
 
 def test_evaluate_reads_each_gold_order_flag_once_per_database(fixture_root, tmp_path, monkeypatch):

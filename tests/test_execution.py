@@ -195,6 +195,17 @@ def test_shared_connection_usable_after_timeout(singer_catalog):
         conn.close()
 
 
+def test_deadline_does_not_outlive_its_statement(singer_catalog):
+    conn = connect_readonly(singer_catalog)
+    try:
+        assert execute("SELECT 1", singer_catalog, timeout=0.05, conn=conn).is_success
+        time.sleep(0.1)
+        count_to = f"SELECT count(*) FROM ({_COUNT_TO.format(n=100_000)})"  # far over one progress step
+        assert conn.execute(count_to).fetchone() == (100_000,)
+    finally:
+        conn.close()
+
+
 def test_shared_connection_denies_writes(singer_catalog):
     before = singer_catalog.db_path.read_bytes()
     conn = connect_readonly(singer_catalog)
@@ -398,6 +409,15 @@ _PINNED = [
         "280dbd9f8eef64b2675426c3a68e7a24b9ee1c46606dcc7654fc59ef1cefb469",
     ),
 ]
+
+
+@pytest.mark.parametrize("char", ['"', "\\", "\x00", "\n", "\x1f"])
+def test_a_character_json_escapes_sends_its_column_down_the_escaped_path(char):
+    rows = [(f"a{char}b", "plain"), ("", "%s")]
+    for order_sensitive in (False, True):
+        assert canonical_key(_success(rows), order_sensitive).key == oracles.canonical_digest(
+            rows, order_sensitive
+        )
 
 
 def test_canonical_key_digests_are_pinned():
