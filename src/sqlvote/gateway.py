@@ -3,20 +3,32 @@
 Each arm draws `samples` i.i.d. completions for one rendered prompt. The
 cache is content-addressed by (model, prompt hash, temperature, seed, index)
 so recorded runs replay byte-identically and repeat runs cost nothing.
+
+The cache also keeps one execution-outcome record per pool, at
+`outcomes/<digest>.json`. The digest covers a format tag, the SQLite
+version, the SHA-256 of the database file's bytes, `repr(timeout)` and the
+pool's sorted distinct statements. The record maps each statement to its
+outcome key, or to its error kind, elapsed time and detail. A warm run
+replays the recorded outcomes, timeouts included, and executes nothing;
+a changed database file, timeout or SQLite version re-executes. `cache
+clear` drops the records with the completions.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Collection, Protocol
 
 import requests
 
-from .errors import BackendError, BackendUnavailable, DuplicateModelId
+from .errors import BackendError, BackendUnavailable, DbUnreadable, DuplicateModelId
+from .execution import ErrorKind, ExecutionOutcome, KeyOrError, OutcomeKey
 from .prompts import PromptDesignId, RenderedPrompt, content_hash_of
 
 DEFAULT_SAMPLES = 32
@@ -25,6 +37,8 @@ DEFAULT_STOP = (";", "\n\n")  # sent with every remote request; a constant, so n
 _RETRY_ATTEMPTS = 3
 _RETRY_BASE_DELAY = 1.0
 _TEMP_SUFFIX = ".tmp"  # a write in progress; never read as an entry
+_OUTCOME_DIR = "outcomes"  # under the cache directory: one outcome record per pool
+_OUTCOME_FORMAT = "sqlvote-outcomes-1"  # change it when a record's meaning changes
 
 
 @dataclass(frozen=True)
@@ -149,26 +163,23 @@ class RemoteBackend:
 
 @dataclass
 class Gateway:
-    """Routes sampling to registered backends and persists completions."""
+    """Routes sampling to registered backends; persists completions and pool outcomes."""
 
     cache_dir: Path | None = None
     _backends: dict[str, GenerationBackend] = field(default_factory=dict)
+    # database path -> (stat signature, SHA-256 of its bytes), filled by `_db_digest`
+    _db_digests: dict[str, tuple[tuple, str]] = field(default_factory=dict)
 
     def register_backend(self, model_id: str, backend: GenerationBackend) -> None:
         if model_id in self._backends:
             raise DuplicateModelId(model_id)
         self._backends[model_id] = backend
 
-    def _cache_path(self, arm: ModelArm, prompt: RenderedPrompt, seed: int, index: int) -> Path | None:
+    def _entry_dir(self, arm: ModelArm, prompt: RenderedPrompt, seed: int) -> str | None:
         if self.cache_dir is None:
             return None
-        return (
-            Path(self.cache_dir)
-            / arm.model_id
-            / prompt.content_hash
-            / format(arm.temperature, "g")
-            / str(seed)
-            / f"{index}.txt"
+        return os.path.join(
+            self.cache_dir, arm.model_id, prompt.content_hash, format(arm.temperature, "g"), str(seed)
         )
 
     def sample(self, arm: ModelArm, prompt: RenderedPrompt, seed: int) -> list[Completion]:
@@ -177,15 +188,15 @@ class Gateway:
         if backend is None:
             raise BackendUnavailable(arm.model_id)
 
+        entries = self._entry_dir(arm, prompt, seed)
         results: list[Completion | None] = [None] * arm.samples
         missing: list[int] = []
         for i in range(arm.samples):
-            path = self._cache_path(arm, prompt, seed, i)
-            if path is not None and path.is_file():
-                with open(path, encoding="utf-8", newline="") as handle:  # keep \r and \r\n as written
-                    results[i] = Completion(handle.read(), arm, i, from_cache=True)
-            else:
+            text = None if entries is None else _read_entry(os.path.join(entries, f"{i}.txt"))
+            if text is None:
                 missing.append(i)
+            else:
+                results[i] = Completion(text, arm, i, from_cache=True)
 
         if missing:
             try:
@@ -200,26 +211,119 @@ class Gateway:
                     )
                 for i, text in zip(missing, texts):
                     results[i] = Completion(text, arm, i)
-                if self.cache_dir is not None and texts:
-                    self._cache_path(arm, prompt, seed, 0).parent.mkdir(parents=True, exist_ok=True)
+                if entries is not None and texts:
+                    os.makedirs(entries, exist_ok=True)
                     for i, text in zip(missing, texts):
-                        _publish(self._cache_path(arm, prompt, seed, i), text)
+                        _publish(os.path.join(entries, f"{i}.txt"), text)
         return [c for c in results if c is not None]
 
+    def outcomes(
+        self,
+        db_path: Path,
+        timeout: float,
+        statements: Collection[str],
+        execute_all: Callable[[], dict[str, KeyOrError]],
+    ) -> dict[str, KeyOrError]:
+        """Each statement's key or error on the database, from its record or from `execute_all`.
 
-def _publish(path: Path, text: str) -> None:
+        Without a cache this is `execute_all()`. Otherwise the pool's record
+        is read; on a miss `execute_all()` runs and its result is recorded.
+        A record that does not decode to exactly these statements' outcomes
+        is a miss, and is rewritten. The database file is hashed once per
+        gateway, and again only when its stat changes; a file that cannot
+        be read raises DbUnreadable.
+        """
+        if self.cache_dir is None:
+            return execute_all()
+        identity = json.dumps(
+            [_OUTCOME_FORMAT, sqlite3.sqlite_version, self._db_digest(db_path), repr(timeout),
+             sorted(statements)]
+        )
+        path = os.path.join(
+            self.cache_dir, _OUTCOME_DIR, hashlib.sha256(identity.encode("ascii")).hexdigest() + ".json"
+        )
+        try:
+            with open(path, "rb") as handle:
+                recorded = _decode_outcomes(handle.read(), statements)
+        except FileNotFoundError:
+            recorded = None
+        if recorded is not None:
+            return recorded
+        outcomes = execute_all()
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _publish(path, _encode_outcomes(outcomes))
+        return outcomes
+
+    def _db_digest(self, db_path: Path) -> str:
+        """SHA-256 of the file's bytes, hashed on first use and again only when its stat changes.
+
+        Two threads may both hash a file first; they store the same value.
+        """
+        try:
+            st = os.stat(db_path)
+            signature = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+            known = self._db_digests.get(str(db_path))
+            if known is None or known[0] != signature:
+                with open(db_path, "rb") as handle:
+                    known = (signature, hashlib.file_digest(handle, "sha256").hexdigest())
+                self._db_digests[str(db_path)] = known
+        except OSError as exc:
+            raise DbUnreadable(str(db_path), str(exc)) from exc
+        return known[1]
+
+
+def _read_entry(path: str) -> str | None:
+    """A cache entry's text, line endings kept as written; None if there is none."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
+
+
+def _encode_outcomes(outcomes: dict[str, KeyOrError]) -> str:
+    return json.dumps(
+        {
+            sql: outcome.key if isinstance(outcome, OutcomeKey)
+            else [outcome.error_kind.value, outcome.elapsed, outcome.detail]
+            for sql, outcome in outcomes.items()
+        }
+    )
+
+
+def _decode_outcomes(data: bytes, statements: Collection[str]) -> dict[str, KeyOrError] | None:
+    """The outcomes a record holds, or None unless it holds exactly `statements`, well formed."""
+    try:
+        recorded = json.loads(data)
+        if recorded.keys() != set(statements):
+            return None
+        outcomes: dict[str, KeyOrError] = {}
+        for sql, value in recorded.items():
+            if isinstance(value, str):
+                outcomes[sql] = OutcomeKey(value)
+                continue
+            kind, elapsed, detail = value
+            if not isinstance(elapsed, float) or not isinstance(detail, str):
+                return None
+            outcomes[sql] = ExecutionOutcome.error(ErrorKind(kind), elapsed, detail)
+        return outcomes
+    except (AttributeError, TypeError, ValueError):  # not JSON, not a mapping, a bad entry
+        return None
+
+
+def _publish(path: str, text: str) -> None:
     """Write `text` to a temp file of its own beside `path`, then rename it into place.
 
     Each write has its own random temp name, so writers in other threads or
     processes sharing the cache never rename or truncate each other's file.
     """
-    tmp = path.with_name(f"{path.stem}.{os.urandom(16).hex()}{_TEMP_SUFFIX}")
+    tmp = f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
@@ -236,7 +340,10 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
 
 
 def cache_clear(cache_dir: Path | str) -> int:
-    """Remove all cache entries and stray temp files; returns how many entries were deleted."""
+    """Remove all completion entries, outcome records and stray temp files.
+
+    Returns how many completion entries were deleted.
+    """
     removed = 0
     root = Path(cache_dir)
     if not root.is_dir():
@@ -244,6 +351,8 @@ def cache_clear(cache_dir: Path | str) -> int:
     for path in sorted(root.rglob("*.txt"), reverse=True):
         path.unlink()
         removed += 1
+    for path in (root / _OUTCOME_DIR).glob("*.json"):
+        path.unlink()
     for path in list(root.rglob("*" + _TEMP_SUFFIX)):  # left by a writer that was killed
         path.unlink()
     for path in sorted((p for p in root.rglob("*") if p.is_dir()), reverse=True):

@@ -1,12 +1,16 @@
 """Candidate pooling across arms and majority voting over execution outcomes.
 
-For each question every arm renders its prompt, samples completions, and
-executes them; the pool concatenates all candidates in configuration order.
-Each distinct extracted statement runs once per pool, on one read-only
-connection, and is reduced at once to what the vote reads: its
-order-insensitive outcome key, or its error outcome. A pool holds no rows.
-Error candidates are filtered, survivors are grouped by outcome key, and the
-largest group's earliest candidate wins.
+For each question every arm renders its prompt and samples completions;
+the pool concatenates all candidates in configuration order. Each distinct
+completion text is extracted once per pool, and each distinct statement
+runs once per pool, on one read-only connection, and is reduced at once to
+what the vote reads: its order-insensitive outcome key, or its error
+outcome. A pool holds no rows. With a cache directory, the pool's outcomes
+are recorded in the cache, keyed by the database file's bytes, the timeout,
+the SQLite version and the pool's statements (see `gateway`); a warm run
+replays them, timeouts included, and opens no connection. Error candidates
+are filtered, survivors are grouped by outcome key, and the largest
+group's earliest candidate wins.
 """
 
 from __future__ import annotations
@@ -68,49 +72,58 @@ def build_pool(
     max_per_column: int = DEFAULT_MAX_PER_COLUMN,
     demos_for: Callable[[ModelArm], DemoSet] | None = None,
 ) -> CandidatePool:
-    """Sample and execute every arm's candidates, in configuration order.
+    """Sample every arm's candidates, in configuration order, and reduce each to its outcome.
 
-    Each distinct extracted statement executes once, and every candidate
-    holding it shares its key or error outcome. Values are linked only when
-    some arm's design renders them. The statements share one read-only
-    connection that is closed before this returns; it is never kept across
-    pools, since a database file may be rewritten between them. An
-    unreadable database raises DbUnreadable.
+    Each distinct completion text is extracted once, and each distinct
+    statement executes once; every candidate holding it shares its key or
+    error outcome. Values are linked only when some arm's design renders
+    them. All arms are sampled before anything executes, so a pool whose
+    outcomes the cache records replays them and opens no connection.
+    Otherwise the statements share one read-only connection that is closed
+    before this returns; it is never kept across pools, since a database
+    file may be rewritten between them. An unreadable database raises
+    DbUnreadable.
     """
     renders_values = any(arm.design is not PromptDesignId.BASELINE_DEFAULT for arm in arms)
     matches = link_values(question.question, catalog, max_per_column) if renders_values else []
-    candidates: list[Candidate] = []
-    outcomes: dict[str, KeyOrError] = {}
-    conn = connect_readonly(catalog)
-    try:
-        for arm in arms:
-            demos = demos_for(arm) if demos_for is not None else EMPTY_DEMOS
-            prompt = render(arm.design, question, catalog, matches, demos)
-            for completion in gateway.sample(arm, prompt, seed):
-                if completion.failed:
-                    sql = ""
-                    outcome = ExecutionOutcome.error(
-                        ErrorKind.RUNTIME, detail=f"backend failure: {completion.text}"
-                    )
-                else:
-                    sql = extract_sql(
-                        completion.text,
-                        prefix_select=arm.design is PromptDesignId.BASELINE_DEFAULT,
-                    )
-                    outcome = outcomes.get(sql)
-                    if outcome is None:
-                        executed = execute(sql, catalog, timeout, conn)
-                        outcome = outcomes[sql] = (
-                            canonical_key(executed, order_sensitive=False)
-                            if executed.is_success
-                            else executed
-                        )
-                candidates.append(
-                    Candidate(sql, arm, completion.sample_index, outcome, len(candidates))
+    # (sql, arm, sample index, the error of a failed completion or None), in pool order
+    drafts: list[tuple[str, ModelArm, int, ExecutionOutcome | None]] = []
+    extracted: dict[tuple[str, bool], str] = {}
+    for arm in arms:
+        demos = demos_for(arm) if demos_for is not None else EMPTY_DEMOS
+        prompt = render(arm.design, question, catalog, matches, demos)
+        prefix_select = arm.design is PromptDesignId.BASELINE_DEFAULT
+        for completion in gateway.sample(arm, prompt, seed):
+            if completion.failed:
+                failure = ExecutionOutcome.error(
+                    ErrorKind.RUNTIME, detail=f"backend failure: {completion.text}"
                 )
-    finally:
-        conn.close()
-    return CandidatePool(question.example_id, tuple(candidates), tuple(arms))
+                drafts.append(("", arm, completion.sample_index, failure))
+                continue
+            sql = extracted.get((completion.text, prefix_select))
+            if sql is None:
+                sql = extract_sql(completion.text, prefix_select=prefix_select)
+                extracted[completion.text, prefix_select] = sql
+            drafts.append((sql, arm, completion.sample_index, None))
+    statements = list(dict.fromkeys(sql for sql, _, _, failure in drafts if failure is None))
+
+    def execute_all() -> dict[str, KeyOrError]:
+        conn = connect_readonly(catalog)
+        try:
+            return {sql: _key_or_error(execute(sql, catalog, timeout, conn)) for sql in statements}
+        finally:
+            conn.close()
+
+    outcomes = gateway.outcomes(catalog.db_path, timeout, statements, execute_all)
+    candidates = tuple(
+        Candidate(sql, arm, index, outcomes[sql] if failure is None else failure, position)
+        for position, (sql, arm, index, failure) in enumerate(drafts)
+    )
+    return CandidatePool(question.example_id, candidates, tuple(arms))
+
+
+def _key_or_error(outcome: ExecutionOutcome) -> KeyOrError:
+    return canonical_key(outcome, order_sensitive=False) if outcome.is_success else outcome
 
 
 def select_by_consistency(pool: CandidatePool) -> SelectionResult:

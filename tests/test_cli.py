@@ -6,6 +6,7 @@ import shutil
 import pytest
 import yaml
 
+from sqlvote import voting
 from sqlvote.cli import load_config, main
 from sqlvote.errors import ConfigError
 
@@ -102,6 +103,23 @@ def test_predict_deterministic_cold_then_warm(mini_run):
     assert main(["predict", "--config", str(config_path)]) == 0
     warm = (work / "predictions.jsonl").read_bytes()
     assert cold == warm
+
+
+def test_warm_predict_executes_nothing(mini_run, monkeypatch):
+    fixture_root, work, config_path = mini_run
+    calls = []
+    execute, connect = voting.execute, voting.connect_readonly
+    monkeypatch.setattr(voting, "execute", lambda *a, **k: calls.append(a[0]) or execute(*a, **k))
+    monkeypatch.setattr(voting, "connect_readonly", lambda *a: calls.append("connect") or connect(*a))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert main(["predict", "--config", str(config_path), "--audit"]) == 0
+        outputs = [(work / name).read_bytes() for name in ("predictions.jsonl", "predictions.jsonl.audit.jsonl")]
+        runs.append((outputs, len(calls)))
+    (cold, cold_calls), (warm, warm_calls) = runs
+    assert cold_calls > 5 and warm_calls == 0
+    assert warm == cold
 
 
 def test_predict_audit_records(mini_run):
@@ -380,3 +398,4 @@ def test_cache_cli(mini_run, capsys):
     capsys.readouterr()
     main(["cache", "stats", "--dir", str(cache_dir)])
     assert "entries: 0" in capsys.readouterr().out
+    assert list(cache_dir.iterdir()) == []  # outcome records went too

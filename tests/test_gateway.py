@@ -60,6 +60,8 @@ def test_cache_round_trip(tmp_path):
     warm = second_gateway.sample(_arm(), prompt, seed=3)
     assert [c.text for c in warm] == [c.text for c in cold]
     assert all(c.from_cache for c in warm)
+    entries = tmp_path / "scripted-a" / prompt.content_hash / "0.5" / "3"
+    assert sorted(tmp_path.rglob("*.txt")) == [entries / "0.txt", entries / "1.txt"]
 
 
 def test_cache_keeps_carriage_returns(tmp_path):
@@ -138,9 +140,9 @@ def test_cache_stats_and_clear(tmp_path):
     gateway.sample(_arm(samples=2), prompt, seed=0)
     entry = next(tmp_path.rglob("0.txt"))
     (entry.parent / "1.tmp").write_text("SEL", encoding="utf-8")  # left by a killed writer
-    entries, total = cache_stats(tmp_path)
-    assert entries == 2
-    assert total > 0
+    (tmp_path / "outcomes").mkdir()
+    (tmp_path / "outcomes" / f"{'0' * 64}.json").write_text('{"SELECT 1": "k"}', encoding="utf-8")
+    assert cache_stats(tmp_path) == (2, len("SELECT 1") + len("SELECT 2"))  # completions only
     assert cache_clear(tmp_path) == 2
     assert cache_stats(tmp_path) == (0, 0)
     assert list(tmp_path.iterdir()) == []

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import re
+import shutil
 import sqlite3
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlvote import gateway as gateway_module
 from sqlvote import voting
 from sqlvote.execution import ErrorKind, ExecutionOutcome, OutcomeKey, canonical_key, execute
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
@@ -215,9 +223,10 @@ def test_vote_ignores_how_the_pool_is_split_across_arms(data):
 # --- pipeline-level pooling -------------------------------------------------------
 
 
-def _scripted_gateway(prompt_to_completions):
-    gateway = Gateway()
+def _scripted_gateway(prompt_to_completions, cache_dir=None):
+    gateway = Gateway(cache_dir=cache_dir)
     gateway.register_backend("m", ScriptedBackend(prompt_to_completions))
+    gateway.register_backend("down", ScriptedBackend({}))  # every sample fails
     return gateway
 
 
@@ -378,7 +387,7 @@ def test_identical_sql_executes_once_per_pool(dev_examples, singer_catalog, monk
         connections[0].execute("SELECT 1")
 
 
-def _mixed_pool_gateway(example, catalog, k):
+def _mixed_pool_gateway(example, catalog, k, cache_dir=None):
     arms = [ModelArm("m", PromptDesignId.CONCISE, samples=k)]
     hashes = _render_hashes(example, catalog, arms)
     completions = [
@@ -388,7 +397,7 @@ def _mixed_pool_gateway(example, catalog, k):
         "SELEC oops",
         "SELECT Name FROM singer",
     ]
-    return arms, _scripted_gateway({hashes[PromptDesignId.CONCISE]: completions})
+    return arms, _scripted_gateway({hashes[PromptDesignId.CONCISE]: completions}, cache_dir)
 
 
 def test_pool_keeps_keys_or_errors_never_rows(dev_examples, singer_catalog):
@@ -498,3 +507,180 @@ def test_memoized_pool_votes_like_separate_executions(dev_examples, singer_catal
     reference = select_by_consistency(separate)
     assert result == reference
     assert audit_records(pool, result) == audit_records(separate, reference)
+
+
+# --- outcome records: a warm pool replays, it does not execute --------------------
+
+
+def _counting_execute(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(voting, "execute", counting)
+    return calls
+
+
+def _comparable(outcome):
+    """An outcome without its elapsed time, which differs between executions."""
+    return outcome if isinstance(outcome, OutcomeKey) else (outcome.error_kind, outcome.detail)
+
+
+def _records(cache_dir):
+    return sorted((cache_dir / "outcomes").glob("*.json"))
+
+
+def _mixed_pool(example, catalog, cache_dir, timeout=5.0):
+    """The mixed pool, built by a fresh gateway: four distinct statements, one of them failing."""
+    arms, gateway = _mixed_pool_gateway(example, catalog, 5, cache_dir)
+    return build_pool(example, catalog, arms, seed=0, gateway=gateway, timeout=timeout)
+
+
+def test_rewritten_database_reexecutes_and_the_vote_follows(
+    dev_examples, singer_catalog, tmp_path, monkeypatch
+):
+    db_path = tmp_path / "singer.sqlite"
+    shutil.copyfile(singer_catalog.db_path, db_path)
+    catalog = replace(singer_catalog, db_path=db_path)
+    example = dev_examples[1]
+    arms = [ModelArm("m", PromptDesignId.BASELINE_DEFAULT, samples=3)]  # renders no values
+    hashes = _render_hashes(example, catalog, arms)
+    completions = {
+        hashes[PromptDesignId.BASELINE_DEFAULT]: ["SELECT 6", "SELECT 5", "SELECT count(*) FROM singer"]
+    }
+    calls = _counting_execute(monkeypatch)
+
+    def vote(gateway):
+        calls.clear()
+        return run_question(example, catalog, arms, seed=0, gateway=gateway)[0].selected_sql
+
+    gateway = _scripted_gateway(completions, tmp_path / "cache")
+    assert (vote(gateway), len(calls)) == ("SELECT 6", 3)
+    assert (vote(gateway), len(calls)) == ("SELECT 6", 0)
+
+    shutil.copyfile(db_path, tmp_path / "six.sqlite")
+    with sqlite3.connect(db_path) as conn:  # the same path, other content
+        conn.execute("DELETE FROM singer WHERE rowid = (SELECT max(rowid) FROM singer)")
+    conn.close()
+    gateway = _scripted_gateway(completions, tmp_path / "cache")
+    assert (vote(gateway), len(calls)) == ("SELECT 5", 3)
+
+    os.replace(tmp_path / "six.sqlite", db_path)  # the first content again, under the same gateway
+    assert (vote(gateway), len(calls)) == ("SELECT 6", 0)
+    assert len(_records(tmp_path / "cache")) == 2
+
+
+def test_another_timeout_misses(dev_examples, singer_catalog, tmp_path, monkeypatch):
+    calls = _counting_execute(monkeypatch)
+    pools = [
+        _mixed_pool(dev_examples[1], singer_catalog, tmp_path / "cache", timeout)
+        for timeout in (5.0, 5.0, 4.0, 5.0)
+    ]
+    assert len(calls) == 2 * 4  # four distinct statements, executed for 5.0 and for 4.0
+    assert pools[1] == pools[0] == pools[3]
+    assert [_comparable(c.outcome) for c in pools[2].candidates] == [
+        _comparable(c.outcome) for c in pools[0].candidates
+    ]
+    assert len(_records(tmp_path / "cache")) == 2
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda data: data[: len(data) // 2],
+        lambda data: b"not json",
+        lambda data: b"\xff\xfe{}",
+        lambda data: b"[]",
+        lambda data: b"{}",
+        lambda data: data.replace(b'"syntax"', b'"bogus"'),
+        lambda data: re.sub(rb'("syntax", )[^,]+', rb'\1"0.1"', data),
+        lambda data: data.replace(b'"syntax", ', b""),
+        lambda data: json.dumps({k: 7 for k in json.loads(data)}).encode(),
+    ],
+    ids=["truncated", "not-json", "not-utf8", "list", "empty", "bad-kind", "bad-elapsed",
+         "short-error", "bad-value"],
+)
+def test_spoiled_record_is_a_miss_and_is_rewritten(dev_examples, singer_catalog, tmp_path, monkeypatch, spoil):
+    cache_dir = tmp_path / "cache"
+    cold = _mixed_pool(dev_examples[1], singer_catalog, cache_dir)
+    (record,) = _records(cache_dir)
+    record.write_bytes(spoil(record.read_bytes()))
+    calls = _counting_execute(monkeypatch)
+
+    again = _mixed_pool(dev_examples[1], singer_catalog, cache_dir)
+    assert len(calls) == 4
+    assert [_comparable(c.outcome) for c in again.candidates] == [
+        _comparable(c.outcome) for c in cold.candidates
+    ]
+    assert _records(cache_dir) == [record]
+    assert _mixed_pool(dev_examples[1], singer_catalog, cache_dir) == again
+    assert len(calls) == 4
+
+
+def test_recorded_timeout_replays(dev_examples, singer_catalog, tmp_path, monkeypatch):
+    example = dev_examples[1]
+    endless = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM r) SELECT count(*) FROM r"
+    arms = [ModelArm("m", PromptDesignId.CONCISE, samples=2)]
+    hashes = _render_hashes(example, singer_catalog, arms)
+    completions = {hashes[PromptDesignId.CONCISE]: [endless, "SELECT count(*) FROM song"]}
+    calls = _counting_execute(monkeypatch)
+    pools = [
+        build_pool(
+            example, singer_catalog, arms, seed=0,
+            gateway=_scripted_gateway(completions, tmp_path / "cache"), timeout=0.2,
+        )
+        for _ in range(2)
+    ]
+    assert len(calls) == 2
+    cold, warm = (pool.candidates[0].outcome for pool in pools)
+    assert cold.error_kind is ErrorKind.TIMEOUT and cold.elapsed >= 0.2
+    assert (warm.error_kind, warm.detail, warm.elapsed) == (cold.error_kind, cold.detail, cold.elapsed)
+    assert pools[1] == pools[0]
+
+
+def test_no_record_without_a_cache_dir(dev_examples, singer_catalog, monkeypatch):
+    calls = _counting_execute(monkeypatch)
+    published = []
+    monkeypatch.setattr(gateway_module, "_publish", lambda *args: published.append(args))
+    pools = [_mixed_pool(dev_examples[1], singer_catalog, None) for _ in range(2)]
+    assert len(calls) == 2 * 4
+    assert published == []
+    assert [_comparable(c.outcome) for c in pools[1].candidates] == [
+        _comparable(c.outcome) for c in pools[0].candidates
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(_completion, min_size=1, max_size=8),
+    st.lists(_completion, min_size=1, max_size=8),
+    st.integers(0, 2),
+)
+def test_warm_pool_equals_cold_and_separate_executions(dev_examples, singer_catalog, concise, verbose, failing):
+    example = dev_examples[1]
+    arms = [
+        ModelArm("m", PromptDesignId.CONCISE, samples=len(concise)),
+        ModelArm("m", PromptDesignId.VERBOSE, samples=len(verbose)),
+    ]
+    arms.insert(failing, ModelArm("down", PromptDesignId.CONCISE, samples=2))
+    hashes = _render_hashes(example, singer_catalog, arms)
+    completions = {hashes[PromptDesignId.CONCISE]: concise, hashes[PromptDesignId.VERBOSE]: verbose}
+    with tempfile.TemporaryDirectory() as cache:
+        cold = build_pool(example, singer_catalog, arms, 0, _scripted_gateway(completions, Path(cache)))
+        with patch.object(voting, "execute", side_effect=AssertionError("a warm pool executed")):
+            warm = build_pool(example, singer_catalog, arms, 0, _scripted_gateway(completions, Path(cache)))
+    assert warm == cold
+
+    separate = tuple(
+        c if c.arm.model_id == "down" else replace(c, outcome=_reduced(execute(c.sql, singer_catalog)))
+        for c in cold.candidates
+    )
+    assert [_comparable(c.outcome) for c in cold.candidates] == [_comparable(c.outcome) for c in separate]
+    failed = [c.outcome for c in cold.candidates if c.arm.model_id == "down"]
+    assert [o.error_kind for o in failed] == [ErrorKind.RUNTIME] * 2
+    reference_pool = replace(cold, candidates=separate)
+    assert audit_records(cold, select_by_consistency(cold)) == audit_records(
+        reference_pool, select_by_consistency(reference_pool)
+    )
