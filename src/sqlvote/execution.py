@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import marshal
 import math
+import os
 import re
 import sqlite3
 import time
@@ -213,6 +214,19 @@ def _decode_leniently(raw: bytes) -> str:
     return raw.decode("utf-8", "replace")
 
 
+def db_signature(db_path) -> tuple[int, int, int, int, int]:
+    """The database file's (device, inode, size, mtime_ns, ctime_ns), which moves when its bytes do.
+
+    A rewrite that restores the mtime still moves the ctime. Raises
+    DbUnreadable if the file cannot be stat'ed.
+    """
+    try:
+        st = os.stat(db_path)
+    except OSError as exc:
+        raise DbUnreadable(str(db_path), str(exc)) from exc
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def connect_readonly(catalog: DatabaseCatalog) -> sqlite3.Connection:
     """Open the catalog's database for untrusted statements.
 
@@ -300,7 +314,7 @@ def _run(conn: sqlite3.Connection, statement: str, start: float, timeout: float)
                 raise
             conn.text_factory = _decode_leniently
             rows, size = _fetch(conn, statement)
-    except (sqlite3.Error, sqlite3.Warning) as exc:
+    except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:  # the last: a lone surrogate
         kind, detail = _classify_error(exc, timed_out)
         return ExecutionOutcome.error(kind, time.monotonic() - start, detail)
     finally:

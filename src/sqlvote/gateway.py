@@ -10,8 +10,14 @@ version, the SHA-256 of the database file's bytes, `repr(timeout)` and the
 pool's sorted distinct statements. The record maps each statement to its
 outcome key, or to its error kind, elapsed time and detail. A warm run
 replays the recorded outcomes, timeouts included, and executes nothing;
-a changed database file, timeout or SQLite version re-executes. `cache
-clear` drops the records with the completions.
+a changed database file, timeout or SQLite version re-executes. The file's
+SHA-256 comes from its digest record, `databases/<SHA-256 of its absolute
+path>.json`, while the file's stat (`execution.db_signature`) equals the
+recorded one, so a warm run reads no database bytes. A miss hashes the
+file, and records it only if its stat held while it was hashed and it had
+last changed more than _SETTLE_NS before: any later write moves its ctime
+(git's "racily clean" rule). Like make and git, this trusts the file
+system's timestamps. `cache clear` drops the records with the completions.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Collection, Protocol
 import requests
 
 from .errors import BackendError, BackendUnavailable, DbUnreadable, DuplicateModelId
-from .execution import ErrorKind, ExecutionOutcome, KeyOrError, OutcomeKey
+from .execution import ErrorKind, ExecutionOutcome, KeyOrError, OutcomeKey, db_signature
 from .prompts import PromptDesignId, RenderedPrompt, content_hash_of
 
 DEFAULT_SAMPLES = 32
@@ -39,6 +45,9 @@ _RETRY_BASE_DELAY = 1.0
 _TEMP_SUFFIX = ".tmp"  # a write in progress; never read as an entry
 _OUTCOME_DIR = "outcomes"  # under the cache directory: one outcome record per pool
 _OUTCOME_FORMAT = "sqlvote-outcomes-1"  # change it when a record's meaning changes
+_DIGEST_DIR = "databases"  # under the cache directory: one digest record per database file
+_DIGEST_FORMAT = "sqlvote-db-digest-1"  # a record: [format, *execution.db_signature, sha256]
+_SETTLE_NS = 2 * 10**9  # only a file unchanged this long before hashing gets a digest record
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,8 @@ class Completion:
 
 
 class GenerationBackend(Protocol):
-    def generate(self, prompt: str, n: int, temperature: float, seed: int) -> list[str]:
-        """Return exactly n completion strings for the prompt."""
+    def generate(self, prompt: str, indexes: list[int], temperature: float, seed: int) -> list[str]:
+        """Return one completion string per sample index, in the order of `indexes`."""
         ...
 
 
@@ -95,11 +104,11 @@ class ScriptedBackend:
             table[record["prompt_hash"]] = list(record["completions"])
         return cls(table)
 
-    def generate(self, prompt: str, n: int, temperature: float, seed: int) -> list[str]:
+    def generate(self, prompt: str, indexes: list[int], temperature: float, seed: int) -> list[str]:
         scripted = self._table.get(content_hash_of(prompt))
         if not scripted:
             raise BackendError(f"no scripted completions for prompt hash {content_hash_of(prompt)[:12]}")
-        return [scripted[i % len(scripted)] for i in range(n)]
+        return [scripted[i % len(scripted)] for i in indexes]
 
 
 class RemoteBackend:
@@ -126,7 +135,8 @@ class RemoteBackend:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def generate(self, prompt: str, n: int, temperature: float, seed: int) -> list[str]:
+    def generate(self, prompt: str, indexes: list[int], temperature: float, seed: int) -> list[str]:
+        n = len(indexes)  # the wire contract asks for a count; the gateway caches them by index
         payload = {
             "model": self.model or "",
             "prompt": prompt,
@@ -163,12 +173,10 @@ class RemoteBackend:
 
 @dataclass
 class Gateway:
-    """Routes sampling to registered backends; persists completions and pool outcomes."""
+    """Routes sampling to registered backends; persists completions, pool outcomes and digests."""
 
     cache_dir: Path | None = None
     _backends: dict[str, GenerationBackend] = field(default_factory=dict)
-    # database path -> (stat signature, SHA-256 of its bytes), filled by `_db_digest`
-    _db_digests: dict[str, tuple[tuple, str]] = field(default_factory=dict)
 
     def register_backend(self, model_id: str, backend: GenerationBackend) -> None:
         if model_id in self._backends:
@@ -200,7 +208,7 @@ class Gateway:
 
         if missing:
             try:
-                texts = backend.generate(prompt.text, len(missing), arm.temperature, seed)
+                texts = backend.generate(prompt.text, missing, arm.temperature, seed)
             except BackendError as exc:
                 for i in missing:
                     results[i] = Completion(str(exc), arm, i, failed=True)
@@ -209,11 +217,17 @@ class Gateway:
                     results[i] = Completion(
                         f"backend returned {len(texts)} of {len(missing)} completions", arm, i, failed=True
                     )
-                for i, text in zip(missing, texts):
-                    results[i] = Completion(text, arm, i)
                 if entries is not None and texts:
                     os.makedirs(entries, exist_ok=True)
-                    for i, text in zip(missing, texts):
+                for i, text in zip(missing, texts):
+                    try:
+                        text.encode("utf-8")
+                    except UnicodeEncodeError as exc:  # a lone surrogate: no file or statement holds it
+                        detail = f"backend returned text that does not encode as UTF-8: {exc.reason}"
+                        results[i] = Completion(detail, arm, i, failed=True)
+                        continue
+                    results[i] = Completion(text, arm, i)
+                    if entries is not None:
                         _publish(os.path.join(entries, f"{i}.txt"), text)
         return [c for c in results if c is not None]
 
@@ -229,9 +243,9 @@ class Gateway:
         Without a cache this is `execute_all()`. Otherwise the pool's record
         is read; on a miss `execute_all()` runs and its result is recorded.
         A record that does not decode to exactly these statements' outcomes
-        is a miss, and is rewritten. The database file is hashed once per
-        gateway, and again only when its stat changes; a file that cannot
-        be read raises DbUnreadable.
+        is a miss, and is rewritten. The database file's digest comes from
+        its digest record (see `_db_digest`); a file that cannot be read
+        raises DbUnreadable.
         """
         if self.cache_dir is None:
             return execute_all()
@@ -255,21 +269,36 @@ class Gateway:
         return outcomes
 
     def _db_digest(self, db_path: Path) -> str:
-        """SHA-256 of the file's bytes, hashed on first use and again only when its stat changes.
+        """SHA-256 of the file's bytes, from its digest record while the file's signature holds.
 
-        Two threads may both hash a file first; they store the same value.
+        A missing, malformed or outdated record is a miss: the file is
+        hashed, and the record is rewritten if the file is settled (see the
+        module docstring). Two threads may both hash a file on a miss; they
+        write the same record.
         """
+        signature = db_signature(db_path)
+        path = os.path.join(
+            self.cache_dir, _DIGEST_DIR,
+            hashlib.sha256(os.fsencode(os.path.abspath(db_path))).hexdigest() + ".json",
+        )
         try:
-            st = os.stat(db_path)
-            signature = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-            known = self._db_digests.get(str(db_path))
-            if known is None or known[0] != signature:
-                with open(db_path, "rb") as handle:
-                    known = (signature, hashlib.file_digest(handle, "sha256").hexdigest())
-                self._db_digests[str(db_path)] = known
+            with open(path, "rb") as handle:
+                tag, *recorded, digest = json.loads(handle.read())
+            if [tag, *recorded] == [_DIGEST_FORMAT, *signature] and isinstance(digest, str):
+                return digest
+        except (FileNotFoundError, TypeError, ValueError):  # not UTF-8, not JSON, not a list
+            pass
+        started = time.time_ns()
+        try:
+            with open(db_path, "rb") as handle:
+                digest = hashlib.file_digest(handle, "sha256").hexdigest()
         except OSError as exc:
             raise DbUnreadable(str(db_path), str(exc)) from exc
-        return known[1]
+        last_change = max(signature[3:])  # the later of mtime and ctime
+        if last_change < started - _SETTLE_NS and db_signature(db_path) == signature:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _publish(path, json.dumps([_DIGEST_FORMAT, *signature, digest]))
+        return digest
 
 
 def _read_entry(path: str) -> str | None:
@@ -340,7 +369,7 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
 
 
 def cache_clear(cache_dir: Path | str) -> int:
-    """Remove all completion entries, outcome records and stray temp files.
+    """Remove all completion entries, outcome and digest records, and stray temp files.
 
     Returns how many completion entries were deleted.
     """
@@ -351,7 +380,7 @@ def cache_clear(cache_dir: Path | str) -> int:
     for path in sorted(root.rglob("*.txt"), reverse=True):
         path.unlink()
         removed += 1
-    for path in (root / _OUTCOME_DIR).glob("*.json"):
+    for path in [*(root / _OUTCOME_DIR).glob("*.json"), *(root / _DIGEST_DIR).glob("*.json")]:
         path.unlink()
     for path in list(root.rglob("*" + _TEMP_SUFFIX)):  # left by a writer that was killed
         path.unlink()

@@ -6,13 +6,12 @@ so prompts carry only content the question actually mentions.
 
 Each database file is scanned once per process: its distinct text values and
 their lowercased forms stay in memory, keyed by the file's path, and are read
-again only when the file's modification time or size changes. A question then
-scores only the values that pass an exact substring prefilter.
+again only when the file's stat signature (`execution.db_signature`) changes.
+A question then scores only the values that pass an exact substring prefilter.
 """
 
 from __future__ import annotations
 
-import os
 import sqlite3
 import threading
 from dataclasses import dataclass
@@ -20,8 +19,7 @@ from difflib import SequenceMatcher
 from functools import lru_cache
 
 from .catalog import ColumnType, DatabaseCatalog
-from .errors import DbUnreadable
-from .execution import connect_readonly
+from .execution import connect_readonly, db_signature
 
 MATCH_THRESHOLD = 0.85
 DEFAULT_MAX_PER_COLUMN = 3
@@ -44,7 +42,7 @@ class _ColumnValues:
     lowered: tuple[str, ...]  # value.lower() at the same positions
 
 
-# db path -> ((st_mtime_ns, st_size, text columns), scanned columns)
+# db path -> ((db_signature, text columns), scanned columns)
 _scans: dict[str, tuple[tuple, tuple[_ColumnValues, ...]]] = {}
 _scans_lock = threading.Lock()
 
@@ -123,17 +121,13 @@ def _scan(catalog: DatabaseCatalog, columns: tuple[tuple[str, str], ...]) -> tup
 def _text_columns(catalog: DatabaseCatalog) -> tuple[_ColumnValues, ...]:
     """The catalog's scanned text columns, from memory unless the file changed."""
     db_path = str(catalog.db_path)
-    try:
-        stat = os.stat(db_path)
-    except OSError as exc:
-        raise DbUnreadable(db_path, str(exc)) from exc
     columns = tuple(
         (table.name, column.name)
         for table in catalog.tables
         for column in table.columns
         if column.data_type is ColumnType.TEXT
     )
-    stamp = (stat.st_mtime_ns, stat.st_size, columns)
+    stamp = (db_signature(db_path), columns)
     with _scans_lock:
         entry = _scans.get(db_path)
         if entry is None or entry[0] != stamp:

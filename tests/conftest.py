@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
+import time
 from pathlib import Path
 
 import pytest
@@ -284,6 +286,38 @@ def dev_examples(fixture_root, catalogs):
     from sqlvote.catalog import load_examples
 
     return load_examples(fixture_root / "dev.json", catalogs)
+
+
+# A settle window for database digest records that covers the timestamp tick of
+# usual filesystems and is short enough for tests to wait out.
+SHORT_SETTLE_NS = 50_000_000
+
+
+def wait_to_settle() -> None:
+    time.sleep(SHORT_SETTLE_NS * 1.2 / 1e9)
+
+
+@pytest.fixture()
+def short_settle(monkeypatch):
+    """The short settle window in place of the two-second one; returns the wait."""
+    from sqlvote import gateway
+
+    monkeypatch.setattr(gateway, "_SETTLE_NS", SHORT_SETTLE_NS)
+    return wait_to_settle
+
+
+@pytest.fixture()
+def hashed_files(monkeypatch):
+    """Names of the files `hashlib.file_digest` reads (the database digests), in call order."""
+    hashed = []
+    file_digest = hashlib.file_digest
+
+    def counting(handle, name):
+        hashed.append(handle.name)
+        return file_digest(handle, name)
+
+    monkeypatch.setattr(hashlib, "file_digest", counting)
+    return hashed
 
 
 GOLDEN_DIR = Path(__file__).parent / "testdata" / "goldens"

@@ -122,6 +122,45 @@ def test_warm_predict_executes_nothing(mini_run, monkeypatch):
     assert warm == cold
 
 
+def test_warm_predict_reads_no_database_bytes(mini_run, short_settle, hashed_files):
+    fixture_root, work, config_path = mini_run
+    short_settle()  # the fixture's database files are settled
+    runs = []
+    for _ in range(2):
+        hashed_files.clear()
+        assert main(["predict", "--config", str(config_path), "--audit"]) == 0
+        outputs = [(work / name).read_bytes() for name in ("predictions.jsonl", "predictions.jsonl.audit.jsonl")]
+        runs.append((outputs, len(hashed_files)))
+    (cold, cold_hashed), (warm, warm_hashed) = runs
+    assert cold_hashed >= 1 and warm_hashed == 0
+    assert warm == cold
+    assert len(list((work / "cache" / "databases").glob("*.json"))) == 1  # every question is on one file
+
+
+@pytest.mark.parametrize("audit", [False, True], ids=["plain", "audit"])
+def test_predict_fails_only_the_completion_that_does_not_encode(mini_run, capsys, audit):
+    fixture_root, work, config_path = mini_run
+    flags = ["--audit"] if audit else []
+    assert main(["predict", "--config", str(config_path), *flags]) == 0
+    expected = (work / "predictions.jsonl").read_bytes()
+    record_path = work / "scripted" / "q0_concise.json"
+    record = json.loads(record_path.read_text(encoding="utf-8"))
+    assert record["completions"][2] == "SELEC broken"  # an error candidate either way
+    record["completions"][2] = "SELECT '\ud800'"  # a lone surrogate, as a JSON body may carry one
+    record_path.write_text(json.dumps(record), encoding="utf-8")
+    shutil.rmtree(work / "cache")
+    capsys.readouterr()
+
+    assert main(["predict", "--config", str(config_path), *flags]) == 0
+    assert (work / "predictions.jsonl").read_bytes() == expected
+    assert "0 failures" in capsys.readouterr().out
+    if audit:
+        audit_lines = (work / "predictions.jsonl.audit.jsonl").read_text(encoding="utf-8").splitlines()
+        failed = json.loads(audit_lines[2])
+        assert (failed["example_id"], failed["pool_position"]) == ("000000", 2)
+        assert (failed["sql"], failed["error_kind"]) == ("", "runtime")
+
+
 def test_predict_audit_records(mini_run):
     fixture_root, work, config_path = mini_run
     assert main(["predict", "--config", str(config_path), "--audit"]) == 0
@@ -321,6 +360,30 @@ def test_bad_remote_backend_value_is_a_config_error(mini_run, capsys, spec, kind
     err = capsys.readouterr().err
     assert err.startswith(f"bad config value for remote backend 'remote-x': {kind}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ts", [False, True], ids=["ex", "ts"])
+def test_evaluate_scores_a_prediction_that_does_not_encode_as_a_pred_error(fixture_root, tmp_path, ts):
+    records = [
+        {"question": "q0", "query": "SELECT Name FROM singer", "db_id": "singer"},
+        {"question": "q1", "query": "SELECT Name FROM singer", "db_id": "singer"},
+    ]
+    dataset = tmp_path / "two.json"
+    dataset.write_text(json.dumps(records))
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text("".join(
+        json.dumps({"example_id": f"{i:06d}", "sql": sql}) + "\n"
+        for i, sql in enumerate(["SELECT '\ud800' FROM singer", "SELECT name FROM singer"])
+    ))
+    report = tmp_path / "report.jsonl"
+    code = main([
+        "evaluate", "--pred", str(pred_path), "--dataset", str(dataset),
+        "--db-dir", str(fixture_root / "database"), "--report", str(report),
+        "--suite-dir", str(tmp_path / "suites"), *(["--ts", "--suites", "2"] if ts else []),
+    ])
+    assert code == 0
+    scores = [json.loads(line) for line in report.read_text().splitlines()]
+    assert [(score["ex"], score["reason"]) for score in scores] == [(False, "pred_error:runtime"), (True, None)]
 
 
 @pytest.mark.parametrize("flag", ["--suites", "--rows"])

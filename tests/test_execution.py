@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from sqlvote import evaluation, execution, linking
 from sqlvote.catalog import catalog_from_sqlite
+from sqlvote.errors import DbUnreadable
 from sqlvote.execution import (
     MAX_ROWS,
     ErrorKind,
     ExecutionOutcome,
     canonical_key,
     connect_readonly,
+    db_signature,
     execute,
     extract_sql,
     is_order_sensitive,
@@ -137,6 +139,24 @@ def test_execute_empty(singer_catalog):
 def test_execute_runtime_error(singer_catalog):
     outcome = execute("SELECT * FROM no_such_table", singer_catalog)
     assert outcome.error_kind is ErrorKind.RUNTIME
+
+
+def test_statement_that_does_not_encode_is_a_runtime_error(singer_catalog):
+    conn = connect_readonly(singer_catalog)
+    try:
+        outcomes = [execute("SELECT '\ud800'", singer_catalog, conn=c) for c in (None, conn)]
+        assert execute("SELECT 1", singer_catalog, conn=conn).rows == ((1,),)  # the connection still works
+    finally:
+        conn.close()
+    for outcome in outcomes:
+        assert outcome.error_kind is ErrorKind.RUNTIME
+        assert "surrogates not allowed" in outcome.detail
+        outcome.detail.encode("utf-8")  # the detail itself can be written anywhere
+
+
+def test_db_signature_of_a_missing_file_raises(tmp_path):
+    with pytest.raises(DbUnreadable):
+        db_signature(tmp_path / "missing.sqlite")
 
 
 def test_write_rejected_and_file_untouched(singer_catalog):

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sqlvote import gateway as gateway_module
 from sqlvote.errors import BackendError, BackendUnavailable, DuplicateModelId
+from sqlvote.execution import db_signature
 from sqlvote.gateway import (
     Completion,
     Gateway,
@@ -18,6 +27,8 @@ from sqlvote.gateway import (
     cache_stats,
 )
 from sqlvote.prompts import PromptDesignId, RenderedPrompt, content_hash_of
+
+from conftest import SHORT_SETTLE_NS, wait_to_settle
 
 
 def _prompt(text="ask: [SQL]: "):
@@ -130,7 +141,7 @@ def test_scripted_from_dir(tmp_path):
     record = {"prompt_hash": prompt.content_hash, "completions": ["SELECT 7"]}
     (tmp_path / "rec0.json").write_text(json.dumps(record))
     backend = ScriptedBackend.from_dir(tmp_path)
-    assert backend.generate(prompt.text, 2, 0.5, 0) == ["SELECT 7", "SELECT 7"]
+    assert backend.generate(prompt.text, [0, 1], 0.5, 0) == ["SELECT 7", "SELECT 7"]
 
 
 def test_cache_stats_and_clear(tmp_path):
@@ -142,10 +153,38 @@ def test_cache_stats_and_clear(tmp_path):
     (entry.parent / "1.tmp").write_text("SEL", encoding="utf-8")  # left by a killed writer
     (tmp_path / "outcomes").mkdir()
     (tmp_path / "outcomes" / f"{'0' * 64}.json").write_text('{"SELECT 1": "k"}', encoding="utf-8")
+    (tmp_path / "databases").mkdir()
+    (tmp_path / "databases" / f"{'0' * 64}.json").write_text('["tag", 1, 2, 3, 4, 5, "d"]', encoding="utf-8")
     assert cache_stats(tmp_path) == (2, len("SELECT 1") + len("SELECT 2"))  # completions only
     assert cache_clear(tmp_path) == 2
     assert cache_stats(tmp_path) == (0, 0)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pool_grown_on_a_warm_cache_equals_a_fresh_pool(tmp_path):
+    prompt = _prompt()
+    texts = [f"SELECT {i}" for i in range(8)]
+
+    def sample(cache_dir, samples):
+        gateway = Gateway(cache_dir=cache_dir)
+        gateway.register_backend("scripted-a", _scripted_for(prompt, texts))
+        return [(c.text, c.sample_index) for c in gateway.sample(_arm(samples=samples), prompt, seed=0)]
+
+    assert sample(tmp_path / "grown", 4) == list(zip(texts[:4], range(4)))
+    assert sample(tmp_path / "grown", 8) == sample(tmp_path / "fresh", 8) == list(zip(texts, range(8)))
+
+
+def test_text_that_does_not_encode_fails_and_is_not_cached(tmp_path):
+    prompt = _prompt()
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1", "SELECT '\ud800'"]))
+    for _ in range(2):  # the second call asks the backend again for the failed index only
+        good, bad = gateway.sample(_arm(), prompt, seed=0)
+        assert (good.text, good.failed) == ("SELECT 1", False)
+        assert bad.failed and not bad.from_cache
+        assert bad.text == "backend returned text that does not encode as UTF-8: surrogates not allowed"
+        assert cache_stats(tmp_path) == (1, len("SELECT 1"))
+    assert good.from_cache
 
 
 def test_concurrent_writers_share_one_cache(tmp_path):
@@ -233,7 +272,7 @@ def test_remote_success(monkeypatch):
     server, url = _serve(script)
     try:
         monkeypatch.setenv("SQLVOTE_TEST_TOKEN", "sekrit")
-        texts = _remote(url).generate("prompt text", 1, 0.5, 0)
+        texts = _remote(url).generate("prompt text", [0], 0.5, 0)
         assert texts == ["SELECT 1"]
         payload, headers = script.requests[0]
         assert payload == {
@@ -253,7 +292,7 @@ def test_remote_rate_limited_thrice():
     server, url = _serve(script)
     try:
         with pytest.raises(BackendError) as err:
-            _remote(url).generate("p", 1, 0.5, 0)
+            _remote(url).generate("p", [0], 0.5, 0)
         assert err.value.status == 429
         assert len(script.requests) == 3
     finally:
@@ -265,7 +304,7 @@ def test_remote_short_response():
     server, url = _serve(script)
     try:
         with pytest.raises(BackendError) as err:
-            _remote(url).generate("p", 3, 0.5, 0)
+            _remote(url).generate("p", [0, 1, 2], 0.5, 0)
         assert "short response" in str(err.value)
     finally:
         server.shutdown()
@@ -277,7 +316,7 @@ def test_remote_body_not_an_object(body):
     server, url = _serve(script)
     try:
         with pytest.raises(BackendError) as err:
-            _remote(url).generate("p", 1, 0.5, 0)
+            _remote(url).generate("p", [0], 0.5, 0)
         assert "bad response body" in str(err.value)
         assert len(script.requests) == 1
     finally:
@@ -288,7 +327,7 @@ def test_remote_retries_then_succeeds():
     script = _Script([(503, "boom"), (200, {"completions": ["SELECT 2"]})])
     server, url = _serve(script)
     try:
-        assert _remote(url).generate("p", 1, 0.5, 0) == ["SELECT 2"]
+        assert _remote(url).generate("p", [0], 0.5, 0) == ["SELECT 2"]
         assert len(script.requests) == 2
     finally:
         server.shutdown()
@@ -299,7 +338,7 @@ def test_remote_non_retriable_4xx():
     server, url = _serve(script)
     try:
         with pytest.raises(BackendError) as err:
-            _remote(url).generate("p", 1, 0.5, 0)
+            _remote(url).generate("p", [0], 0.5, 0)
         assert err.value.status == 400
         assert len(script.requests) == 1
     finally:
@@ -328,9 +367,9 @@ class _ShortBackend:
         self.give = give
         self.requests: list[int] = []
 
-    def generate(self, prompt, n, temperature, seed):
-        self.requests.append(n)
-        return [f"SELECT {len(self.requests)}{i}" for i in range(min(n, self.give))]
+    def generate(self, prompt, indexes, temperature, seed):
+        self.requests.append(len(indexes))
+        return [f"SELECT {len(self.requests)}{i}" for i in range(min(len(indexes), self.give))]
 
 
 def test_short_reply_fails_missing_indexes_and_caches_nothing_for_them(tmp_path):
@@ -352,3 +391,112 @@ def test_short_reply_fails_missing_indexes_and_caches_nothing_for_them(tmp_path)
     assert [c.from_cache for c in second] == [True, True, False, False, False]
     assert [c.text for c in second[2:4]] == ["SELECT 20", "SELECT 21"]
     assert second[4].failed
+
+
+# --- database digest records ------------------------------------------------------
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _digest_records(cache_dir):
+    return sorted((cache_dir / "databases").glob("*.json"))
+
+
+def _replace_at(index, value):
+    def spoil(data):
+        record = json.loads(data)
+        record[index] = value
+        return json.dumps(record).encode()
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda data: data[: len(data) // 2],
+        lambda data: b"not json",
+        lambda data: b"\xff\xfe[]",
+        lambda data: b"{}",
+        lambda data: b"7",
+        _replace_at(0, "sqlvote-db-digest-0"),
+        lambda data: json.dumps(json.loads(data)[1:]).encode(),
+        lambda data: json.dumps(json.loads(data) + ["x"]).encode(),
+        _replace_at(4, 0),
+        _replace_at(2, 0),
+        _replace_at(-1, 7),
+    ],
+    ids=["truncated", "not-json", "not-utf8", "object", "number", "wrong-tag", "short", "long",
+         "other-mtime", "other-inode", "digest-not-text"],
+)
+def test_spoiled_digest_record_is_a_miss_and_is_rewritten(tmp_path, short_settle, hashed_files, spoil):
+    db, cache_dir = tmp_path / "db.sqlite", tmp_path / "cache"
+    db.write_bytes(b"x" * 5000)
+    short_settle()
+    assert Gateway(cache_dir=cache_dir)._db_digest(db) == _sha256(db)
+    (record,) = _digest_records(cache_dir)
+    written = record.read_bytes()
+    assert json.loads(written) == ["sqlvote-db-digest-1", *db_signature(db), _sha256(db)]
+    record.write_bytes(spoil(written))
+
+    hashed_files.clear()
+    assert Gateway(cache_dir=cache_dir)._db_digest(db) == _sha256(db)
+    assert hashed_files == [str(db)]
+    assert _digest_records(cache_dir) == [record] and record.read_bytes() == written
+    assert Gateway(cache_dir=cache_dir)._db_digest(db) == _sha256(db)
+    assert hashed_files == [str(db)]
+
+
+def test_file_changed_while_hashed_leaves_no_record(tmp_path, monkeypatch, short_settle):
+    db, cache_dir = tmp_path / "db.sqlite", tmp_path / "cache"
+    db.write_bytes(b"x" * 5000)
+    short_settle()
+    file_digest = hashlib.file_digest
+
+    def rewritten_meanwhile(handle, name):
+        digest = file_digest(handle, name)
+        db.write_bytes(b"y" * 5000)
+        return digest
+
+    monkeypatch.setattr(hashlib, "file_digest", rewritten_meanwhile)
+    Gateway(cache_dir=cache_dir)._db_digest(db)
+    assert not (cache_dir / "databases").exists()
+
+
+_CONTENTS = [b"a" * 4096, b"b" * 4096, b"c" * 4097]
+_step = st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(range(len(_CONTENTS))), st.booleans()),
+    st.tuples(st.just("restore mtime")),
+    st.tuples(st.just("restart")),
+    st.tuples(st.just("settle")),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_step, max_size=12))
+def test_digest_always_matches_the_current_bytes(steps):
+    """Over rewrites in place or by rename, mtime restores, restarts and waits, no stale digest."""
+    with tempfile.TemporaryDirectory() as tmp, patch.object(gateway_module, "_SETTLE_NS", SHORT_SETTLE_NS):
+        db, cache_dir = Path(tmp) / "db.sqlite", Path(tmp) / "cache"
+        db.write_bytes(_CONTENTS[0])
+        first_mtime = os.stat(db).st_mtime_ns
+        gateway = Gateway(cache_dir=cache_dir)
+        assert gateway._db_digest(db) == _sha256(db)
+        for kind, *args in steps:
+            if kind == "write":
+                content, in_place = _CONTENTS[args[0]], args[1]
+                if in_place:
+                    with open(db, "r+b") as handle:
+                        handle.write(content)
+                        handle.truncate()
+                else:
+                    (Path(tmp) / "new").write_bytes(content)
+                    os.replace(Path(tmp) / "new", db)
+            elif kind == "restore mtime":
+                os.utime(db, ns=(first_mtime, first_mtime))
+            elif kind == "restart":
+                gateway = Gateway(cache_dir=cache_dir)
+            else:
+                wait_to_settle()
+            assert gateway._db_digest(db) == _sha256(db)
+

@@ -7,6 +7,7 @@ import string
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -271,4 +272,21 @@ def test_rewritten_file_is_scanned_again(tmp_path, counted_scans):
     # file systems with coarse timestamps may repeat the old mtime; make it differ
     os.utime(path, ns=(before + 10**9, before + 10**9))
     assert [m.value for m in link_values(question, catalog)] == ["beta pictoris"]
+    assert len(counted_scans) == 4
+
+
+def test_same_size_rewrite_with_restored_mtime_is_scanned_again(tmp_path, counted_scans):
+    path = tmp_path / "t.sqlite"
+    _text_db(path, [("alice", "x")])
+    catalog = catalog_from_sqlite(path, "t")
+    assert link_values("songs by bobby", catalog) == []
+    time.sleep(0.05)  # past the timestamp tick of a filesystem without fine-grained ctimes
+    before = os.stat(path)
+    with sqlite3.connect(path) as conn:
+        conn.execute("UPDATE t SET a = 'bobby' WHERE a = 'alice'")
+    conn.close()
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+    assert [m.value for m in link_values("songs by bobby", catalog)] == ["bobby"]
     assert len(counted_scans) == 4

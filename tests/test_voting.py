@@ -684,3 +684,75 @@ def test_warm_pool_equals_cold_and_separate_executions(dev_examples, singer_cata
     assert audit_records(cold, select_by_consistency(cold)) == audit_records(
         reference_pool, select_by_consistency(reference_pool)
     )
+
+
+# --- database digest records: a warm pool reads no database bytes -----------------
+
+
+def _rewrite_keeping_size_and_mtime(db_path, rewrite):
+    before = os.stat(db_path)
+    rewrite()
+    os.utime(db_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(db_path)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+
+
+def test_same_size_rewrite_with_restored_mtime_is_hashed_again_and_the_vote_follows(
+    dev_examples, singer_catalog, tmp_path, monkeypatch, short_settle, hashed_files
+):
+    db_path = tmp_path / "singer.sqlite"
+    shutil.copyfile(singer_catalog.db_path, db_path)
+    catalog = replace(singer_catalog, db_path=db_path)
+    example = dev_examples[1]
+    arms = [ModelArm("m", PromptDesignId.BASELINE_DEFAULT, samples=3)]  # renders no values
+    hashes = _render_hashes(example, catalog, arms)
+    completions = {
+        hashes[PromptDesignId.BASELINE_DEFAULT]: [
+            "SELECT 'Tom Reed'", "SELECT 'Tom Reef'", "SELECT Name FROM singer WHERE Singer_ID = 4"
+        ]
+    }
+    calls = _counting_execute(monkeypatch)
+
+    def vote():
+        """The winner, executions and hashes of one pool built by a fresh gateway."""
+        calls.clear()
+        hashed_files.clear()
+        gateway = _scripted_gateway(completions, tmp_path / "cache")
+        winner = run_question(example, catalog, arms, seed=0, gateway=gateway)[0].selected_sql
+        return winner, len(calls), len(hashed_files)
+
+    short_settle()
+    assert vote() == ("SELECT 'Tom Reed'", 3, 1)
+    assert vote() == ("SELECT 'Tom Reed'", 0, 0)  # both records hit
+
+    original = db_path.read_bytes()
+
+    def update():
+        with sqlite3.connect(db_path) as conn:
+            conn.execute("UPDATE singer SET Name = 'Tom Reef' WHERE Singer_ID = 4")
+        conn.close()
+
+    _rewrite_keeping_size_and_mtime(db_path, update)
+    short_settle()
+    assert vote() == ("SELECT 'Tom Reef'", 3, 1)
+    assert vote() == ("SELECT 'Tom Reef'", 0, 0)
+
+    _rewrite_keeping_size_and_mtime(db_path, lambda: db_path.write_bytes(original))
+    short_settle()
+    assert vote() == ("SELECT 'Tom Reed'", 0, 1)  # hashed again; the first outcome record replays
+    assert vote() == ("SELECT 'Tom Reed'", 0, 0)
+    assert len(_records(tmp_path / "cache")) == 2
+    assert len(list((tmp_path / "cache" / "databases").glob("*.json"))) == 1
+
+
+def test_unsettled_database_is_hashed_for_every_pool_and_leaves_no_record(
+    dev_examples, singer_catalog, tmp_path, monkeypatch, hashed_files
+):
+    db_path = tmp_path / "singer.sqlite"
+    shutil.copyfile(singer_catalog.db_path, db_path)  # just written: inside the two-second window
+    catalog = replace(singer_catalog, db_path=db_path)
+    calls = _counting_execute(monkeypatch)
+    pools = [_mixed_pool(dev_examples[1], catalog, tmp_path / "cache") for _ in range(3)]
+    assert pools[0] == pools[1] == pools[2]
+    assert (hashed_files, len(calls)) == ([str(db_path)] * 3, 4)  # the outcome record still replays
+    assert not (tmp_path / "cache" / "databases").exists()
