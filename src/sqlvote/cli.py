@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -44,6 +46,14 @@ class RunConfig:
     cache_dir: Path | None
     max_per_column: int
     backends: dict[str, dict]
+
+
+def _seconds(value, key: str) -> float:
+    """A timeout from the config: finite and above zero (a NaN deadline never passes)."""
+    seconds = float(value)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"{key} must be a finite number of seconds above 0, not {value!r}")
+    return seconds
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -96,7 +106,7 @@ def load_config(path: Path | str) -> RunConfig:
             db_dir=_path("db_dir"),
             dataset=_path("dataset"),
             output=_path("output", required=False) or (base / "predictions.jsonl"),
-            timeout=float(raw.get("timeout", 5.0)),
+            timeout=_seconds(raw.get("timeout", 5.0), "timeout"),
             fan_out=int(raw.get("fan_out", 8)),
             audit=bool(raw.get("audit", False)),
             demo_source=_path("demo_source", required=False),
@@ -119,10 +129,13 @@ def build_gateway(config: RunConfig) -> Gateway:
             backend = ScriptedBackend.from_dir(Path(directory))
         elif kind == "remote":
             try:
+                endpoint = str(spec["endpoint"])
+                if urlsplit(endpoint).scheme not in ("http", "https"):  # urlopen also reads file: URLs
+                    raise ValueError(f"endpoint must be an http or https URL, not {endpoint!r}")
                 backend = RemoteBackend(
-                    endpoint=str(spec["endpoint"]),
+                    endpoint=endpoint,
                     auth_token_env=str(spec.get("auth_token_env", "")),
-                    request_timeout=float(spec.get("request_timeout", 60.0)),
+                    request_timeout=_seconds(spec.get("request_timeout", 60.0), "request_timeout"),
                     model=model_id,
                 )
             except (KeyError, TypeError, ValueError) as exc:

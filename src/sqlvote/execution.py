@@ -155,7 +155,8 @@ def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
 
     Strips code fences, trims whitespace, and cuts at the first semicolon
     outside literals, quoted identifiers and comments. `prefix_select`
-    restores the SELECT that the baseline design keeps in the prompt itself.
+    restores the SELECT that the baseline design keeps in the prompt itself,
+    unless the first token is already SELECT.
     """
     text = completion_text
     if "```" in text:
@@ -172,7 +173,7 @@ def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
         text = text[:cut].strip()
     if not text:
         return ""
-    if prefix_select and not text.lower().startswith("select"):
+    if prefix_select and next((token for _, token, _ in _tokens(text)), "").lower() != "select":
         text = "SELECT " + text
     return text
 

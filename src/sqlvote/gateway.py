@@ -28,10 +28,11 @@ import os
 import sqlite3
 import time
 from dataclasses import dataclass, field
+from http.client import HTTPException
 from pathlib import Path
 from typing import Callable, Collection, Protocol
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .errors import BackendError, BackendUnavailable, DbUnreadable, DuplicateModelId
 from .execution import ErrorKind, ExecutionOutcome, KeyOrError, OutcomeKey, db_signature
@@ -111,6 +112,11 @@ class ScriptedBackend:
         return [scripted[i % len(scripted)] for i in indexes]
 
 
+class _NoRedirects(HTTPRedirectHandler):
+    def redirect_request(self, *args):  # a 3xx is then an HTTPError: following it would send the token on
+        return None
+
+
 class RemoteBackend:
     """HTTP completion backend speaking the POST-JSON wire contract."""
 
@@ -149,25 +155,33 @@ class RemoteBackend:
         for attempt in range(_RETRY_ATTEMPTS):
             if attempt:
                 self._sleep(_RETRY_BASE_DELAY * 2 ** (attempt - 1))
+            # both built each attempt: a proxy handler reads the proxy variables once and rewrites the Request
+            request = Request(self.endpoint, json.dumps(payload).encode(), self._headers(), method="POST")
             try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=self._headers(), timeout=self.request_timeout
-                )
-            except requests.RequestException as exc:
+                try:
+                    with build_opener(_NoRedirects).open(request, timeout=self.request_timeout) as response:
+                        status, body = response.status, response.read()
+                except HTTPError as exc:  # an error status is a reply, not a transport failure
+                    with exc:
+                        status, body = exc.code, exc.read()
+            except (OSError, HTTPException) as exc:  # URLError, a timeout, IncompleteRead
                 last_error, last_status = str(exc), None
                 continue
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error, last_status = response.text[:200], response.status_code
-                continue
-            if response.status_code != 200:
-                raise BackendError(response.text[:200], response.status_code)
+            if status != 200:
+                text = body.decode("utf-8", "replace")[:200]
+                if status == 429 or status >= 500:
+                    last_error, last_status = text, status
+                    continue
+                raise BackendError(text, status)
             try:
-                completions = response.json()["completions"]
+                completions = json.loads(body)["completions"]
             except (ValueError, KeyError, TypeError) as exc:  # TypeError: a body that is no object
-                raise BackendError(f"bad response body: {exc}", response.status_code) from exc
+                raise BackendError(f"bad response body: {exc}", status) from exc
             if not isinstance(completions, list) or len(completions) < n:
-                raise BackendError("short response", response.status_code)
-            return [str(c) for c in completions[:n]]
+                raise BackendError("short response", status)
+            if not all(isinstance(c, str) for c in completions):
+                raise BackendError("bad response body: a completion is not a string", status)
+            return completions[:n]
         raise BackendError(last_error, last_status)
 
 

@@ -195,8 +195,29 @@ def scan_unquoted(sql: str):
         i += 1
 
 
+def _leading_word(text: str) -> str:
+    """The word characters that open `text` once leading whitespace and comments are dropped."""
+    while True:
+        text = text.lstrip()
+        if text.startswith("--"):
+            text = text.partition("\n")[2]
+        elif text.startswith("/*"):
+            end = text.find("*/", 2)
+            text = "" if end == -1 else text[end + 2:]
+        else:
+            word = ""
+            for ch in text:
+                if not (ch.isalnum() or ch == "_"):
+                    break
+                word += ch
+            return word
+
+
 def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
-    """Fence stripping, then a cut at the first unquoted, uncommented `;`."""
+    """Fence stripping, then a cut at the first unquoted, uncommented `;`.
+
+    The baseline prefix is added unless the first word after comments is `select`.
+    """
     text = completion_text
     if "```" in text:
         start = text.index("```") + 3
@@ -213,7 +234,7 @@ def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
             break
     if not text:
         return ""
-    if prefix_select and not text.lower().startswith("select"):
+    if prefix_select and _leading_word(text).lower() != "select":
         text = "SELECT " + text
     return text
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -71,8 +74,14 @@ def test_arm_weight_key_is_ignored(fixture_root, tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("arms", ["concise"]), ("seed", "abc"), ("backends", ["scripted-a"])],
-    ids=["arm-not-a-mapping", "seed-not-a-number", "backends-not-a-mapping"],
+    [
+        ("arms", ["concise"]), ("seed", "abc"), ("backends", ["scripted-a"]),
+        ("timeout", float("nan")), ("timeout", 0), ("timeout", -1), ("timeout", float("inf")),
+    ],
+    ids=[
+        "arm-not-a-mapping", "seed-not-a-number", "backends-not-a-mapping",
+        "timeout-nan", "timeout-zero", "timeout-negative", "timeout-infinite",
+    ],
 )
 def test_malformed_config_value_is_a_config_error(mini_run, capsys, key, value):
     fixture_root, work, config_path = mini_run
@@ -348,8 +357,17 @@ def test_evaluate_report_records_give_a_reason(fixture_root, tmp_path):
     [
         ({"type": "remote", "endpoint": "http://localhost:9", "request_timeout": "abc"}, "ValueError"),
         ({"type": "remote"}, "KeyError"),
+        ({"type": "remote", "endpoint": "file:///etc/hostname"}, "ValueError"),
+        ({"type": "remote", "endpoint": "localhost:8000/complete"}, "ValueError"),
+        *(
+            ({"type": "remote", "endpoint": "http://localhost:9", "request_timeout": t}, "ValueError")
+            for t in (float("nan"), 0, -1, float("inf"))
+        ),
     ],
-    ids=["timeout-not-a-number", "no-endpoint"],
+    ids=[
+        "timeout-not-a-number", "no-endpoint", "file-endpoint", "endpoint-without-scheme",
+        "timeout-nan", "timeout-zero", "timeout-negative", "timeout-infinite",
+    ],
 )
 def test_bad_remote_backend_value_is_a_config_error(mini_run, capsys, spec, kind):
     fixture_root, work, config_path = mini_run
@@ -360,6 +378,16 @@ def test_bad_remote_backend_value_is_a_config_error(mini_run, capsys, spec, kind
     err = capsys.readouterr().err
     assert err.startswith(f"bad config value for remote backend 'remote-x': {kind}: ")
     assert err.count("\n") == 1
+
+
+def test_import_loads_no_http_client_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import sqlvote.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('requests', 'urllib3')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("ts", [False, True], ids=["ex", "ts"])

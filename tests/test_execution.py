@@ -53,6 +53,7 @@ def test_extract_semicolon_inside_literal():
 def test_extract_baseline_prefix():
     assert extract_sql(" name FROM singer", prefix_select=True) == "SELECT name FROM singer"
     assert extract_sql("SELECT 1", prefix_select=True) == "SELECT 1"
+    assert extract_sql("selected FROM t", prefix_select=True) == "SELECT selected FROM t"
     assert extract_sql("", prefix_select=True) == ""
 
 

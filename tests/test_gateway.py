@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 import sys
 import tempfile
 import threading
@@ -310,7 +311,9 @@ def test_remote_short_response():
         server.shutdown()
 
 
-@pytest.mark.parametrize("body", [[], "null", "\"text\""])
+@pytest.mark.parametrize(
+    "body", [[], "null", "\"text\"", {"completions": [None]}, {"completions": ["SELECT 1", 7]}]
+)
 def test_remote_body_not_an_object(body):
     script = _Script([(200, body)])
     server, url = _serve(script)
@@ -343,6 +346,120 @@ def test_remote_non_retriable_4xx():
         assert len(script.requests) == 1
     finally:
         server.shutdown()
+
+
+def test_remote_refused_connection_is_retried():
+    slept = []
+    with socket.socket() as probe:  # bound but not listening: connections are refused, and no one takes the port
+        probe.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{probe.getsockname()[1]}/complete"
+        with pytest.raises(BackendError) as err:
+            _remote(url, sleep=slept.append).generate("p", [0], 0.5, 0)
+    assert slept == [1.0, 2.0]
+    assert err.value.status is None
+
+
+def _start(handler) -> HTTPServer:
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def test_remote_body_cut_short_is_retried():
+    posts = []
+
+    class CutShort(BaseHTTPRequestHandler):
+        def do_POST(self):
+            posts.append(self.rfile.read(int(self.headers["Content-Length"])))
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"completions"')  # 14 of the 100 bytes, then the connection closes
+
+        def log_message(self, *args):
+            pass
+
+    server = _start(CutShort)
+    slept = []
+    backend = _remote(f"http://127.0.0.1:{server.server_port}/complete", sleep=slept.append)
+    try:
+        with pytest.raises(BackendError) as err:
+            backend.generate("p", [0], 0.5, 0)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(posts) == 3
+    assert slept == [1.0, 2.0]
+    assert err.value.status is None
+
+
+def test_remote_retries_through_an_https_proxy_stay_tls(monkeypatch):
+    first_bytes = []
+
+    class Proxy(BaseHTTPRequestHandler):
+        def do_CONNECT(self):
+            self.send_response(200)
+            self.end_headers()
+            first_bytes.append(self.rfile.read(1))  # 0x16 opens a TLS handshake; b"P" a bare POST
+            self.close_connection = True
+
+        def log_message(self, *args):
+            pass
+
+    server = _start(Proxy)
+    monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{server.server_port}")
+    monkeypatch.delenv("no_proxy", raising=False)
+    try:
+        with pytest.raises(BackendError):
+            _remote("https://127.0.0.1:1/complete").generate("p", [0], 0.5, 0)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert first_bytes == [b"\x16"] * 3
+
+
+@pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+@pytest.mark.parametrize("scheme", ["http", "ftp"])
+def test_remote_redirect_is_refused(monkeypatch, code, scheme):
+    reached, posts = [], []
+
+    class Elsewhere(BaseHTTPRequestHandler):
+        def do_GET(self):
+            reached.append(self.headers.get("Authorization"))
+            data = json.dumps({"completions": ["SELECT 1"]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        do_POST = do_GET
+
+        def log_message(self, *args):
+            pass
+
+    class Redirect(BaseHTTPRequestHandler):
+        def do_POST(self):
+            posts.append(self.rfile.read(int(self.headers["Content-Length"])))
+            self.send_response(code)
+            self.send_header("Location", f"{scheme}://127.0.0.1:{elsewhere.server_port}/complete")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        def log_message(self, *args):
+            pass
+
+    monkeypatch.setenv("SQLVOTE_TEST_TOKEN", "sekrit")
+    elsewhere, server = _start(Elsewhere), _start(Redirect)
+    try:
+        with pytest.raises(BackendError) as err:
+            _remote(f"http://127.0.0.1:{server.server_port}/complete").generate("p", [0], 0.5, 0)
+    finally:
+        for running in (server, elsewhere):
+            running.shutdown()
+            running.server_close()
+    assert err.value.status == code
+    assert len(posts) == 1  # a redirect is an error at once, not retried
+    assert reached == []  # nothing, and so no token, reaches the Location
 
 
 def test_failed_samples_become_placeholders(tmp_path):
