@@ -18,6 +18,10 @@ file, and records it only if its stat held while it was hashed and it had
 last changed more than _SETTLE_NS before: any later write moves its ctime
 (git's "racily clean" rule). Like make and git, this trusts the file
 system's timestamps. `cache clear` drops the records with the completions.
+
+Workers take turns (`Gateway.turn`) to run Python, and let go of the turn only
+around calls that block without the interpreter: threads running Python side by
+side would hand the interpreter lock back and forth on every short file read.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import hashlib
 import json
 import os
 import sqlite3
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.client import HTTPException
 from pathlib import Path
@@ -175,7 +181,7 @@ class RemoteBackend:
                 raise BackendError(text, status)
             try:
                 completions = json.loads(body)["completions"]
-            except (ValueError, KeyError, TypeError) as exc:  # TypeError: a body that is no object
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # no object; nested too deep
                 raise BackendError(f"bad response body: {exc}", status) from exc
             if not isinstance(completions, list) or len(completions) < n:
                 raise BackendError("short response", status)
@@ -191,6 +197,32 @@ class Gateway:
 
     cache_dir: Path | None = None
     _backends: dict[str, GenerationBackend] = field(default_factory=dict)
+    _turn: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    _holder: int | None = field(default=None, repr=False, compare=False)  # the thread holding _turn
+
+    @contextmanager
+    def turn(self):
+        """Run the body as the one worker executing Python, outside its `_blocking` sections."""
+        with self._turn:
+            self._holder = threading.get_ident()
+            try:
+                yield
+            finally:
+                self._holder = None
+
+    @contextmanager
+    def _blocking(self):
+        """Let go of the turn, if this thread holds it, while the body blocks; never under another lock."""
+        if self._holder != threading.get_ident():
+            yield
+            return
+        self._holder = None
+        self._turn.release()
+        try:
+            yield
+        finally:
+            self._turn.acquire()
+            self._holder = threading.get_ident()
 
     def register_backend(self, model_id: str, backend: GenerationBackend) -> None:
         if model_id in self._backends:
@@ -222,7 +254,8 @@ class Gateway:
 
         if missing:
             try:
-                texts = backend.generate(prompt.text, missing, arm.temperature, seed)
+                with self._blocking():
+                    texts = backend.generate(prompt.text, missing, arm.temperature, seed)
             except BackendError as exc:
                 for i in missing:
                     results[i] = Completion(str(exc), arm, i, failed=True)
@@ -231,18 +264,22 @@ class Gateway:
                     results[i] = Completion(
                         f"backend returned {len(texts)} of {len(missing)} completions", arm, i, failed=True
                     )
-                if entries is not None and texts:
-                    os.makedirs(entries, exist_ok=True)
+                writes: list[tuple[str, bytes]] = []
                 for i, text in zip(missing, texts):
                     try:
-                        text.encode("utf-8")
+                        data = text.encode("utf-8")
                     except UnicodeEncodeError as exc:  # a lone surrogate: no file or statement holds it
                         detail = f"backend returned text that does not encode as UTF-8: {exc.reason}"
                         results[i] = Completion(detail, arm, i, failed=True)
                         continue
                     results[i] = Completion(text, arm, i)
                     if entries is not None:
-                        _publish(os.path.join(entries, f"{i}.txt"), text)
+                        writes.append((os.path.join(entries, f"{i}.txt"), data))
+                if writes:
+                    with self._blocking():
+                        os.makedirs(entries, exist_ok=True)
+                        for path, data in writes:
+                            _publish(path, data)
         return [c for c in results if c is not None]
 
     def outcomes(
@@ -262,7 +299,8 @@ class Gateway:
         raises DbUnreadable.
         """
         if self.cache_dir is None:
-            return execute_all()
+            with self._blocking():
+                return execute_all()
         identity = json.dumps(
             [_OUTCOME_FORMAT, sqlite3.sqlite_version, self._db_digest(db_path), repr(timeout),
              sorted(statements)]
@@ -277,9 +315,10 @@ class Gateway:
             recorded = None
         if recorded is not None:
             return recorded
-        outcomes = execute_all()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        _publish(path, _encode_outcomes(outcomes))
+        with self._blocking():
+            outcomes = execute_all()
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _publish(path, _encode_outcomes(outcomes).encode("utf-8"))
         return outcomes
 
     def _db_digest(self, db_path: Path) -> str:
@@ -303,24 +342,25 @@ class Gateway:
         except (FileNotFoundError, TypeError, ValueError):  # not UTF-8, not JSON, not a list
             pass
         started = time.time_ns()
-        try:
-            with open(db_path, "rb") as handle:
-                digest = hashlib.file_digest(handle, "sha256").hexdigest()
-        except OSError as exc:
-            raise DbUnreadable(str(db_path), str(exc)) from exc
-        last_change = max(signature[3:])  # the later of mtime and ctime
-        if last_change < started - _SETTLE_NS and db_signature(db_path) == signature:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            _publish(path, json.dumps([_DIGEST_FORMAT, *signature, digest]))
+        with self._blocking():  # a large file would otherwise hold the turn for seconds
+            try:
+                with open(db_path, "rb") as handle:
+                    digest = hashlib.file_digest(handle, "sha256").hexdigest()
+            except OSError as exc:
+                raise DbUnreadable(str(db_path), str(exc)) from exc
+            last_change = max(signature[3:])  # the later of mtime and ctime
+            if last_change < started - _SETTLE_NS and db_signature(db_path) == signature:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                _publish(path, json.dumps([_DIGEST_FORMAT, *signature, digest]).encode("utf-8"))
         return digest
 
 
 def _read_entry(path: str) -> str | None:
-    """A cache entry's text, line endings kept as written; None if there is none."""
+    """A cache entry's text, line endings kept as written; None if there is none or it is not UTF-8."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            return handle.read()
-    except FileNotFoundError:
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
+    except (FileNotFoundError, UnicodeDecodeError):  # a bad entry is sampled again and replaced
         return None
 
 
@@ -354,16 +394,16 @@ def _decode_outcomes(data: bytes, statements: Collection[str]) -> dict[str, KeyO
         return None
 
 
-def _publish(path: str, text: str) -> None:
-    """Write `text` to a temp file of its own beside `path`, then rename it into place.
+def _publish(path: str, data: bytes) -> None:
+    """Write `data` to a temp file of its own beside `path`, then rename it into place.
 
     Each write has its own random temp name, so writers in other threads or
     processes sharing the cache never rename or truncate each other's file.
     """
     tmp = f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(tmp, "xb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

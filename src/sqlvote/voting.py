@@ -170,9 +170,10 @@ def run_question(
     max_per_column: int = DEFAULT_MAX_PER_COLUMN,
     demos_for: Callable[[ModelArm], DemoSet] | None = None,
 ) -> tuple[SelectionResult, CandidatePool]:
-    """Full per-question pipeline; the unfiltered pool comes back for audit."""
-    pool = build_pool(question, catalog, arms, seed, gateway, timeout, max_per_column, demos_for)
-    return select_by_consistency(pool), pool
+    """Full per-question pipeline, on the gateway's turn; the unfiltered pool comes back for audit."""
+    with gateway.turn():
+        pool = build_pool(question, catalog, arms, seed, gateway, timeout, max_per_column, demos_for)
+        return select_by_consistency(pool), pool
 
 
 def audit_records(pool: CandidatePool, result: SelectionResult) -> list[dict]:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import yaml
 from sqlvote import voting
 from sqlvote.cli import load_config, main
 from sqlvote.errors import ConfigError
+from sqlvote.gateway import ScriptedBackend
 
 from conftest import read_golden
 from pipeline_fixtures import write_run_config, write_scripted_fixture
@@ -168,6 +171,19 @@ def test_predict_fails_only_the_completion_that_does_not_encode(mini_run, capsys
         failed = json.loads(audit_lines[2])
         assert (failed["example_id"], failed["pool_position"]) == ("000000", 2)
         assert (failed["sql"], failed["error_kind"]) == ("", "runtime")
+
+
+def test_entry_that_is_not_utf8_is_sampled_again_and_replaced(mini_run):
+    fixture_root, work, config_path = mini_run
+    assert main(["predict", "--config", str(config_path)]) == 0
+    expected = (work / "predictions.jsonl").read_bytes()
+    entry = sorted((work / "cache").rglob("*.txt"))[0]
+    text = entry.read_bytes()
+    entry.write_bytes(b"\xff\xfe SELECT")
+
+    assert main(["predict", "--config", str(config_path)]) == 0
+    assert (work / "predictions.jsonl").read_bytes() == expected
+    assert entry.read_bytes() == text
 
 
 def test_predict_audit_records(mini_run):
@@ -490,3 +506,102 @@ def test_cache_cli(mini_run, capsys):
     main(["cache", "stats", "--dir", str(cache_dir)])
     assert "entries: 0" in capsys.readouterr().out
     assert list(cache_dir.iterdir()) == []  # outcome records went too
+
+
+# --- fan_out: workers take turns on Python and overlap only blocking calls ---------
+
+
+def _set_fan_out(config_path: Path, fan_out: int) -> None:
+    config = yaml.safe_load(config_path.read_text())
+    config["fan_out"] = fan_out
+    config_path.write_text(yaml.safe_dump(config))
+
+
+def _meet_first_two(monkeypatch, owner, attr: str) -> None:
+    """The first two calls of `owner.attr` wait for each other: they must overlap, or both fail."""
+    barrier = threading.Barrier(2, timeout=10)
+    calls = itertools.count()
+    original = getattr(owner, attr)
+
+    def meeting(*args, **kwargs):
+        if next(calls) < 2:
+            barrier.wait()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, meeting)
+
+
+@pytest.mark.parametrize(
+    "owner, attr", [(ScriptedBackend, "generate"), (voting, "execute")], ids=["generate", "execute"]
+)
+def test_workers_overlap_backend_calls_and_statements(mini_run, monkeypatch, owner, attr):
+    fixture_root, work, config_path = mini_run
+    _set_fan_out(config_path, 2)
+    _meet_first_two(monkeypatch, owner, attr)
+    assert main(["predict", "--config", str(config_path)]) == 0
+
+
+# A worker that waits for the turn forever would keep the process from exiting, so it runs in a child.
+_UNREADABLE_ONCE = """
+import itertools, sys
+sys.path.insert(0, sys.argv.pop(1))
+from sqlvote import cli, voting
+from sqlvote.errors import DbUnreadable
+connect, calls = voting.connect_readonly, itertools.count()
+
+def unreadable_once(catalog):  # called while the turn is let go, around the pool's statements
+    if next(calls) == 0:
+        raise DbUnreadable(str(catalog.db_path), "injected")
+    return connect(catalog)
+
+voting.connect_readonly = unreadable_once
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_question_failing_in_a_blocking_section_frees_the_turn(mini_run):
+    fixture_root, work, config_path = mini_run
+    _set_fan_out(config_path, 2)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", _UNREADABLE_ONCE, src, "predict", "--config", str(config_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0 and run.stdout.endswith(", 1 failures\n")
+    failed = (work / "predictions.jsonl").read_text().splitlines()
+
+    assert main(["predict", "--config", str(config_path)]) == 0
+    clean = (work / "predictions.jsonl").read_text().splitlines()
+    differing = [(a, b) for a, b in zip(failed, clean) if a != b]
+    assert len(differing) == 1 and json.loads(differing[0][0])["sql"] == "SELECT NULL"
+
+
+def _cache_snapshot(cache_dir: Path) -> dict[str, object]:
+    snapshot: dict[str, object] = {}
+    for path in sorted(cache_dir.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.parent.name == "outcomes":  # an error outcome keeps its measured elapsed time
+                data = {sql: v if isinstance(v, str) else v[::2] for sql, v in json.loads(data).items()}
+            snapshot[path.relative_to(cache_dir).as_posix()] = data
+    return snapshot
+
+
+def test_outputs_are_identical_at_every_fan_out(fixture_root, tmp_path, short_settle, capsys):
+    short_settle()  # the fixture's database files are settled: every run writes their digest records
+    scripted = tmp_path / "scripted"
+    write_scripted_fixture(fixture_root, scripted)
+    runs = {}
+    for fan_out in (1, 2, 8):
+        work = tmp_path / f"fan_out_{fan_out}"
+        work.mkdir()
+        config_path = write_run_config(fixture_root, work, scripted, audit=True)
+        _set_fan_out(config_path, fan_out)
+        for phase in ("cold", "warm"):
+            assert main(["predict", "--config", str(config_path)]) == 0
+            outputs = [(work / name).read_bytes() for name in ("predictions.jsonl", "predictions.jsonl.audit.jsonl")]
+            runs[fan_out, phase] = (outputs, capsys.readouterr())
+        runs[fan_out, "cache"] = _cache_snapshot(work / "cache")
+    assert runs[1, "cold"] == runs[1, "warm"]
+    for fan_out, part in itertools.product((2, 8), ("cold", "warm", "cache")):
+        assert runs[fan_out, part] == runs[1, part]

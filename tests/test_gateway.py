@@ -7,6 +7,7 @@ import socket
 import sys
 import tempfile
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from unittest.mock import patch
@@ -237,6 +238,19 @@ class _Script:
         self.lock = threading.Lock()
 
 
+@contextmanager
+def _running(handler):
+    """A local HTTP server answering on its own thread; shut down and closed on exit."""
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@contextmanager
 def _serve(script: _Script):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -257,10 +271,8 @@ def _serve(script: _Script):
         def log_message(self, *args):
             pass
 
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, f"http://127.0.0.1:{server.server_port}/complete"
+    with _running(Handler) as server:
+        yield f"http://127.0.0.1:{server.server_port}/complete"
 
 
 def _remote(url, **kwargs):
@@ -270,45 +282,34 @@ def _remote(url, **kwargs):
 
 def test_remote_success(monkeypatch):
     script = _Script([(200, {"completions": ["SELECT 1"]})])
-    server, url = _serve(script)
-    try:
-        monkeypatch.setenv("SQLVOTE_TEST_TOKEN", "sekrit")
+    monkeypatch.setenv("SQLVOTE_TEST_TOKEN", "sekrit")
+    with _serve(script) as url:
         texts = _remote(url).generate("prompt text", [0], 0.5, 0)
-        assert texts == ["SELECT 1"]
-        payload, headers = script.requests[0]
-        assert payload == {
-            "model": "m1",
-            "prompt": "prompt text",
-            "n": 1,
-            "temperature": 0.5,
-            "stop": [";", "\n\n"],
-        }
-        assert headers.get("Authorization") == "Bearer sekrit"
-    finally:
-        server.shutdown()
+    assert texts == ["SELECT 1"]
+    payload, headers = script.requests[0]
+    assert payload == {
+        "model": "m1",
+        "prompt": "prompt text",
+        "n": 1,
+        "temperature": 0.5,
+        "stop": [";", "\n\n"],
+    }
+    assert headers.get("Authorization") == "Bearer sekrit"
 
 
 def test_remote_rate_limited_thrice():
     script = _Script([(429, "slow down")] * 3)
-    server, url = _serve(script)
-    try:
-        with pytest.raises(BackendError) as err:
-            _remote(url).generate("p", [0], 0.5, 0)
-        assert err.value.status == 429
-        assert len(script.requests) == 3
-    finally:
-        server.shutdown()
+    with _serve(script) as url, pytest.raises(BackendError) as err:
+        _remote(url).generate("p", [0], 0.5, 0)
+    assert err.value.status == 429
+    assert len(script.requests) == 3
 
 
 def test_remote_short_response():
     script = _Script([(200, {"completions": ["only one"]})])
-    server, url = _serve(script)
-    try:
-        with pytest.raises(BackendError) as err:
-            _remote(url).generate("p", [0, 1, 2], 0.5, 0)
-        assert "short response" in str(err.value)
-    finally:
-        server.shutdown()
+    with _serve(script) as url, pytest.raises(BackendError) as err:
+        _remote(url).generate("p", [0, 1, 2], 0.5, 0)
+    assert "short response" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -316,36 +317,25 @@ def test_remote_short_response():
 )
 def test_remote_body_not_an_object(body):
     script = _Script([(200, body)])
-    server, url = _serve(script)
-    try:
-        with pytest.raises(BackendError) as err:
-            _remote(url).generate("p", [0], 0.5, 0)
-        assert "bad response body" in str(err.value)
-        assert len(script.requests) == 1
-    finally:
-        server.shutdown()
+    with _serve(script) as url, pytest.raises(BackendError) as err:
+        _remote(url).generate("p", [0], 0.5, 0)
+    assert "bad response body" in str(err.value)
+    assert len(script.requests) == 1
 
 
 def test_remote_retries_then_succeeds():
     script = _Script([(503, "boom"), (200, {"completions": ["SELECT 2"]})])
-    server, url = _serve(script)
-    try:
+    with _serve(script) as url:
         assert _remote(url).generate("p", [0], 0.5, 0) == ["SELECT 2"]
-        assert len(script.requests) == 2
-    finally:
-        server.shutdown()
+    assert len(script.requests) == 2
 
 
 def test_remote_non_retriable_4xx():
     script = _Script([(400, "bad request")])
-    server, url = _serve(script)
-    try:
-        with pytest.raises(BackendError) as err:
-            _remote(url).generate("p", [0], 0.5, 0)
-        assert err.value.status == 400
-        assert len(script.requests) == 1
-    finally:
-        server.shutdown()
+    with _serve(script) as url, pytest.raises(BackendError) as err:
+        _remote(url).generate("p", [0], 0.5, 0)
+    assert err.value.status == 400
+    assert len(script.requests) == 1
 
 
 def test_remote_refused_connection_is_retried():
@@ -357,12 +347,6 @@ def test_remote_refused_connection_is_retried():
             _remote(url, sleep=slept.append).generate("p", [0], 0.5, 0)
     assert slept == [1.0, 2.0]
     assert err.value.status is None
-
-
-def _start(handler) -> HTTPServer:
-    server = HTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
 
 
 def test_remote_body_cut_short_is_retried():
@@ -379,15 +363,9 @@ def test_remote_body_cut_short_is_retried():
         def log_message(self, *args):
             pass
 
-    server = _start(CutShort)
     slept = []
-    backend = _remote(f"http://127.0.0.1:{server.server_port}/complete", sleep=slept.append)
-    try:
-        with pytest.raises(BackendError) as err:
-            backend.generate("p", [0], 0.5, 0)
-    finally:
-        server.shutdown()
-        server.server_close()
+    with _running(CutShort) as server, pytest.raises(BackendError) as err:
+        _remote(f"http://127.0.0.1:{server.server_port}/complete", sleep=slept.append).generate("p", [0], 0.5, 0)
     assert len(posts) == 3
     assert slept == [1.0, 2.0]
     assert err.value.status is None
@@ -406,15 +384,11 @@ def test_remote_retries_through_an_https_proxy_stay_tls(monkeypatch):
         def log_message(self, *args):
             pass
 
-    server = _start(Proxy)
-    monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{server.server_port}")
     monkeypatch.delenv("no_proxy", raising=False)
-    try:
+    with _running(Proxy) as server:
+        monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{server.server_port}")
         with pytest.raises(BackendError):
             _remote("https://127.0.0.1:1/complete").generate("p", [0], 0.5, 0)
-    finally:
-        server.shutdown()
-        server.server_close()
     assert first_bytes == [b"\x16"] * 3
 
 
@@ -449,14 +423,8 @@ def test_remote_redirect_is_refused(monkeypatch, code, scheme):
             pass
 
     monkeypatch.setenv("SQLVOTE_TEST_TOKEN", "sekrit")
-    elsewhere, server = _start(Elsewhere), _start(Redirect)
-    try:
-        with pytest.raises(BackendError) as err:
-            _remote(f"http://127.0.0.1:{server.server_port}/complete").generate("p", [0], 0.5, 0)
-    finally:
-        for running in (server, elsewhere):
-            running.shutdown()
-            running.server_close()
+    with _running(Elsewhere) as elsewhere, _running(Redirect) as server, pytest.raises(BackendError) as err:
+        _remote(f"http://127.0.0.1:{server.server_port}/complete").generate("p", [0], 0.5, 0)
     assert err.value.status == code
     assert len(posts) == 1  # a redirect is an error at once, not retried
     assert reached == []  # nothing, and so no token, reaches the Location
@@ -465,16 +433,26 @@ def test_remote_redirect_is_refused(monkeypatch, code, scheme):
 def test_failed_samples_become_placeholders(tmp_path):
     """Gateway turns BackendError into failed completions, never exceptions."""
     script = _Script([(429, "x")] * 3)
-    server, url = _serve(script)
-    try:
-        gateway = Gateway(cache_dir=tmp_path)
+    gateway = Gateway(cache_dir=tmp_path)
+    with _serve(script) as url:
         gateway.register_backend("m1", _remote(url))
         completions = gateway.sample(_arm(samples=2, model_id="m1"), _prompt(), seed=0)
-        assert len(completions) == 2
-        assert all(isinstance(c, Completion) and c.failed for c in completions)
-        assert cache_stats(tmp_path) == (0, 0)  # failures are not cached
-    finally:
-        server.shutdown()
+    assert len(completions) == 2
+    assert all(isinstance(c, Completion) and c.failed for c in completions)
+    assert cache_stats(tmp_path) == (0, 0)  # failures are not cached
+
+
+def test_reply_nested_too_deep_fails_the_samples(tmp_path):
+    """A body json cannot decode without recursing too deep is a failed sample, not a traceback."""
+    script = _Script([(200, "[" * 100_000)])
+    gateway = Gateway(cache_dir=tmp_path)
+    with _serve(script) as url:
+        gateway.register_backend("m1", _remote(url))
+        completions = gateway.sample(_arm(samples=2, model_id="m1"), _prompt(), seed=0)
+    assert [c.failed for c in completions] == [True, True]
+    assert all(c.text.startswith("backend error: status 200: bad response body: maximum recursion depth")
+               for c in completions)
+    assert cache_stats(tmp_path) == (0, 0)
 
 
 class _ShortBackend:
