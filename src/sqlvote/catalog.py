@@ -103,6 +103,11 @@ class ExampleItem:
             raise MalformedDataset(f"example {self.example_id} has empty question")
 
 
+def quote_identifier(name: str) -> str:
+    """`name` as an SQL identifier: in double quotes, each `"` in it doubled."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def _check_key_ref(db_id: str, tables: tuple[TableSchema, ...], ref: KeyRef, raw_index: int) -> None:
     t, c = ref
     if t < 0 or t >= len(tables) or c < 0 or c >= len(tables[t].columns):
@@ -245,7 +250,8 @@ def catalog_from_sqlite(db_path: Path | str, db_id: str) -> DatabaseCatalog:
         ordinal = 1
         for t, name in enumerate(names):
             cols = []
-            for _, col_name, decl_type, _, _, pk in conn.execute(f'PRAGMA table_info("{name}")'):
+            info = conn.execute(f"PRAGMA table_info({quote_identifier(name)})")
+            for _, col_name, decl_type, _, _, pk in info:
                 cols.append(ColumnSchema(col_name, _affinity_type(decl_type), ordinal))
                 if pk:
                     pks.append((t, len(cols) - 1))
@@ -254,7 +260,7 @@ def catalog_from_sqlite(db_path: Path | str, db_id: str) -> DatabaseCatalog:
         index = {t.name.lower(): i for i, t in enumerate(tables)}
         fks: list[ForeignKey] = []
         for t, table in enumerate(tables):
-            for row in conn.execute(f'PRAGMA foreign_key_list("{table.name}")'):
+            for row in conn.execute(f"PRAGMA foreign_key_list({quote_identifier(table.name)})"):
                 _, _, parent_table, child_col, parent_col = row[0], row[1], row[2], row[3], row[4]
                 p = index.get(str(parent_table).lower())
                 if p is None or child_col is None or parent_col is None:

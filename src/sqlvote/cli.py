@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -213,8 +214,10 @@ def cmd_predict(config: RunConfig) -> int:
     all_filtered = 0
     failures = 0
     audit_path = config.output.with_name(config.output.name + ".audit.jsonl")
-    audit_handle = open(audit_path, "w", encoding="utf-8") if config.audit else None
-    with open(config.output, "w", encoding="utf-8") as out:
+    with (
+        open(audit_path, "w", encoding="utf-8") if config.audit else nullcontext() as audit_handle,
+        open(config.output, "w", encoding="utf-8") as out,
+    ):
         with ThreadPoolExecutor(max_workers=max(1, config.fan_out)) as pool_exec:
             for example, result, pool, error in pool_exec.map(process, examples):
                 if error is not None:
@@ -235,8 +238,6 @@ def cmd_predict(config: RunConfig) -> int:
                             audit_handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 out.write(json.dumps({"example_id": example.example_id, "sql": sql}, ensure_ascii=False) + "\n")
                 print(f"{example.example_id}: done", file=sys.stderr)
-    if audit_handle is not None:
-        audit_handle.close()
     print(
         f"predicted {len(examples)} questions: {ties} tie-breaks, "
         f"{all_filtered} all-filtered, {failures} failures"

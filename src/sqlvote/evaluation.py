@@ -38,7 +38,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .catalog import ColumnType, DatabaseCatalog, catalog_from_sqlite, load_examples
+from .catalog import ColumnType, DatabaseCatalog, catalog_from_sqlite, load_examples, quote_identifier
 from .errors import (
     ConfigError, GenerationFailed, GoldExecutionFailed, MissingPrediction, SqlVoteError,
 )
@@ -202,8 +202,9 @@ def _observed_values(
         for t, table in enumerate(catalog.tables):
             for c, col in enumerate(table.columns):
                 seen: dict = {}
+                query = f"SELECT {quote_identifier(col.name)} FROM {quote_identifier(table.name)}"
                 try:  # a missing column, or a value over MAX_VALUE_BYTES: none observed
-                    for (value,) in conn.execute(f'SELECT "{col.name}" FROM "{table.name}"'):
+                    for (value,) in conn.execute(query):
                         if value is None or value in seen:
                             continue
                         seen[value] = None
@@ -251,18 +252,19 @@ def _column_ddl_type(col_type: ColumnType) -> str:
 
 def _create_schema(conn: sqlite3.Connection, catalog: DatabaseCatalog) -> None:
     for t, table in enumerate(catalog.tables):
-        defs = [f'"{col.name}" {_column_ddl_type(col.data_type)}' for col in table.columns]
+        defs = [f"{quote_identifier(col.name)} {_column_ddl_type(col.data_type)}" for col in table.columns]
         pk_cols = [table.columns[c].name for (pt, c) in catalog.primary_keys if pt == t]
         if pk_cols:
-            defs.append("PRIMARY KEY (" + ", ".join(f'"{name}"' for name in pk_cols) + ")")
+            defs.append("PRIMARY KEY (" + ", ".join(quote_identifier(name) for name in pk_cols) + ")")
         for (child_t, child_c), (parent_t, parent_c) in catalog.foreign_keys:
             if child_t != t:
                 continue
+            parent = catalog.tables[parent_t]
             defs.append(
-                f'FOREIGN KEY ("{table.columns[child_c].name}") REFERENCES '
-                f'"{catalog.tables[parent_t].name}" ("{catalog.tables[parent_t].columns[parent_c].name}")'
+                f"FOREIGN KEY ({quote_identifier(table.columns[child_c].name)}) REFERENCES "
+                f"{quote_identifier(parent.name)} ({quote_identifier(parent.columns[parent_c].name)})"
             )
-        conn.execute(f'CREATE TABLE "{table.name}" ({", ".join(defs)})')
+        conn.execute(f"CREATE TABLE {quote_identifier(table.name)} ({', '.join(defs)})")
 
 
 def generate_suite_db(
@@ -337,7 +339,7 @@ def generate_suite_db(
                 rows.append(row)
             generated[t] = rows
             placeholders = ", ".join("?" for _ in table.columns)
-            conn.executemany(f'INSERT INTO "{table.name}" VALUES ({placeholders})', rows)
+            conn.executemany(f"INSERT INTO {quote_identifier(table.name)} VALUES ({placeholders})", rows)
         conn.commit()
     except sqlite3.Error as exc:
         raise GenerationFailed(str(exc)) from exc

@@ -156,7 +156,8 @@ def extract_sql(completion_text: str, prefix_select: bool = False) -> str:
     Strips code fences, trims whitespace, and cuts at the first semicolon
     outside literals, quoted identifiers and comments. `prefix_select`
     restores the SELECT that the baseline design keeps in the prompt itself,
-    unless the first token is already SELECT.
+    unless the first token is already SELECT. Pool records hold the result:
+    a change to what this returns for a text must bump gateway._POOL_FORMAT.
     """
     text = completion_text
     if "```" in text:

@@ -4,13 +4,16 @@ Each arm draws `samples` i.i.d. completions for one rendered prompt. The
 cache is content-addressed by (model, prompt hash, temperature, seed, index)
 so recorded runs replay byte-identically and repeat runs cost nothing.
 
-The cache also keeps one execution-outcome record per pool, at
-`outcomes/<digest>.json`. The digest covers a format tag, the SQLite
-version, the SHA-256 of the database file's bytes, `repr(timeout)` and the
-pool's sorted distinct statements. The record maps each statement to its
-outcome key, or to its error kind, elapsed time and detail. A warm run
-replays the recorded outcomes, timeouts included, and executes nothing;
-a changed database file, timeout or SQLite version re-executes. The file's
+The cache also keeps one record per pool, at `pools/<digest>.json`, keyed
+by the pool's inputs: the digest covers a format tag, the SQLite version,
+the SHA-256 of the database file's bytes, `repr(timeout)`, the seed, and
+each arm's model, design, prompt hash, temperature and samples. The record
+maps each distinct statement to its outcome key, or to its error kind,
+elapsed time and detail, and gives each pool position its statement's index,
+or null for a failed completion. A record with no null is the pool: a warm
+run reads no completion entry, extracts nothing and executes nothing,
+timeouts included. A changed input misses. The format tag also covers what
+`execution.extract_sql` returns for a text. The database file's
 SHA-256 comes from its digest record, `databases/<SHA-256 of its absolute
 path>.json`, while the file's stat (`execution.db_signature`) equals the
 recorded one, so a warm run reads no database bytes. A miss hashes the
@@ -36,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.client import HTTPException
 from pathlib import Path
-from typing import Callable, Collection, Protocol
+from typing import Callable, Protocol
 from urllib.error import HTTPError
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
@@ -50,8 +53,10 @@ DEFAULT_STOP = (";", "\n\n")  # sent with every remote request; a constant, so n
 _RETRY_ATTEMPTS = 3
 _RETRY_BASE_DELAY = 1.0
 _TEMP_SUFFIX = ".tmp"  # a write in progress; never read as an entry
-_OUTCOME_DIR = "outcomes"  # under the cache directory: one outcome record per pool
-_OUTCOME_FORMAT = "sqlvote-outcomes-1"  # change it when a record's meaning changes
+_POOL_DIR = "pools"  # under the cache directory: one record per pool, keyed by the pool's inputs
+# change it when a record's meaning, or what execution.extract_sql returns for a text, changes
+_POOL_FORMAT = "sqlvote-pool-1"
+_RETIRED_DIR = "outcomes"  # outcome records of an earlier layout; only `cache clear` reads it
 _DIGEST_DIR = "databases"  # under the cache directory: one digest record per database file
 _DIGEST_FORMAT = "sqlvote-db-digest-1"  # a record: [format, *execution.db_signature, sha256]
 _SETTLE_NS = 2 * 10**9  # only a file unchanged this long before hashing gets a digest record
@@ -282,44 +287,56 @@ class Gateway:
                             _publish(path, data)
         return [c for c in results if c is not None]
 
-    def outcomes(
+    def pool(
         self,
         db_path: Path,
         timeout: float,
-        statements: Collection[str],
-        execute_all: Callable[[], dict[str, KeyOrError]],
-    ) -> dict[str, KeyOrError]:
-        """Each statement's key or error on the database, from its record or from `execute_all`.
+        seed: int,
+        prompts: list[tuple[ModelArm, RenderedPrompt]],
+        draw: Callable[[], list[str | None]],
+        execute_all: Callable[[list[str]], dict[str, KeyOrError]],
+    ) -> tuple[list[str | None], dict[str, KeyOrError]]:
+        """Each pool position's statement (None for a failed completion), and each statement's outcome.
 
-        Without a cache this is `execute_all()`. Otherwise the pool's record
-        is read; on a miss `execute_all()` runs and its result is recorded.
-        A record that does not decode to exactly these statements' outcomes
-        is a miss, and is rewritten. The database file's digest comes from
-        its digest record (see `_db_digest`); a file that cannot be read
-        raises DbUnreadable.
+        `draw()` samples and extracts the pool; `execute_all(statements)`
+        runs them. Without a cache both run. Otherwise the pool's record is
+        read first, and a record with no failed completion is the answer:
+        nothing is sampled or executed. Else `draw()` runs; the record's
+        outcomes are reused if they are exactly the drawn statements', or
+        `execute_all` runs, and the record is rewritten. A record that does
+        not decode is a miss. The database file's digest comes from its
+        digest record (see `_db_digest`); a file that cannot be read raises
+        DbUnreadable.
         """
-        if self.cache_dir is None:
-            with self._blocking():
-                return execute_all()
-        identity = json.dumps(
-            [_OUTCOME_FORMAT, sqlite3.sqlite_version, self._db_digest(db_path), repr(timeout),
-             sorted(statements)]
-        )
-        path = os.path.join(
-            self.cache_dir, _OUTCOME_DIR, hashlib.sha256(identity.encode("ascii")).hexdigest() + ".json"
-        )
-        try:
-            with open(path, "rb") as handle:
-                recorded = _decode_outcomes(handle.read(), statements)
-        except FileNotFoundError:
-            recorded = None
-        if recorded is not None:
-            return recorded
+        path = data = recorded = None
+        if self.cache_dir is not None:
+            identity = json.dumps([
+                _POOL_FORMAT, sqlite3.sqlite_version, self._db_digest(db_path), repr(timeout), seed,
+                [[a.model_id, a.design.value, p.content_hash, a.temperature, a.samples] for a, p in prompts],
+            ])
+            path = os.path.join(
+                self.cache_dir, _POOL_DIR, hashlib.sha256(identity.encode("ascii")).hexdigest() + ".json"
+            )
+            try:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+            except FileNotFoundError:
+                pass
+            else:
+                recorded = _decode_pool(data, sum(arm.samples for arm, _ in prompts))
+            if recorded is not None and None not in recorded[0]:
+                return recorded
+        slots = draw()
+        statements = list(dict.fromkeys(sql for sql in slots if sql is not None))
         with self._blocking():
-            outcomes = execute_all()
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            _publish(path, _encode_outcomes(outcomes).encode("utf-8"))
-        return outcomes
+            if recorded is not None and recorded[1].keys() == set(statements):
+                outcomes = recorded[1]
+            else:
+                outcomes = execute_all(statements)
+            if path is not None and (encoded := _encode_pool(slots, statements, outcomes)) != data:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                _publish(path, encoded)
+        return slots, outcomes
 
     def _db_digest(self, db_path: Path) -> str:
         """SHA-256 of the file's bytes, from its digest record while the file's signature holds.
@@ -364,21 +381,29 @@ def _read_entry(path: str) -> str | None:
         return None
 
 
-def _encode_outcomes(outcomes: dict[str, KeyOrError]) -> str:
-    return json.dumps(
-        {
-            sql: outcome.key if isinstance(outcome, OutcomeKey)
-            else [outcome.error_kind.value, outcome.elapsed, outcome.detail]
-            for sql, outcome in outcomes.items()
-        }
-    )
+def _encode_pool(slots: list[str | None], statements: list[str], outcomes: dict[str, KeyOrError]) -> bytes:
+    """A pool record: `[{statement: key or [kind, elapsed, detail]}, [statement index or null, ...]]`."""
+    index = {sql: i for i, sql in enumerate(statements)}
+    recorded = {
+        sql: o.key if isinstance(o := outcomes[sql], OutcomeKey) else [o.error_kind.value, o.elapsed, o.detail]
+        for sql in statements
+    }
+    return json.dumps([recorded, [None if sql is None else index[sql] for sql in slots]]).encode("utf-8")
 
 
-def _decode_outcomes(data: bytes, statements: Collection[str]) -> dict[str, KeyOrError] | None:
-    """The outcomes a record holds, or None unless it holds exactly `statements`, well formed."""
+def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, KeyOrError]] | None:
+    """A record's slots and outcomes, or None unless it is well formed.
+
+    Well formed: `size` slots, each null or the index of a recorded
+    statement, every recorded statement at some slot, and each outcome a
+    key or an [error kind, elapsed, detail].
+    """
     try:
-        recorded = json.loads(data)
-        if recorded.keys() != set(statements):
+        recorded, indexes = json.loads(data)
+        statements = list(recorded.keys())
+        if len(indexes) != size or not all(i is None or type(i) is int for i in indexes):  # True is an int
+            return None
+        if {i for i in indexes if i is not None} != set(range(len(statements))):
             return None
         outcomes: dict[str, KeyOrError] = {}
         for sql, value in recorded.items():
@@ -389,8 +414,8 @@ def _decode_outcomes(data: bytes, statements: Collection[str]) -> dict[str, KeyO
             if not isinstance(elapsed, float) or not isinstance(detail, str):
                 return None
             outcomes[sql] = ExecutionOutcome.error(ErrorKind(kind), elapsed, detail)
-        return outcomes
-    except (AttributeError, TypeError, ValueError):  # not JSON, not a mapping, a bad entry
+        return [None if i is None else statements[i] for i in indexes], outcomes
+    except (AttributeError, TypeError, ValueError):  # not JSON, not [mapping, list], a bad entry
         return None
 
 
@@ -423,7 +448,7 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
 
 
 def cache_clear(cache_dir: Path | str) -> int:
-    """Remove all completion entries, outcome and digest records, and stray temp files.
+    """Remove all completion entries, pool, digest and retired outcome records, and stray temp files.
 
     Returns how many completion entries were deleted.
     """
@@ -434,7 +459,7 @@ def cache_clear(cache_dir: Path | str) -> int:
     for path in sorted(root.rglob("*.txt"), reverse=True):
         path.unlink()
         removed += 1
-    for path in [*(root / _OUTCOME_DIR).glob("*.json"), *(root / _DIGEST_DIR).glob("*.json")]:
+    for path in [p for d in (_POOL_DIR, _RETIRED_DIR, _DIGEST_DIR) for p in (root / d).glob("*.json")]:
         path.unlink()
     for path in list(root.rglob("*" + _TEMP_SUFFIX)):  # left by a writer that was killed
         path.unlink()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from functools import lru_cache
 
-from .catalog import ColumnType, DatabaseCatalog
+from .catalog import ColumnType, DatabaseCatalog, quote_identifier
 from .execution import connect_readonly, db_signature
 
 MATCH_THRESHOLD = 0.85
@@ -86,7 +86,7 @@ def could_match(question_lower: str, value_lower: str) -> bool:
 def _distinct_column_values(conn: sqlite3.Connection, table: str, column: str, cap: int) -> list[str]:
     """First `cap` distinct non-empty values in row order, rendered as text."""
     seen: dict[str, None] = {}
-    cursor = conn.execute(f'SELECT "{column}" FROM "{table}"')
+    cursor = conn.execute(f"SELECT {quote_identifier(column)} FROM {quote_identifier(table)}")
     for (raw,) in cursor:
         if raw is None:
             continue

@@ -5,10 +5,11 @@ the pool concatenates all candidates in configuration order. Each distinct
 completion text is extracted once per pool, and each distinct statement
 runs once per pool, on one read-only connection, and is reduced at once to
 what the vote reads: its order-insensitive outcome key, or its error
-outcome. A pool holds no rows. With a cache directory, the pool's outcomes
-are recorded in the cache, keyed by the database file's bytes, the timeout,
-the SQLite version and the pool's statements (see `gateway`); a warm run
-replays them, timeouts included, and opens no connection. Error candidates
+outcome. A pool holds no rows. With a cache directory, the pool is recorded
+in the cache, keyed by its inputs: the database file's bytes, the timeout,
+the SQLite version, the seed and each arm's rendered prompt (see
+`gateway`). A warm run replays it, timeouts included: it samples, extracts
+and executes nothing, and opens no connection. Error candidates
 are filtered, survivors are grouped by outcome key, and the largest
 group's earliest candidate wins.
 """
@@ -77,8 +78,8 @@ def build_pool(
     Each distinct completion text is extracted once, and each distinct
     statement executes once; every candidate holding it shares its key or
     error outcome. Values are linked only when some arm's design renders
-    them. All arms are sampled before anything executes, so a pool whose
-    outcomes the cache records replays them and opens no connection.
+    them. All arms are rendered before anything is sampled, so a pool that
+    the cache records in full replays without sampling or a connection.
     Otherwise the statements share one read-only connection that is closed
     before this returns; it is never kept across pools, since a database
     file may be rewritten between them. An unreadable database raises
@@ -86,38 +87,43 @@ def build_pool(
     """
     renders_values = any(arm.design is not PromptDesignId.BASELINE_DEFAULT for arm in arms)
     matches = link_values(question.question, catalog, max_per_column) if renders_values else []
-    # (sql, arm, sample index, the error of a failed completion or None), in pool order
-    drafts: list[tuple[str, ModelArm, int, ExecutionOutcome | None]] = []
-    extracted: dict[tuple[str, bool], str] = {}
-    for arm in arms:
-        demos = demos_for(arm) if demos_for is not None else EMPTY_DEMOS
-        prompt = render(arm.design, question, catalog, matches, demos)
-        prefix_select = arm.design is PromptDesignId.BASELINE_DEFAULT
-        for completion in gateway.sample(arm, prompt, seed):
-            if completion.failed:
-                failure = ExecutionOutcome.error(
-                    ErrorKind.RUNTIME, detail=f"backend failure: {completion.text}"
-                )
-                drafts.append(("", arm, completion.sample_index, failure))
-                continue
-            sql = extracted.get((completion.text, prefix_select))
-            if sql is None:
-                sql = extract_sql(completion.text, prefix_select=prefix_select)
-                extracted[completion.text, prefix_select] = sql
-            drafts.append((sql, arm, completion.sample_index, None))
-    statements = list(dict.fromkeys(sql for sql, _, _, failure in drafts if failure is None))
+    prompts = [
+        (arm, render(arm.design, question, catalog, matches, demos_for(arm) if demos_for else EMPTY_DEMOS))
+        for arm in arms
+    ]
+    failures: dict[int, ExecutionOutcome] = {}  # the error of each failed completion, by pool position
 
-    def execute_all() -> dict[str, KeyOrError]:
+    def draw() -> list[str | None]:
+        slots: list[str | None] = []
+        extracted: dict[tuple[str, bool], str] = {}
+        for arm, prompt in prompts:
+            prefix_select = arm.design is PromptDesignId.BASELINE_DEFAULT
+            for completion in gateway.sample(arm, prompt, seed):
+                if completion.failed:
+                    detail = f"backend failure: {completion.text}"
+                    failures[len(slots)] = ExecutionOutcome.error(ErrorKind.RUNTIME, detail=detail)
+                    slots.append(None)
+                    continue
+                sql = extracted.get((completion.text, prefix_select))
+                if sql is None:
+                    sql = extract_sql(completion.text, prefix_select=prefix_select)
+                    extracted[completion.text, prefix_select] = sql
+                slots.append(sql)
+        return slots
+
+    def execute_all(statements: list[str]) -> dict[str, KeyOrError]:
         conn = connect_readonly(catalog)
         try:
             return {sql: _key_or_error(execute(sql, catalog, timeout, conn)) for sql in statements}
         finally:
             conn.close()
 
-    outcomes = gateway.outcomes(catalog.db_path, timeout, statements, execute_all)
+    slots, outcomes = gateway.pool(catalog.db_path, timeout, seed, prompts, draw, execute_all)
+    places = [(arm, index) for arm in arms for index in range(arm.samples)]
     candidates = tuple(
-        Candidate(sql, arm, index, outcomes[sql] if failure is None else failure, position)
-        for position, (sql, arm, index, failure) in enumerate(drafts)
+        Candidate("", arm, index, failures[position], position) if sql is None
+        else Candidate(sql, arm, index, outcomes[sql], position)
+        for position, (sql, (arm, index)) in enumerate(zip(slots, places))
     )
     return CandidatePool(question.example_id, candidates, tuple(arms))
 

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from sqlvote import gateway as gateway_module
 from sqlvote import voting
 from sqlvote.cli import load_config, main
 from sqlvote.errors import ConfigError
-from sqlvote.gateway import ScriptedBackend
+from sqlvote.gateway import Gateway, ScriptedBackend
 
 from conftest import read_golden
 from pipeline_fixtures import write_run_config, write_scripted_fixture
@@ -134,6 +135,22 @@ def test_warm_predict_executes_nothing(mini_run, monkeypatch):
     assert warm == cold
 
 
+def test_warm_predict_samples_and_extracts_nothing(mini_run, monkeypatch, capsys):
+    fixture_root, work, config_path = mini_run
+    names = ("predictions.jsonl", "predictions.jsonl.audit.jsonl")
+    assert main(["predict", "--config", str(config_path), "--audit"]) == 0
+    cold = [(work / name).read_bytes() for name in names], capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm predict read its completions")
+
+    monkeypatch.setattr(Gateway, "sample", refuse)
+    monkeypatch.setattr(gateway_module, "_read_entry", refuse)
+    monkeypatch.setattr(voting, "extract_sql", refuse)
+    assert main(["predict", "--config", str(config_path), "--audit"]) == 0
+    assert ([(work / name).read_bytes() for name in names], capsys.readouterr()) == cold
+
+
 def test_warm_predict_reads_no_database_bytes(mini_run, short_settle, hashed_files):
     fixture_root, work, config_path = mini_run
     short_settle()  # the fixture's database files are settled
@@ -180,10 +197,20 @@ def test_entry_that_is_not_utf8_is_sampled_again_and_replaced(mini_run):
     entry = sorted((work / "cache").rglob("*.txt"))[0]
     text = entry.read_bytes()
     entry.write_bytes(b"\xff\xfe SELECT")
+    shutil.rmtree(work / "cache" / "pools")  # else the pools replay without reading their entries
 
     assert main(["predict", "--config", str(config_path)]) == 0
     assert (work / "predictions.jsonl").read_bytes() == expected
     assert entry.read_bytes() == text
+
+
+def test_unwritable_output_closes_the_audit_file(fixture_root, tmp_path, capsys):
+    scripted = tmp_path / "scripted"
+    write_scripted_fixture(fixture_root, scripted)
+    config_path = write_run_config(fixture_root, tmp_path, scripted, output_name="out", audit=True)
+    (tmp_path / "out").mkdir()  # the predictions file cannot be opened; the audit file can
+    assert main(["predict", "--config", str(config_path)]) == 1  # a ResourceWarning would be an error
+    assert "out" in capsys.readouterr().err
 
 
 def test_predict_audit_records(mini_run):
@@ -505,7 +532,22 @@ def test_cache_cli(mini_run, capsys):
     capsys.readouterr()
     main(["cache", "stats", "--dir", str(cache_dir)])
     assert "entries: 0" in capsys.readouterr().out
-    assert list(cache_dir.iterdir()) == []  # outcome records went too
+    assert list(cache_dir.iterdir()) == []  # pool records went too
+
+
+def test_cache_clear_removes_pool_records_and_retired_outcome_records(mini_run, short_settle, capsys):
+    fixture_root, work, config_path = mini_run
+    cache_dir = work / "cache"
+    short_settle()
+    assert main(["predict", "--config", str(config_path)]) == 0
+    retired = cache_dir / "outcomes" / f"{'0' * 64}.json"  # the per-pool outcome record of an older layout
+    retired.parent.mkdir()
+    retired.write_text('{"SELECT 1": "k"}', encoding="utf-8")
+    assert len(list((cache_dir / "pools").glob("*.json"))) == 5
+    assert len(list((cache_dir / "databases").glob("*.json"))) >= 1
+    assert main(["cache", "clear", "--dir", str(cache_dir)]) == 0
+    assert capsys.readouterr().out.endswith("cleared 30 entries\n")
+    assert list(cache_dir.iterdir()) == []
 
 
 # --- fan_out: workers take turns on Python and overlap only blocking calls ---------
@@ -581,8 +623,9 @@ def _cache_snapshot(cache_dir: Path) -> dict[str, object]:
     for path in sorted(cache_dir.rglob("*")):
         if path.is_file():
             data = path.read_bytes()
-            if path.parent.name == "outcomes":  # an error outcome keeps its measured elapsed time
-                data = {sql: v if isinstance(v, str) else v[::2] for sql, v in json.loads(data).items()}
+            if path.parent.name == "pools":  # an error outcome keeps its measured elapsed time
+                outcomes, indexes = json.loads(data)
+                data = [{sql: v if isinstance(v, str) else v[::2] for sql, v in outcomes.items()}, indexes]
             snapshot[path.relative_to(cache_dir).as_posix()] = data
     return snapshot
 

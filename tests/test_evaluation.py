@@ -20,6 +20,7 @@ from sqlvote.catalog import (
     catalog_from_sqlite,
     load_catalogs,
 )
+from sqlvote.linking import link_values
 from sqlvote.errors import GenerationFailed, GoldExecutionFailed, MissingDbFile, MissingPrediction
 from sqlvote.evaluation import (
     SuiteSpec,
@@ -293,6 +294,35 @@ def test_a_value_over_the_length_limit_is_not_observed(tmp_path, monkeypatch):
     assert evaluation._observed_values(catalog) == {(0, 0): [], (0, 1): ["x", "z"]}
     spec = SuiteSpec(suite_count=1, rows_per_table=10, seed=2)
     assert len(suite_catalogs(catalog, spec, tmp_path / "suites")) == 1
+
+
+def test_identifiers_holding_a_double_quote_load_link_and_score(tmp_path):
+    (tmp_path / "quoted").mkdir()
+    conn = sqlite3.connect(tmp_path / "quoted" / "quoted.sqlite")
+    conn.execute('CREATE TABLE "sing""er" (id INTEGER PRIMARY KEY, "na""me" TEXT)')
+    conn.execute('CREATE TABLE song (title TEXT, "sing""er_id" INTEGER REFERENCES "sing""er" (id))')
+    conn.executemany('INSERT INTO "sing""er" VALUES (?, ?)', [(1, "Joe Sharp"), (2, "Rose White")])
+    conn.executemany("INSERT INTO song VALUES (?, ?)", [("Gentle", 1), ("Dawn", 2)])
+    conn.commit()
+    conn.close()
+    catalog = catalog_from_sqlite(tmp_path / "quoted" / "quoted.sqlite", "quoted")
+    assert [t.name for t in catalog.tables] == ['sing"er', "song"]
+    assert [c.name for c in catalog.tables[0].columns] == ["id", 'na"me']
+    assert catalog.foreign_keys == (((1, 1), (0, 0)),)
+    matches = link_values("Which songs does Joe Sharp sing?", catalog)
+    assert [(m.table_name, m.column_name, m.value) for m in matches] == [('sing"er', 'na"me', "Joe Sharp")]
+
+    gold = 'SELECT title FROM song JOIN "sing""er" ON "sing""er_id" = id WHERE "na""me" = \'Joe Sharp\''
+    dataset = tmp_path / "quoted.json"
+    dataset.write_text(json.dumps([
+        {"db_id": "quoted", "question": "Which songs does Joe Sharp sing?", "query": gold},
+        {"db_id": "quoted", "question": "How many singers are there?", "query": 'SELECT count(*) FROM "sing""er"'},
+    ]))
+    pred_path = tmp_path / "pred.jsonl"
+    _write_predictions(pred_path, [("000000", _reworded(gold)), ("000001", "SELECT 2")])
+    spec = SuiteSpec(suite_count=2, rows_per_table=10, seed=3)
+    report = evaluate_file(pred_path, dataset, tmp_path, spec, tmp_path / "suites")
+    assert [(q.ex, q.ts, q.gold_error) for q in report.per_question] == [(True, True, None), (True, False, None)]
 
 
 def test_handcrafted_tie_breaks_order_by_limit(singer_catalog, tmp_path):

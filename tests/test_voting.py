@@ -509,7 +509,7 @@ def test_memoized_pool_votes_like_separate_executions(dev_examples, singer_catal
     assert audit_records(pool, result) == audit_records(separate, reference)
 
 
-# --- outcome records: a warm pool replays, it does not execute --------------------
+# --- pool records: a warm pool replays, it does not execute -----------------------
 
 
 def _counting_execute(monkeypatch):
@@ -529,7 +529,7 @@ def _comparable(outcome):
 
 
 def _records(cache_dir):
-    return sorted((cache_dir / "outcomes").glob("*.json"))
+    return sorted((cache_dir / "pools").glob("*.json"))
 
 
 def _mixed_pool(example, catalog, cache_dir, timeout=5.0):
@@ -586,21 +586,75 @@ def test_another_timeout_misses(dev_examples, singer_catalog, tmp_path, monkeypa
     assert len(_records(tmp_path / "cache")) == 2
 
 
+_MIXED_SQL = ["SELECT Name FROM singer", "SELECT count(*) FROM song", "SELEC oops", "SELECT 6"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"seed": 1},
+        {"timeout": 4.0},
+        {"arm": {"temperature": 0.7}},
+        {"arm": {"samples": 4}},
+        {"arm": {"design": PromptDesignId.VERBOSE}},
+        {"question": "How many singers are there, in all?"},
+    ],
+    ids=["seed", "timeout", "temperature", "samples", "design", "prompt"],
+)
+def test_changing_one_key_field_misses(dev_examples, singer_catalog, tmp_path, change):
+    def pool(seed=0, timeout=5.0, arm=None, question=None):
+        example = dev_examples[1] if question is None else replace(dev_examples[1], question=question)
+        arms = [replace(ModelArm("m", PromptDesignId.CONCISE, samples=5), **(arm or {}))]
+        hashes = _render_hashes(example, singer_catalog, arms)
+        gateway = _scripted_gateway({h: _MIXED_SQL for h in hashes.values()}, tmp_path / "cache")
+        with patch.object(Gateway, "sample", autospec=True, side_effect=Gateway.sample) as sample:
+            built = build_pool(example, singer_catalog, arms, seed, gateway, timeout)
+        return built, sample.call_count
+
+    cold, cold_calls = pool()
+    assert (pool(), cold_calls) == ((cold, 0), 1)  # the same inputs replay
+    changed, calls = pool(**change)
+    assert calls == 1 and len(_records(tmp_path / "cache")) == 2
+    assert [c.sql for c in changed.candidates[:4]] == [c.sql for c in cold.candidates[:4]]
+
+
+def test_grown_pool_equals_a_fresh_pool(dev_examples, singer_catalog, tmp_path):
+    def votes(cache_dir, *sample_counts):
+        for samples in sample_counts:
+            arms, gateway = _mixed_pool_gateway(dev_examples[1], singer_catalog, samples, cache_dir)
+            pool = build_pool(dev_examples[1], singer_catalog, arms, seed=0, gateway=gateway)
+        return audit_records(pool, select_by_consistency(pool)), [_comparable(c.outcome) for c in pool.candidates]
+
+    assert votes(tmp_path / "grown", 3, 5) == votes(tmp_path / "fresh", 5)
+    assert len(_records(tmp_path / "grown")) == 2
+
+
+def _edit(change):
+    """A spoil that rewrites a record's decoded `[outcomes, indexes]` with `change`."""
+    return lambda data: json.dumps(change(*json.loads(data))).encode()
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
         lambda data: data[: len(data) // 2],
         lambda data: b"not json",
         lambda data: b"\xff\xfe{}",
-        lambda data: b"[]",
-        lambda data: b"{}",
+        _edit(lambda outcomes, indexes: [list(outcomes.items()), indexes]),
+        _edit(lambda outcomes, indexes: [{}, []]),
         lambda data: data.replace(b'"syntax"', b'"bogus"'),
         lambda data: re.sub(rb'("syntax", )[^,]+', rb'\1"0.1"', data),
         lambda data: data.replace(b'"syntax", ', b""),
-        lambda data: json.dumps({k: 7 for k in json.loads(data)}).encode(),
+        _edit(lambda outcomes, indexes: [{k: 7 for k in outcomes}, indexes]),
+        _edit(lambda outcomes, indexes: [outcomes, [*indexes[:-1], len(outcomes)]]),
+        _edit(lambda outcomes, indexes: [outcomes, [indexes[0], True, *indexes[2:]]]),
+        _edit(lambda outcomes, indexes: [outcomes, indexes[:-1]]),
+        _edit(lambda outcomes, indexes: [{**outcomes, next(iter(outcomes)): None}, indexes]),
+        _edit(lambda outcomes, indexes: [{**outcomes, "SELECT 99": "k"}, indexes]),
     ],
     ids=["truncated", "not-json", "not-utf8", "list", "empty", "bad-kind", "bad-elapsed",
-         "short-error", "bad-value"],
+         "short-error", "bad-value", "index-out-of-range", "true-index", "wrong-length",
+         "statement-without-outcome", "outcome-without-position"],
 )
 def test_spoiled_record_is_a_miss_and_is_rewritten(dev_examples, singer_catalog, tmp_path, monkeypatch, spoil):
     cache_dir = tmp_path / "cache"
@@ -739,7 +793,7 @@ def test_same_size_rewrite_with_restored_mtime_is_hashed_again_and_the_vote_foll
 
     _rewrite_keeping_size_and_mtime(db_path, lambda: db_path.write_bytes(original))
     short_settle()
-    assert vote() == ("SELECT 'Tom Reed'", 0, 1)  # hashed again; the first outcome record replays
+    assert vote() == ("SELECT 'Tom Reed'", 0, 1)  # hashed again; the first pool record replays
     assert vote() == ("SELECT 'Tom Reed'", 0, 0)
     assert len(_records(tmp_path / "cache")) == 2
     assert len(list((tmp_path / "cache" / "databases").glob("*.json"))) == 1
@@ -754,5 +808,5 @@ def test_unsettled_database_is_hashed_for_every_pool_and_leaves_no_record(
     calls = _counting_execute(monkeypatch)
     pools = [_mixed_pool(dev_examples[1], catalog, tmp_path / "cache") for _ in range(3)]
     assert pools[0] == pools[1] == pools[2]
-    assert (hashed_files, len(calls)) == ([str(db_path)] * 3, 4)  # the outcome record still replays
+    assert (hashed_files, len(calls)) == ([str(db_path)] * 3, 4)  # the pool record still replays
     assert not (tmp_path / "cache" / "databases").exists()
