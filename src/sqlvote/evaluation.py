@@ -449,7 +449,7 @@ def load_predictions(pred_path: Path | str) -> dict[str, str]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
                 record = None
             if not (isinstance(record, dict) and "example_id" in record
                     and isinstance(record.get("sql"), str)):

@@ -3,6 +3,8 @@
 Each arm draws `samples` i.i.d. completions for one rendered prompt. The
 cache is content-addressed by (model, prompt hash, temperature, seed, index)
 so recorded runs replay byte-identically and repeat runs cost nothing.
+Entries of one sampling call that hold the same text are hard links of one
+file (see `_publish`), so an entry is replaced by rename, never edited in place.
 
 The cache also keeps one record per pool, at `pools/<digest>.json`, keyed
 by the pool's inputs: the digest covers a format tag, the SQLite version,
@@ -43,7 +45,7 @@ from typing import Callable, Protocol
 from urllib.error import HTTPError
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
-from .errors import BackendError, BackendUnavailable, DbUnreadable, DuplicateModelId
+from .errors import BackendError, BackendUnavailable, ConfigError, DbUnreadable, DuplicateModelId
 from .execution import ErrorKind, ExecutionOutcome, KeyOrError, OutcomeKey, db_signature
 from .prompts import PromptDesignId, RenderedPrompt, content_hash_of
 
@@ -112,8 +114,11 @@ class ScriptedBackend:
         """Load fixture records {"prompt_hash": ..., "completions": [...]} from *.json files."""
         table: dict[str, list[str]] = {}
         for record_path in sorted(Path(path).glob("*.json")):
-            record = json.loads(record_path.read_text(encoding="utf-8"))
-            table[record["prompt_hash"]] = list(record["completions"])
+            try:
+                record = json.loads(record_path.read_text(encoding="utf-8"))
+                table[record["prompt_hash"]] = list(record["completions"])
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:  # not JSON, not such a record
+                raise ConfigError(f"bad scripted record {record_path}: {type(exc).__name__}: {exc}") from exc
         return cls(table)
 
     def generate(self, prompt: str, indexes: list[int], temperature: float, seed: int) -> list[str]:
@@ -269,7 +274,7 @@ class Gateway:
                     results[i] = Completion(
                         f"backend returned {len(texts)} of {len(missing)} completions", arm, i, failed=True
                     )
-                writes: list[tuple[str, bytes]] = []
+                writes: dict[bytes, list[str]] = {}  # each distinct text is written once, its repeats linked
                 for i, text in zip(missing, texts):
                     try:
                         data = text.encode("utf-8")
@@ -279,12 +284,12 @@ class Gateway:
                         continue
                     results[i] = Completion(text, arm, i)
                     if entries is not None:
-                        writes.append((os.path.join(entries, f"{i}.txt"), data))
+                        writes.setdefault(data, []).append(os.path.join(entries, f"{i}.txt"))
                 if writes:
                     with self._blocking():
                         os.makedirs(entries, exist_ok=True)
-                        for path, data in writes:
-                            _publish(path, data)
+                        for data, paths in writes.items():
+                            _publish(paths, data)
         return [c for c in results if c is not None]
 
     def pool(
@@ -335,7 +340,7 @@ class Gateway:
                 outcomes = execute_all(statements)
             if path is not None and (encoded := _encode_pool(slots, statements, outcomes)) != data:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                _publish(path, encoded)
+                _publish([path], encoded)
         return slots, outcomes
 
     def _db_digest(self, db_path: Path) -> str:
@@ -356,7 +361,7 @@ class Gateway:
                 tag, *recorded, digest = json.loads(handle.read())
             if [tag, *recorded] == [_DIGEST_FORMAT, *signature] and isinstance(digest, str):
                 return digest
-        except (FileNotFoundError, TypeError, ValueError):  # not UTF-8, not JSON, not a list
+        except (FileNotFoundError, TypeError, ValueError, RecursionError):  # not UTF-8, JSON or a list
             pass
         started = time.time_ns()
         with self._blocking():  # a large file would otherwise hold the turn for seconds
@@ -368,7 +373,7 @@ class Gateway:
             last_change = max(signature[3:])  # the later of mtime and ctime
             if last_change < started - _SETTLE_NS and db_signature(db_path) == signature:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                _publish(path, json.dumps([_DIGEST_FORMAT, *signature, digest]).encode("utf-8"))
+                _publish([path], json.dumps([_DIGEST_FORMAT, *signature, digest]).encode("utf-8"))
         return digest
 
 
@@ -415,28 +420,42 @@ def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, Ke
                 return None
             outcomes[sql] = ExecutionOutcome.error(ErrorKind(kind), elapsed, detail)
         return [None if i is None else statements[i] for i in indexes], outcomes
-    except (AttributeError, TypeError, ValueError):  # not JSON, not [mapping, list], a bad entry
+    except (AttributeError, TypeError, ValueError, RecursionError):  # not JSON, [mapping, list]; bad entry
         return None
 
 
-def _publish(path: str, data: bytes) -> None:
-    """Write `data` to a temp file of its own beside `path`, then rename it into place.
+def _publish(paths: list[str], data: bytes) -> None:
+    """Give each name in `paths` the bytes `data`, whole or not at all.
 
-    Each write has its own random temp name, so writers in other threads or
-    processes sharing the cache never rename or truncate each other's file.
+    `data` is written once, to a random temp name of its own, so concurrent
+    writers never touch each other's file. Each further path gets a hard link
+    of that temp under a second temp name, renamed into place; last, the temp
+    is renamed onto `paths[0]`. Links come only from the private temp, so
+    replacing one name (by rename; an entry is never edited in place) never
+    changes another. Without hard links, a path gets a write of its own.
     """
-    tmp = f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
+    tmp = f"{paths[0]}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
+    made = [tmp]
     try:
         with open(tmp, "xb") as handle:
             handle.write(data)
-        os.replace(tmp, path)
+        for path in paths[1:]:
+            made.append(link := f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}")
+            try:
+                os.link(tmp, link)
+            except OSError:  # a file system without hard links
+                with open(link, "xb") as handle:
+                    handle.write(data)
+            os.replace(link, path)
+        os.replace(tmp, paths[0])
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        for name in made:
+            Path(name).unlink(missing_ok=True)
         raise
 
 
 def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
-    """(entry count, total bytes) over all cached completion files."""
+    """(entry count, total bytes) over all completion entries; each entry counts its size, linked or not."""
     entries = 0
     total = 0
     root = Path(cache_dir)

@@ -70,6 +70,13 @@ def test_malformed_manifest(tmp_path):
         load_catalogs(manifest, tmp_path)
 
 
+def test_manifest_nested_too_deep(tmp_path):
+    manifest = tmp_path / "tables.json"
+    manifest.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(MalformedManifest):
+        load_catalogs(manifest, tmp_path)
+
+
 def test_duplicate_table_name_rejected_on_load(tmp_path, fixture_root):
     entry = json.loads(json.dumps(CAR_MANIFEST))
     entry["table_names_original"][1] = entry["table_names_original"][0].upper()
@@ -98,6 +105,13 @@ def test_load_examples(fixture_root, catalogs):
 def test_load_examples_missing_question(tmp_path):
     dataset = tmp_path / "dev.json"
     dataset.write_text(json.dumps([{"db_id": "car_1"}]))
+    with pytest.raises(MalformedDataset):
+        load_examples(dataset)
+
+
+def test_load_examples_nested_too_deep(tmp_path):
+    dataset = tmp_path / "dev.json"
+    dataset.write_text("[" * 100000 + "]" * 100000)
     with pytest.raises(MalformedDataset):
         load_examples(dataset)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import shutil
@@ -204,6 +205,61 @@ def test_entry_that_is_not_utf8_is_sampled_again_and_replaced(mini_run):
     assert entry.read_bytes() == text
 
 
+def _repeating_run(fixture_root, work):
+    """A run whose scripted records hold 2 texts for 3 samples, so each call's sample 2 repeats sample 0."""
+    scripted = work / "scripted"
+    write_scripted_fixture(fixture_root, scripted)
+    for path in scripted.glob("*.json"):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["completions"] = record["completions"][:2]
+        path.write_text(json.dumps(record), encoding="utf-8")
+    return write_run_config(fixture_root, work, scripted)
+
+
+def _entries(cache_dir):
+    return {path.relative_to(cache_dir): path.read_bytes() for path in cache_dir.rglob("*.txt")}
+
+
+def test_cold_predict_links_the_repeated_texts_of_a_call(fixture_root, tmp_path):
+    assert main(["predict", "--config", str(_repeating_run(fixture_root, tmp_path))]) == 0
+    directories = {path.parent for path in (tmp_path / "cache").rglob("*.txt")}
+    assert len(directories) == 10  # 5 questions x 2 arms
+    for directory in directories:
+        entries = list(directory.glob("*.txt"))
+        assert len(entries) == 3
+        assert len({p.stat().st_ino for p in entries}) == len({p.read_bytes() for p in entries}) == 2
+
+
+def test_predict_without_hard_links_writes_the_same_entries(fixture_root, tmp_path, monkeypatch):
+    linked, copied = tmp_path / "linked", tmp_path / "copied"
+    for work in (linked, copied):
+        work.mkdir()
+    assert main(["predict", "--config", str(_repeating_run(fixture_root, linked))]) == 0
+
+    def no_links(*args, **kwargs):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(gateway_module.os, "link", no_links)
+    assert main(["predict", "--config", str(_repeating_run(fixture_root, copied))]) == 0
+    assert (copied / "predictions.jsonl").read_bytes() == (linked / "predictions.jsonl").read_bytes()
+    assert _entries(copied / "cache") == _entries(linked / "cache")
+    entries = list((copied / "cache").rglob("*.txt"))
+    assert len({p.stat().st_ino for p in entries}) == len(entries) == 30  # a file each
+    assert list(copied.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize(
+    "content", ["not json", '{"completions": ["SELECT 1"]}'], ids=["not-json", "no-prompt-hash"]
+)
+def test_malformed_scripted_record_is_a_config_error(mini_run, capsys, content):
+    fixture_root, work, config_path = mini_run
+    record = work / "scripted" / "q9_bad.json"
+    record.write_text(content, encoding="utf-8")
+    assert main(["predict", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(record) in err and err.count("\n") == 1
+
+
 def test_unwritable_output_closes_the_audit_file(fixture_root, tmp_path, capsys):
     scripted = tmp_path / "scripted"
     write_scripted_fixture(fixture_root, scripted)
@@ -331,8 +387,13 @@ def test_evaluate_unreadable_db_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["not json", '{"example_id": "000000"}', '{"example_id": "000000", "sql": 5}'],
-    ids=["not-json", "no-sql", "sql-not-a-string"],
+    [
+        "not json",
+        '{"example_id": "000000"}',
+        '{"example_id": "000000", "sql": 5}',
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=["not-json", "no-sql", "sql-not-a-string", "nested-too-deep"],
 )
 def test_evaluate_malformed_prediction_line(fixture_root, tmp_path, capsys, line):
     pred_path = tmp_path / "pred.jsonl"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -191,9 +192,30 @@ def test_text_that_does_not_encode_fails_and_is_not_cached(tmp_path):
 
 def test_concurrent_writers_share_one_cache(tmp_path):
     """Two gateways on one cache, each writing the same entries at the same time."""
+    texts = {name: [f"SELECT '{name}{k}' " * 200 for k in range(8)] for name in "AB"}
+    _write_concurrently(tmp_path, texts)
+    cached = [path.read_text(encoding="utf-8") for path in tmp_path.rglob("*.txt")]
+    assert len(cached) == 150 * 8
+    assert set(cached) <= set(texts["A"]) | set(texts["B"])  # whole texts a backend returned
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_concurrent_writers_of_linked_entries_keep_each_index_text(tmp_path):
+    """Each writer repeats its texts in another pattern; no entry may take a sibling's text."""
+    periods = {"A": 2, "B": 3}
+    texts = {name: [f"SELECT '{name}{k % periods[name]}' " * 200 for k in range(8)] for name in periods}
+    _write_concurrently(tmp_path, texts)
+    for path in tmp_path.rglob("*.txt"):
+        index = int(path.stem)
+        assert path.read_text(encoding="utf-8") in (texts["A"][index], texts["B"][index])
+    assert len(list(tmp_path.rglob("*.txt"))) == 150 * 8
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def _write_concurrently(tmp_path, texts):
+    """Two gateways on one cache, answering from `texts[name]`, sample the same 150 calls in step."""
     prompt = _prompt()
     arm = _arm(samples=8)
-    texts = {name: [f"SELECT '{name}{k}' " * 200 for k in range(8)] for name in "AB"}
     barrier = threading.Barrier(2, timeout=30)
     errors: list[Exception] = []
 
@@ -220,10 +242,61 @@ def test_concurrent_writers_share_one_cache(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    cached = [path.read_text(encoding="utf-8") for path in tmp_path.rglob("*.txt")]
-    assert len(cached) == 150 * 8
-    assert set(cached) <= set(texts["A"]) | set(texts["B"])  # whole texts a backend returned
+
+
+def test_repeated_texts_of_a_call_share_one_file(tmp_path):
+    prompt = _prompt()
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1", "SELECT 22"]))
+    gateway.sample(_arm(samples=5), prompt, seed=0)  # indexes 0, 2, 4 repeat; 1 and 3 repeat
+    entries = sorted(tmp_path.rglob("*.txt"))
+    assert [p.read_bytes() for p in entries] == [b"SELECT 1", b"SELECT 22"] * 2 + [b"SELECT 1"]
+    assert len({p.stat().st_ino for p in entries}) == 2
+    assert cache_stats(tmp_path) == (5, 3 * len("SELECT 1") + 2 * len("SELECT 22"))  # apparent bytes
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_replacing_a_linked_entry_leaves_its_siblings(tmp_path):
+    prompt = _prompt()
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1", "SELECT 2"]))
+    gateway.sample(_arm(samples=4), prompt, seed=0)
+    entries = sorted(tmp_path.rglob("*.txt"))
+    assert os.path.samefile(entries[0], entries[2])
+    gateway_module._publish([str(entries[0])], b"SELECT 9")
+    assert [p.read_bytes() for p in entries] == [b"SELECT 9", b"SELECT 2", b"SELECT 1", b"SELECT 2"]
+    warm = gateway.sample(_arm(samples=4), prompt, seed=0)
+    assert [c.text for c in warm] == ["SELECT 9", "SELECT 2", "SELECT 1", "SELECT 2"]
+
+
+def test_an_entry_replaced_while_its_repeats_are_linked_changes_no_sibling(tmp_path, monkeypatch):
+    paths = [str(tmp_path / f"{i}.txt") for i in range(3)]
+    link = os.link
+
+    def another_writer_first(source, target):
+        gateway_module._publish([paths[0]], b"SELECT 2")  # replaces the first entry meanwhile
+        link(source, target)
+
+    monkeypatch.setattr(gateway_module.os, "link", another_writer_first)
+    gateway_module._publish(paths, b"SELECT 1")
+    assert [Path(p).read_bytes() for p in paths] == [b"SELECT 1"] * 3
+
+
+def test_publish_whose_second_rename_fails_leaves_no_temp(tmp_path, monkeypatch):
+    paths = [str(tmp_path / f"{i}.txt") for i in range(3)]
+    replace, renamed = os.replace, []
+
+    def second_fails(source, target):
+        renamed.append(target)
+        if len(renamed) == 2:
+            raise OSError(errno.EIO, "rename failed")
+        replace(source, target)
+
+    monkeypatch.setattr(gateway_module.os, "replace", second_fails)
+    with pytest.raises(OSError, match="rename failed"):
+        gateway_module._publish(paths, b"SELECT 1")
+    assert [p.name for p in tmp_path.iterdir()] == ["1.txt"]
+    assert (tmp_path / "1.txt").read_bytes() == b"SELECT 1"
 
 
 # --- remote backend wire contract ------------------------------------------------
@@ -520,9 +593,10 @@ def _replace_at(index, value):
         _replace_at(4, 0),
         _replace_at(2, 0),
         _replace_at(-1, 7),
+        lambda data: b"[" * 100000 + b"]" * 100000,
     ],
     ids=["truncated", "not-json", "not-utf8", "object", "number", "wrong-tag", "short", "long",
-         "other-mtime", "other-inode", "digest-not-text"],
+         "other-mtime", "other-inode", "digest-not-text", "nested-too-deep"],
 )
 def test_spoiled_digest_record_is_a_miss_and_is_rewritten(tmp_path, short_settle, hashed_files, spoil):
     db, cache_dir = tmp_path / "db.sqlite", tmp_path / "cache"

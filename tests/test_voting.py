@@ -651,10 +651,11 @@ def _edit(change):
         _edit(lambda outcomes, indexes: [outcomes, indexes[:-1]]),
         _edit(lambda outcomes, indexes: [{**outcomes, next(iter(outcomes)): None}, indexes]),
         _edit(lambda outcomes, indexes: [{**outcomes, "SELECT 99": "k"}, indexes]),
+        lambda data: b"[" * 100000 + b"]" * 100000,
     ],
     ids=["truncated", "not-json", "not-utf8", "list", "empty", "bad-kind", "bad-elapsed",
          "short-error", "bad-value", "index-out-of-range", "true-index", "wrong-length",
-         "statement-without-outcome", "outcome-without-position"],
+         "statement-without-outcome", "outcome-without-position", "nested-too-deep"],
 )
 def test_spoiled_record_is_a_miss_and_is_rewritten(dev_examples, singer_catalog, tmp_path, monkeypatch, spoil):
     cache_dir = tmp_path / "cache"
