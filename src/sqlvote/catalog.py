@@ -190,7 +190,7 @@ def load_catalogs(manifest_path: Path | str, db_dir: Path | str) -> list[Databas
     db_dir = Path(db_dir)
     try:
         entries = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or nested too deep
         raise MalformedManifest(str(exc)) from exc
     if not isinstance(entries, list):
         raise MalformedManifest("manifest root is not a list")
@@ -205,7 +205,7 @@ def load_examples(
     dataset_path = Path(dataset_path)
     try:
         records = json.loads(dataset_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or nested too deep
         raise MalformedDataset(str(exc)) from exc
     if not isinstance(records, list):
         raise MalformedDataset("dataset root is not a list")

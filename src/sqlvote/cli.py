@@ -61,7 +61,7 @@ def load_config(path: Path | str) -> RunConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -204,6 +204,7 @@ def cmd_predict(config: RunConfig) -> int:
                 timeout=config.timeout,
                 max_per_column=config.max_per_column,
                 demos_for=demos_for,
+                audit=config.audit,  # the audit records every outcome, so nothing stops early
             )
             return example, result, pool, None
         except SqlVoteError as exc:

@@ -442,21 +442,24 @@ class _LazySuites:
 def load_predictions(pred_path: Path | str) -> dict[str, str]:
     """example_id -> SQL; a line that is not such a record raises SqlVoteError."""
     predictions: dict[str, str] = {}
-    with open(pred_path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
-                record = None
-            if not (isinstance(record, dict) and "example_id" in record
-                    and isinstance(record.get("sql"), str)):
-                raise SqlVoteError(
-                    f"{pred_path}:{number}: not a JSON object with an example_id and a string sql"
-                )
-            predictions[str(record["example_id"])] = record["sql"]
+    try:
+        with open(pred_path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
+                    record = None
+                if not (isinstance(record, dict) and "example_id" in record
+                        and isinstance(record.get("sql"), str)):
+                    raise SqlVoteError(
+                        f"{pred_path}:{number}: not a JSON object with an example_id and a string sql"
+                    )
+                predictions[str(record["example_id"])] = record["sql"]
+    except UnicodeDecodeError as exc:  # decoded a chunk at a time, so no line number
+        raise SqlVoteError(f"{pred_path}: not UTF-8 text: {exc}") from exc
     return predictions
 
 

@@ -10,11 +10,14 @@ The cache also keeps one record per pool, at `pools/<digest>.json`, keyed
 by the pool's inputs: the digest covers a format tag, the SQLite version,
 the SHA-256 of the database file's bytes, `repr(timeout)`, the seed, and
 each arm's model, design, prompt hash, temperature and samples. The record
-maps each distinct statement to its outcome key, or to its error kind,
-elapsed time and detail, and gives each pool position its statement's index,
+maps each executed statement to its outcome key, or to its error kind,
+elapsed time and detail; lists the statements that a pool which stopped
+executing did not run (its tallies and margin are then lower bounds, see
+`voting`); and gives each pool position its statement's index,
 or null for a failed completion. A record with no null is the pool: a warm
 run reads no completion entry, extracts nothing and executes nothing,
-timeouts included. A changed input misses. The format tag also covers what
+timeouts included, unless it audits a stopped pool: then it runs only the
+statements not run. A changed input misses. The format tag also covers what
 `execution.extract_sql` returns for a text. The database file's
 SHA-256 comes from its digest record, `databases/<SHA-256 of its absolute
 path>.json`, while the file's stat (`execution.db_signature`) equals the
@@ -57,7 +60,7 @@ _RETRY_BASE_DELAY = 1.0
 _TEMP_SUFFIX = ".tmp"  # a write in progress; never read as an entry
 _POOL_DIR = "pools"  # under the cache directory: one record per pool, keyed by the pool's inputs
 # change it when a record's meaning, or what execution.extract_sql returns for a text, changes
-_POOL_FORMAT = "sqlvote-pool-1"
+_POOL_FORMAT = "sqlvote-pool-2"
 _RETIRED_DIR = "outcomes"  # outcome records of an earlier layout; only `cache clear` reads it
 _DIGEST_DIR = "databases"  # under the cache directory: one digest record per database file
 _DIGEST_FORMAT = "sqlvote-db-digest-1"  # a record: [format, *execution.db_signature, sha256]
@@ -116,7 +119,10 @@ class ScriptedBackend:
         for record_path in sorted(Path(path).glob("*.json")):
             try:
                 record = json.loads(record_path.read_text(encoding="utf-8"))
-                table[record["prompt_hash"]] = list(record["completions"])
+                completions = record["completions"]
+                if type(completions) is not list or set(map(type, completions)) - {str}:
+                    raise TypeError("completions is not a list of strings")
+                table[record["prompt_hash"]] = completions
             except (KeyError, TypeError, ValueError, RecursionError) as exc:  # not JSON, not such a record
                 raise ConfigError(f"bad scripted record {record_path}: {type(exc).__name__}: {exc}") from exc
         return cls(table)
@@ -212,7 +218,7 @@ class Gateway:
 
     @contextmanager
     def turn(self):
-        """Run the body as the one worker executing Python, outside its `_blocking` sections."""
+        """Run the body as the one worker executing Python, outside its `blocking` sections."""
         with self._turn:
             self._holder = threading.get_ident()
             try:
@@ -221,7 +227,7 @@ class Gateway:
                 self._holder = None
 
     @contextmanager
-    def _blocking(self):
+    def blocking(self):
         """Let go of the turn, if this thread holds it, while the body blocks; never under another lock."""
         if self._holder != threading.get_ident():
             yield
@@ -264,7 +270,7 @@ class Gateway:
 
         if missing:
             try:
-                with self._blocking():
+                with self.blocking():
                     texts = backend.generate(prompt.text, missing, arm.temperature, seed)
             except BackendError as exc:
                 for i in missing:
@@ -286,7 +292,7 @@ class Gateway:
                     if entries is not None:
                         writes.setdefault(data, []).append(os.path.join(entries, f"{i}.txt"))
                 if writes:
-                    with self._blocking():
+                    with self.blocking():
                         os.makedirs(entries, exist_ok=True)
                         for data, paths in writes.items():
                             _publish(paths, data)
@@ -299,19 +305,19 @@ class Gateway:
         seed: int,
         prompts: list[tuple[ModelArm, RenderedPrompt]],
         draw: Callable[[], list[str | None]],
-        execute_all: Callable[[list[str]], dict[str, KeyOrError]],
+        execute_all: Callable[[list[str | None], dict[str, KeyOrError]], None],
     ) -> tuple[list[str | None], dict[str, KeyOrError]]:
-        """Each pool position's statement (None for a failed completion), and each statement's outcome.
+        """Each pool position's statement (None for a failed completion), and the outcomes known.
 
-        `draw()` samples and extracts the pool; `execute_all(statements)`
-        runs them. Without a cache both run. Otherwise the pool's record is
-        read first, and a record with no failed completion is the answer:
-        nothing is sampled or executed. Else `draw()` runs; the record's
-        outcomes are reused if they are exactly the drawn statements', or
-        `execute_all` runs, and the record is rewritten. A record that does
-        not decode is a miss. The database file's digest comes from its
-        digest record (see `_db_digest`); a file that cannot be read raises
-        DbUnreadable.
+        `draw()` samples and extracts the pool; `execute_all(slots, outcomes)`
+        adds what it runs to `outcomes`. Without a cache, both run on an empty
+        `outcomes`. Otherwise the pool's record is read first, and a record
+        with no failed completion gives the slots, nothing sampled. Else
+        `draw()` runs, and the record's outcomes are kept if it holds exactly
+        the drawn statements. Then `execute_all` runs, and the record is
+        rewritten if it changed. A record that does not decode is a miss.
+        The database file's digest comes from its digest record (see
+        `_db_digest`); a file that cannot be read raises DbUnreadable.
         """
         path = data = recorded = None
         if self.cache_dir is not None:
@@ -329,16 +335,18 @@ class Gateway:
                 pass
             else:
                 recorded = _decode_pool(data, sum(arm.samples for arm, _ in prompts))
-            if recorded is not None and None not in recorded[0]:
-                return recorded
-        slots = draw()
-        statements = list(dict.fromkeys(sql for sql in slots if sql is not None))
-        with self._blocking():
-            if recorded is not None and recorded[1].keys() == set(statements):
+        replay = recorded is not None and None not in recorded[0]
+        if replay:
+            slots, outcomes = recorded
+        else:
+            slots, outcomes = draw(), {}
+            if recorded is not None and {*recorded[0]} - {None} == {*slots} - {None}:
                 outcomes = recorded[1]
-            else:
-                outcomes = execute_all(statements)
-            if path is not None and (encoded := _encode_pool(slots, statements, outcomes)) != data:
+        known = len(outcomes)
+        execute_all(slots, outcomes)
+        unchanged = replay and len(outcomes) == known  # a replay that ran nothing keeps its record as it is
+        if path is not None and not unchanged and (encoded := _encode_pool(slots, outcomes)) != data:
+            with self.blocking():
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 _publish([path], encoded)
         return slots, outcomes
@@ -364,7 +372,7 @@ class Gateway:
         except (FileNotFoundError, TypeError, ValueError, RecursionError):  # not UTF-8, JSON or a list
             pass
         started = time.time_ns()
-        with self._blocking():  # a large file would otherwise hold the turn for seconds
+        with self.blocking():  # a large file would otherwise hold the turn for seconds
             try:
                 with open(db_path, "rb") as handle:
                     digest = hashlib.file_digest(handle, "sha256").hexdigest()
@@ -386,26 +394,35 @@ def _read_entry(path: str) -> str | None:
         return None
 
 
-def _encode_pool(slots: list[str | None], statements: list[str], outcomes: dict[str, KeyOrError]) -> bytes:
-    """A pool record: `[{statement: key or [kind, elapsed, detail]}, [statement index or null, ...]]`."""
-    index = {sql: i for i, sql in enumerate(statements)}
+def _encode_pool(slots: list[str | None], outcomes: dict[str, KeyOrError]) -> bytes:
+    """A pool record: `[{statement run: key or [kind, elapsed, detail]}, [statement not run], [index, ...]]`.
+
+    Indexes count the statements run, then those not run; null marks a failed completion.
+    """
+    statements = list(dict.fromkeys(sql for sql in slots if sql is not None))
+    skipped = [sql for sql in statements if sql not in outcomes]
     recorded = {
         sql: o.key if isinstance(o := outcomes[sql], OutcomeKey) else [o.error_kind.value, o.elapsed, o.detail]
-        for sql in statements
+        for sql in statements if sql in outcomes
     }
-    return json.dumps([recorded, [None if sql is None else index[sql] for sql in slots]]).encode("utf-8")
+    index = {sql: i for i, sql in enumerate([*recorded, *skipped])}
+    indexes = [None if sql is None else index[sql] for sql in slots]
+    return json.dumps([recorded, skipped, indexes]).encode("utf-8")
 
 
 def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, KeyOrError]] | None:
     """A record's slots and outcomes, or None unless it is well formed.
 
-    Well formed: `size` slots, each null or the index of a recorded
-    statement, every recorded statement at some slot, and each outcome a
-    key or an [error kind, elapsed, detail].
+    Well formed: distinct statements (executed or not), `size` slots, each
+    null or a statement's index, every statement at some slot, and each
+    outcome a key or an [error kind, elapsed, detail].
     """
     try:
-        recorded, indexes = json.loads(data)
-        statements = list(recorded.keys())
+        recorded, skipped, indexes = json.loads(data)
+        statements = [*recorded.keys(), *skipped]
+        if (type(skipped) is not list or not all(type(sql) is str for sql in skipped)
+                or len(set(statements)) < len(statements)):  # a statement both run and not run
+            return None
         if len(indexes) != size or not all(i is None or type(i) is int for i in indexes):  # True is an int
             return None
         if {i for i in indexes if i is not None} != set(range(len(statements))):
@@ -420,7 +437,7 @@ def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, Ke
                 return None
             outcomes[sql] = ExecutionOutcome.error(ErrorKind(kind), elapsed, detail)
         return [None if i is None else statements[i] for i in indexes], outcomes
-    except (AttributeError, TypeError, ValueError, RecursionError):  # not JSON, [mapping, list]; bad entry
+    except (AttributeError, TypeError, ValueError, RecursionError):  # not JSON or [mapping, list, list]
         return None
 
 

@@ -12,10 +12,15 @@ the SQLite version, the seed and each arm's rendered prompt (see
 and executes nothing, and opens no connection. Error candidates
 are filtered, survivors are grouped by outcome key, and the largest
 group's earliest candidate wins.
+
+A pool runs its statements by descending candidate count and stops once the
+winner is fixed (`_settled`); an audit runs them all. On a stopped pool the
+tallies, error count and margin are lower bounds; the selection is exact.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +47,7 @@ class Candidate:
     sql: str
     arm: ModelArm
     sample_index: int
-    outcome: KeyOrError  # order-insensitive key on success, else the error outcome
+    outcome: KeyOrError | None  # order-insensitive key on success, the error outcome, None if not run
     pool_position: int
 
 
@@ -55,6 +60,7 @@ class CandidatePool:
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """The vote; on a pool that stopped executing, `tallies` and `filtered_error_count` are lower bounds."""
     selected_sql: str | None
     winning_key: OutcomeKey | None
     tallies: dict[OutcomeKey, int]
@@ -72,14 +78,17 @@ def build_pool(
     timeout: float = 5.0,
     max_per_column: int = DEFAULT_MAX_PER_COLUMN,
     demos_for: Callable[[ModelArm], DemoSet] | None = None,
+    audit: bool = False,
 ) -> CandidatePool:
     """Sample every arm's candidates, in configuration order, and reduce each to its outcome.
 
     Each distinct completion text is extracted once, and each distinct
-    statement executes once; every candidate holding it shares its key or
-    error outcome. Values are linked only when some arm's design renders
-    them. All arms are rendered before anything is sampled, so a pool that
-    the cache records in full replays without sampling or a connection.
+    statement executes at most once, by descending candidate count until the
+    winner is fixed (all of them with `audit`); every candidate holding it
+    shares its key or error outcome, or None if it did not run. Values are
+    linked only when some arm's design renders them. All arms are rendered
+    before anything is sampled, so a pool that the cache records replays
+    without sampling, and connects only if it has statements left to run.
     Otherwise the statements share one read-only connection that is closed
     before this returns; it is never kept across pools, since a database
     file may be rewritten between them. An unreadable database raises
@@ -111,18 +120,24 @@ def build_pool(
                 slots.append(sql)
         return slots
 
-    def execute_all(statements: list[str]) -> dict[str, KeyOrError]:
-        conn = connect_readonly(catalog)
-        try:
-            return {sql: _key_or_error(execute(sql, catalog, timeout, conn)) for sql in statements}
-        finally:
-            conn.close()
+    def execute_all(slots: list[str | None], outcomes: dict[str, KeyOrError]) -> None:
+        # candidates per statement, in first-appearance order (not a Counter: its first call costs ~50 us)
+        counts = {sql: slots.count(sql) for sql in dict.fromkeys(slots) if sql is not None}
+        if outcomes and (counts.keys() <= outcomes.keys() or not audit and _settled(counts, outcomes)):
+            return  # a replay with nothing to run neither lets go of the turn nor connects
+        # a pool with no outcome yet connects even with no statement: an unreadable database fails it
+        with gateway.blocking(), closing(connect_readonly(catalog)) as conn:
+            for sql in sorted(counts, key=counts.__getitem__, reverse=True):  # a stable sort
+                if not audit and _settled(counts, outcomes):
+                    break
+                if sql not in outcomes:
+                    outcomes[sql] = _key_or_error(execute(sql, catalog, timeout, conn))
 
     slots, outcomes = gateway.pool(catalog.db_path, timeout, seed, prompts, draw, execute_all)
     places = [(arm, index) for arm in arms for index in range(arm.samples)]
     candidates = tuple(
         Candidate("", arm, index, failures[position], position) if sql is None
-        else Candidate(sql, arm, index, outcomes[sql], position)
+        else Candidate(sql, arm, index, outcomes.get(sql), position)
         for position, (sql, (arm, index)) in enumerate(zip(slots, places))
     )
     return CandidatePool(question.example_id, candidates, tuple(arms))
@@ -132,21 +147,44 @@ def _key_or_error(outcome: ExecutionOutcome) -> KeyOrError:
     return canonical_key(outcome, order_sensitive=False) if outcome.is_success else outcome
 
 
+def _settled(counts: dict[str, int], outcomes: dict[str, KeyOrError]) -> bool:
+    """Whether the known outcomes fix the vote, whatever the statements not run return.
+
+    They do once the leader's candidates outnumber the runner-up's plus all those not run
+    (errors never vote), and no statement not run first appears before the leader's first.
+    """
+    tallies: dict[OutcomeKey, int] = {}
+    pending = 0
+    for sql, count in counts.items():
+        outcome = outcomes.get(sql)
+        if outcome is None:
+            pending += count
+        elif isinstance(outcome, OutcomeKey):
+            tallies[outcome] = tallies.get(outcome, 0) + count
+    (leader, lead), (_, second) = (sorted(tallies.items(), key=lambda item: -item[1]) + [(None, 0)] * 2)[:2]
+    if lead <= second + pending:
+        return False
+    return next(sql for sql in counts if sql not in outcomes or outcomes[sql] == leader) in outcomes
+
+
 def select_by_consistency(pool: CandidatePool) -> SelectionResult:
     """Majority vote over order-insensitive outcome keys.
 
-    Error candidates count in `filtered_error_count` and nowhere else. Ties
-    go to the group holding the smallest pool position, and the winning
-    group's earliest candidate supplies the SQL.
+    Error candidates count in `filtered_error_count` and nowhere else, and
+    a candidate whose statement did not run counts nowhere. Ties go to the
+    group holding the smallest pool position, and the winning group's
+    earliest candidate supplies the SQL.
     """
     groups: dict[OutcomeKey, list[Candidate]] = {}
+    filtered = 0
     for candidate in pool.candidates:
         if isinstance(candidate.outcome, OutcomeKey):
             groups.setdefault(candidate.outcome, []).append(candidate)
+        elif candidate.outcome is not None:
+            filtered += 1
 
     total = len(pool.candidates)
     tallies = {key: len(members) for key, members in groups.items()}
-    filtered = total - sum(tallies.values())
     if not groups:
         return SelectionResult(None, None, {}, filtered, total, False)
 
@@ -175,10 +213,11 @@ def run_question(
     timeout: float = 5.0,
     max_per_column: int = DEFAULT_MAX_PER_COLUMN,
     demos_for: Callable[[ModelArm], DemoSet] | None = None,
+    audit: bool = False,
 ) -> tuple[SelectionResult, CandidatePool]:
     """Full per-question pipeline, on the gateway's turn; the unfiltered pool comes back for audit."""
     with gateway.turn():
-        pool = build_pool(question, catalog, arms, seed, gateway, timeout, max_per_column, demos_for)
+        pool = build_pool(question, catalog, arms, seed, gateway, timeout, max_per_column, demos_for, audit)
         return select_by_consistency(pool), pool
 
 

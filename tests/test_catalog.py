@@ -77,6 +77,13 @@ def test_manifest_nested_too_deep(tmp_path):
         load_catalogs(manifest, tmp_path)
 
 
+def test_manifest_not_utf8(tmp_path):
+    manifest = tmp_path / "tables.json"
+    manifest.write_bytes(b"\xff\xfe[")
+    with pytest.raises(MalformedManifest):
+        load_catalogs(manifest, tmp_path)
+
+
 def test_duplicate_table_name_rejected_on_load(tmp_path, fixture_root):
     entry = json.loads(json.dumps(CAR_MANIFEST))
     entry["table_names_original"][1] = entry["table_names_original"][0].upper()
@@ -112,6 +119,13 @@ def test_load_examples_missing_question(tmp_path):
 def test_load_examples_nested_too_deep(tmp_path):
     dataset = tmp_path / "dev.json"
     dataset.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(MalformedDataset):
+        load_examples(dataset)
+
+
+def test_load_examples_not_utf8(tmp_path):
+    dataset = tmp_path / "dev.json"
+    dataset.write_bytes(b"\xff\xfe[")
     with pytest.raises(MalformedDataset):
         load_examples(dataset)
 

@@ -98,6 +98,14 @@ def test_malformed_config_value_is_a_config_error(mini_run, capsys, key, value):
     assert err.startswith("bad config value in ") and err.count("\n") == 1
 
 
+def test_config_not_utf8_is_a_config_error(tmp_path, capsys):
+    config_path = tmp_path / "config.yaml"
+    config_path.write_bytes(b"\xff\xfe[")
+    assert main(["predict", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read config {config_path}: ") and err.count("\n") == 1
+
+
 def test_predict_writes_five_records(mini_run, capsys):
     fixture_root, work, config_path = mini_run
     assert main(["predict", "--config", str(config_path)]) == 0
@@ -134,6 +142,57 @@ def test_warm_predict_executes_nothing(mini_run, monkeypatch):
     (cold, cold_calls), (warm, warm_calls) = runs
     assert cold_calls > 5 and warm_calls == 0
     assert warm == cold
+
+
+def _counting_statements(monkeypatch):
+    """Every statement `voting.execute` runs, and "connect" for every pool connection opened."""
+    calls = []
+    execute, connect = voting.execute, voting.connect_readonly
+    monkeypatch.setattr(voting, "execute", lambda *a, **k: calls.append(a[0]) or execute(*a, **k))
+    monkeypatch.setattr(voting, "connect_readonly", lambda *a: calls.append("connect") or connect(*a))
+    return calls
+
+
+def _predict(config_path, capsys, *flags):
+    """Predictions, audit file (with `--audit`) and captured output of one `predict` run."""
+    assert main(["predict", "--config", str(config_path), *flags]) == 0
+    work = config_path.parent
+    names = ["predictions.jsonl", *(["predictions.jsonl.audit.jsonl"] if flags else [])]
+    return [(work / name).read_bytes() for name in names], capsys.readouterr()
+
+
+def _skipped_statements(cache_dir):
+    return sorted(sql for path in (cache_dir / "pools").glob("*.json") for sql in json.loads(path.read_bytes())[1])
+
+
+def test_plain_warm_predict_after_a_plain_cold_one_executes_nothing(mini_run, monkeypatch, capsys):
+    fixture_root, work, config_path = mini_run
+    calls = _counting_statements(monkeypatch)
+    cold = _predict(config_path, capsys)
+    assert len(calls) > 5 and _skipped_statements(work / "cache")  # some pools stopped early
+    calls.clear()
+    assert _predict(config_path, capsys) == cold
+    assert calls == []
+
+
+def test_audit_over_a_plain_cache_runs_only_what_the_records_lack(mini_run, tmp_path_factory, monkeypatch, capsys):
+    fixture_root, work, config_path = mini_run
+    fresh = tmp_path_factory.mktemp("fresh")
+    expected = _predict(write_run_config(fixture_root, fresh, work / "scripted"), capsys, "--audit")
+    _predict(config_path, capsys)
+    skipped = _skipped_statements(work / "cache")
+    calls = _counting_statements(monkeypatch)
+    assert _predict(config_path, capsys, "--audit") == expected
+    assert sorted(sql for sql in calls if sql != "connect") == skipped and skipped
+    assert _skipped_statements(work / "cache") == []  # the merged records were rewritten
+
+
+def test_plain_predict_after_an_audit_replays_without_executing(mini_run, monkeypatch, capsys):
+    fixture_root, work, config_path = mini_run
+    (predictions, _), output = _predict(config_path, capsys, "--audit")
+    calls = _counting_statements(monkeypatch)
+    assert _predict(config_path, capsys) == ([predictions], output)
+    assert calls == []
 
 
 def test_warm_predict_samples_and_extracts_nothing(mini_run, monkeypatch, capsys):
@@ -258,6 +317,17 @@ def test_malformed_scripted_record_is_a_config_error(mini_run, capsys, content):
     assert main(["predict", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
     assert str(record) in err and err.count("\n") == 1
+
+
+def test_scripted_completion_that_is_not_a_string_is_a_config_error(mini_run, capsys):
+    fixture_root, work, config_path = mini_run
+    record_path = work / "scripted" / "q0_concise.json"
+    record = json.loads(record_path.read_text(encoding="utf-8"))
+    record["completions"][0] = 1
+    record_path.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["predict", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad scripted record {record_path}: ") and err.count("\n") == 1
 
 
 def test_unwritable_output_closes_the_audit_file(fixture_root, tmp_path, capsys):
@@ -406,6 +476,19 @@ def test_evaluate_malformed_prediction_line(fixture_root, tmp_path, capsys, line
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{pred_path}:2: ") and err.count("\n") == 1
+
+
+def test_evaluate_prediction_file_not_utf8(fixture_root, tmp_path, capsys):
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_bytes(b"\xff\xfe[")
+    code = main([
+        "evaluate", "--pred", str(pred_path),
+        "--dataset", str(fixture_root / "mini_dev.json"),
+        "--db-dir", str(fixture_root / "database"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{pred_path}: not UTF-8 text: ") and err.count("\n") == 1
 
 
 def test_predict_unreadable_db_fails_each_question(fixture_root, tmp_path, capsys):
@@ -685,8 +768,8 @@ def _cache_snapshot(cache_dir: Path) -> dict[str, object]:
         if path.is_file():
             data = path.read_bytes()
             if path.parent.name == "pools":  # an error outcome keeps its measured elapsed time
-                outcomes, indexes = json.loads(data)
-                data = [{sql: v if isinstance(v, str) else v[::2] for sql, v in outcomes.items()}, indexes]
+                outcomes, skipped, indexes = json.loads(data)
+                data = [{sql: v if isinstance(v, str) else v[::2] for sql, v in outcomes.items()}, skipped, indexes]
             snapshot[path.relative_to(cache_dir).as_posix()] = data
     return snapshot
 

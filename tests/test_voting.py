@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlvote import gateway as gateway_module
@@ -403,7 +403,7 @@ def _mixed_pool_gateway(example, catalog, k, cache_dir=None):
 def test_pool_keeps_keys_or_errors_never_rows(dev_examples, singer_catalog):
     example = dev_examples[1]
     arms, gateway = _mixed_pool_gateway(example, singer_catalog, 5)
-    pool = build_pool(example, singer_catalog, arms, seed=0, gateway=gateway)
+    pool = build_pool(example, singer_catalog, arms, seed=0, gateway=gateway, audit=True)
     outcomes = [c.outcome for c in pool.candidates]
     assert [type(o) for o in outcomes] == [OutcomeKey] * 3 + [ExecutionOutcome, OutcomeKey]
     assert outcomes[3].error_kind is ErrorKind.SYNTAX and outcomes[3].rows is None
@@ -424,7 +424,7 @@ def test_canonical_key_once_per_distinct_success_and_never_in_audit(
         return canonical_key(outcome, order_sensitive)
 
     monkeypatch.setattr(voting, "canonical_key", counting_key)
-    result, pool = run_question(example, singer_catalog, arms, seed=0, gateway=gateway)
+    result, pool = run_question(example, singer_catalog, arms, seed=0, gateway=gateway, audit=True)
     assert len(keyed) == 3  # three distinct statements succeed, one fails
     records = audit_records(pool, result)
     assert len(keyed) == 3
@@ -497,7 +497,7 @@ def test_memoized_pool_votes_like_separate_executions(dev_examples, singer_catal
     gateway = _scripted_gateway(
         {hashes[PromptDesignId.CONCISE]: concise, hashes[PromptDesignId.VERBOSE]: verbose}
     )
-    result, pool = run_question(example, singer_catalog, arms, seed=0, gateway=gateway)
+    result, pool = run_question(example, singer_catalog, arms, seed=0, gateway=gateway, audit=True)
 
     separate = CandidatePool(
         pool.question_id,
@@ -507,6 +507,110 @@ def test_memoized_pool_votes_like_separate_executions(dev_examples, singer_catal
     reference = select_by_consistency(separate)
     assert result == reference
     assert audit_records(pool, result) == audit_records(separate, reference)
+
+
+# --- early stop: a pool stops executing once the winner is fixed -------------------
+
+
+def _synthetic_execute(sql, catalog, timeout=5.0, conn=None):
+    """`SELECT k<key> ...` returns the one row (key,); any other statement is a syntax error."""
+    match = re.match(r"SELECT k(\d+) ", sql)
+    return _success([(int(match[1]),)]) if match else _error()
+
+
+# four keys of three statements each, and two error statements
+_synthetic_completion = st.one_of(
+    st.builds("SELECT k{} v{}".format, st.integers(0, 3), st.integers(0, 2)),
+    st.builds("SELEC e{}".format, st.integers(0, 1)),
+)
+_TIE = (["SELECT k1 v0", "SELECT k2 v0", "SELEC e0"], ["SELECT k2 v1", "SELECT k1 v2"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_synthetic_completion, min_size=1, max_size=12),
+    st.lists(_synthetic_completion, min_size=1, max_size=12),
+    st.sampled_from([None, 0, 1, 2]),
+)
+@example(*_TIE, None)
+@example(*_TIE, 0)
+@example(["SELEC e0", "SELEC e1"], ["SELEC e1"], 1)
+@example(["SELECT k0 v0"] * 5 + ["SELECT k1 v0"], ["SELECT k0 v1", "SELEC e0", "SELECT k1 v1"], 2)
+def test_early_stopped_vote_equals_the_full_vote_and_the_oracle(
+    dev_examples, singer_catalog, concise, verbose, failing
+):
+    """Random pools: duplicates, statements sharing a key, errors, failed completions, ties, no survivor."""
+    example = dev_examples[1]
+    arms = [
+        ModelArm("m", PromptDesignId.CONCISE, samples=len(concise)),
+        ModelArm("m", PromptDesignId.VERBOSE, samples=len(verbose)),
+    ]
+    if failing is not None:
+        arms.insert(failing, ModelArm("down", PromptDesignId.CONCISE, samples=2))
+    hashes = _render_hashes(example, singer_catalog, arms)
+    gateway = _scripted_gateway(
+        {hashes[PromptDesignId.CONCISE]: concise, hashes[PromptDesignId.VERBOSE]: verbose}
+    )
+    with patch.object(voting, "execute", _synthetic_execute):
+        stopped, full = (
+            build_pool(example, singer_catalog, arms, seed=0, gateway=gateway, audit=audit)
+            for audit in (False, True)
+        )
+        stopped_vote, full_vote = select_by_consistency(stopped), select_by_consistency(full)
+
+    def vote(result):
+        return result.selected_sql, result.winning_key, result.tie_broken, result.selected_sql is None
+
+    assert vote(stopped_vote) == vote(full_vote)
+    assert all(count <= full_vote.tallies[key] for key, count in stopped_vote.tallies.items())
+    assert stopped_vote.filtered_error_count <= full_vote.filtered_error_count
+    outcomes = [_synthetic_execute(c.sql, None) for c in full.candidates]  # a failed completion's "" fails
+    winner, best, tie = majority_select(
+        [(position, o.rows or [], not o.is_success) for position, o in enumerate(outcomes)]
+    )
+    if winner is None:
+        assert full_vote.selected_sql is None
+    else:
+        assert full_vote.selected_sql == full.candidates[winner].sql
+        assert full_vote.winning_key == full.candidates[winner].outcome
+        assert (full_vote.tallies[full_vote.winning_key], full_vote.tie_broken) == (best, tie)
+
+
+_ENDLESS = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM r) SELECT count(*) FROM r"
+
+
+def _executed(example, catalog, completions, monkeypatch, timeout=0.5):
+    """The statements a plain pool of `completions` executes, in order, and its vote."""
+    arms = [ModelArm("m", PromptDesignId.CONCISE, samples=len(completions))]
+    hashes = _render_hashes(example, catalog, arms)
+    gateway = _scripted_gateway({hashes[PromptDesignId.CONCISE]: completions})
+    calls = _counting_execute(monkeypatch)
+    result, _ = run_question(example, catalog, arms, seed=0, gateway=gateway, timeout=timeout)
+    return calls, result
+
+
+def test_dominant_pool_never_executes_its_trailing_timeout(dev_examples, singer_catalog, monkeypatch):
+    count, same = "SELECT count(*) FROM song", "SELECT COUNT(*) FROM song"  # two statements, one key
+    completions = [count, "SELECT Name FROM singer", same, count, same, _ENDLESS]
+    calls, result = _executed(dev_examples[1], singer_catalog, completions, monkeypatch)
+    assert calls == [count, same]  # then 4 candidates outnumber the 2 whose statements have not run
+    assert (result.selected_sql, result.tie_broken) == (count, False)
+
+
+@pytest.mark.parametrize(
+    "completions",
+    [
+        ["SELECT count(*) FROM song", "SELECT Name FROM singer", _ENDLESS],
+        ["SELEC oops", "SELECT * FROM missing_table", "", _ENDLESS, "SELEC oops"],
+    ],
+    ids=["tie", "all-filtered"],
+)
+def test_tie_and_all_filtered_pools_execute_every_statement(
+    dev_examples, singer_catalog, monkeypatch, completions
+):
+    calls, result = _executed(dev_examples[1], singer_catalog, completions, monkeypatch, timeout=0.2)
+    assert sorted(calls) == sorted(set(completions))
+    assert result.tie_broken or result.selected_sql is None
 
 
 # --- pool records: a warm pool replays, it does not execute -----------------------
@@ -533,9 +637,9 @@ def _records(cache_dir):
 
 
 def _mixed_pool(example, catalog, cache_dir, timeout=5.0):
-    """The mixed pool, built by a fresh gateway: four distinct statements, one of them failing."""
+    """The mixed pool, built by a fresh gateway: four distinct statements, one of them failing; all run."""
     arms, gateway = _mixed_pool_gateway(example, catalog, 5, cache_dir)
-    return build_pool(example, catalog, arms, seed=0, gateway=gateway, timeout=timeout)
+    return build_pool(example, catalog, arms, seed=0, gateway=gateway, timeout=timeout, audit=True)
 
 
 def test_rewritten_database_reexecutes_and_the_vote_follows(
@@ -622,7 +726,7 @@ def test_grown_pool_equals_a_fresh_pool(dev_examples, singer_catalog, tmp_path):
     def votes(cache_dir, *sample_counts):
         for samples in sample_counts:
             arms, gateway = _mixed_pool_gateway(dev_examples[1], singer_catalog, samples, cache_dir)
-            pool = build_pool(dev_examples[1], singer_catalog, arms, seed=0, gateway=gateway)
+            pool = build_pool(dev_examples[1], singer_catalog, arms, seed=0, gateway=gateway, audit=True)
         return audit_records(pool, select_by_consistency(pool)), [_comparable(c.outcome) for c in pool.candidates]
 
     assert votes(tmp_path / "grown", 3, 5) == votes(tmp_path / "fresh", 5)
@@ -630,8 +734,24 @@ def test_grown_pool_equals_a_fresh_pool(dev_examples, singer_catalog, tmp_path):
 
 
 def _edit(change):
-    """A spoil that rewrites a record's decoded `[outcomes, indexes]` with `change`."""
-    return lambda data: json.dumps(change(*json.loads(data))).encode()
+    """A spoil that rewrites the outcomes and indexes of a record's decoded `[outcomes, skipped, indexes]`."""
+
+    def edit(data):
+        outcomes, skipped, indexes = json.loads(data)
+        outcomes, indexes = change(outcomes, indexes)
+        return json.dumps([outcomes, skipped, indexes]).encode()
+
+    return edit
+
+
+def _skip(statement):
+    """A spoil that lists `statement(outcomes)` as not run and moves the last pool position onto it."""
+
+    def edit(data):
+        outcomes, skipped, indexes = json.loads(data)
+        return json.dumps([outcomes, [*skipped, statement(outcomes)], [*indexes[:-1], len(outcomes)]]).encode()
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -652,10 +772,13 @@ def _edit(change):
         _edit(lambda outcomes, indexes: [{**outcomes, next(iter(outcomes)): None}, indexes]),
         _edit(lambda outcomes, indexes: [{**outcomes, "SELECT 99": "k"}, indexes]),
         lambda data: b"[" * 100000 + b"]" * 100000,
+        _skip(lambda outcomes: next(iter(outcomes))),
+        _skip(lambda outcomes: 7),
     ],
     ids=["truncated", "not-json", "not-utf8", "list", "empty", "bad-kind", "bad-elapsed",
          "short-error", "bad-value", "index-out-of-range", "true-index", "wrong-length",
-         "statement-without-outcome", "outcome-without-position", "nested-too-deep"],
+         "statement-without-outcome", "outcome-without-position", "nested-too-deep",
+         "statement-run-and-skipped", "skipped-not-a-string"],
 )
 def test_spoiled_record_is_a_miss_and_is_rewritten(dev_examples, singer_catalog, tmp_path, monkeypatch, spoil):
     cache_dir = tmp_path / "cache"
@@ -723,9 +846,11 @@ def test_warm_pool_equals_cold_and_separate_executions(dev_examples, singer_cata
     hashes = _render_hashes(example, singer_catalog, arms)
     completions = {hashes[PromptDesignId.CONCISE]: concise, hashes[PromptDesignId.VERBOSE]: verbose}
     with tempfile.TemporaryDirectory() as cache:
-        cold = build_pool(example, singer_catalog, arms, 0, _scripted_gateway(completions, Path(cache)))
+        cold = build_pool(example, singer_catalog, arms, 0, _scripted_gateway(completions, Path(cache)), audit=True)
         with patch.object(voting, "execute", side_effect=AssertionError("a warm pool executed")):
-            warm = build_pool(example, singer_catalog, arms, 0, _scripted_gateway(completions, Path(cache)))
+            warm = build_pool(
+                example, singer_catalog, arms, 0, _scripted_gateway(completions, Path(cache)), audit=True
+            )
     assert warm == cold
 
     separate = tuple(
