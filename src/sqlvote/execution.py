@@ -2,8 +2,9 @@
 
 One tokenizer (`_tokens`) reads the SQL text for all three lexical
 decisions: where a completion's statement ends (the first `;`), whether it
-has a top-level ORDER BY, and whether it starts with a write verb. It knows
-string literals, quoted identifiers and comments.
+has a top-level ORDER BY, and what its first token other than `;` is: a
+write verb is refused, and a statement of nothing but comments and `;` is
+EMPTY_SQL. It knows string literals, quoted identifiers and comments.
 
 Statements run on a read-only, query-only SQLite connection with a
 wall-clock deadline, a row cap and a byte budget; all failures come back as
@@ -22,12 +23,12 @@ lenient decoder `connect_readonly` installs (invalid bytes read as U+FFFD).
 Either way the rows are the same.
 
 Success outcomes reduce to stable keys so voting and evaluation can compare
-result sets across candidates; both keep only that key, or the error
-outcome, never the rows (`KeyOrError`). Each column adds one piece to a
-%-format, chosen once from its value types: plain text goes in verbatim,
-ints within ±2**53 as `%d`, other columns encoded value by value. Each row's
-line is then one `row_format % row`, and the digest equals that of the
-row-at-a-time JSON serialization.
+result sets across candidates; both keep only that key, never the rows. Of
+an error, voting keeps the kind and evaluation the outcome (`KeyOrError`).
+Each column adds one piece to a %-format, chosen once from its value types:
+plain text goes in verbatim, ints within ±2**53 as `%d`, other columns
+encoded value by value. Each row's line is then one `row_format % row`, and
+the digest equals that of the row-at-a-time JSON serialization.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ class ExecutionOutcome:
     kind: str  # "success" or "error"
     rows: tuple[tuple, ...] | None = None
     error_kind: ErrorKind | None = None
-    elapsed: float = 0.0
     detail: str = ""
 
     @property
@@ -114,12 +114,12 @@ class ExecutionOutcome:
         return self.kind == "success"
 
     @staticmethod
-    def success(rows: list[tuple], elapsed: float) -> "ExecutionOutcome":
-        return ExecutionOutcome("success", tuple(map(tuple, rows)), None, elapsed)
+    def success(rows: list[tuple]) -> "ExecutionOutcome":
+        return ExecutionOutcome("success", tuple(map(tuple, rows)))
 
     @staticmethod
-    def error(error_kind: ErrorKind, elapsed: float = 0.0, detail: str = "") -> "ExecutionOutcome":
-        return ExecutionOutcome("error", None, error_kind, elapsed, detail)
+    def error(error_kind: ErrorKind, detail: str = "") -> "ExecutionOutcome":
+        return ExecutionOutcome("error", None, error_kind, detail)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class OutcomeKey:
     key: str
 
 
-KeyOrError = OutcomeKey | ExecutionOutcome  # what voting and evaluation keep of a statement
+KeyOrError = OutcomeKey | ExecutionOutcome  # what evaluation keeps of a statement; it reports a gold error
 
 
 def _tokens(sql: str):
@@ -266,36 +266,33 @@ def execute(
 
     `conn`, when given, must come from `connect_readonly(catalog)` and stays
     open; without it the statement gets its own connection. The database
-    file is never modified. The deadline counts from this call; results
-    over MAX_ROWS rows or MAX_RESULT_BYTES bytes, and values over
+    file is never modified. The deadline counts from the statement's start;
+    results over MAX_ROWS rows or MAX_RESULT_BYTES bytes, and values over
     MAX_VALUE_BYTES, are TOO_LARGE errors. All failures are encoded in the
     outcome.
     """
-    start = time.monotonic()
     statement = sql.strip()
-    if not statement:
+    # The first token other than `;` after any comments: with none, SQLite runs nothing and succeeds;
+    # a hidden BEGIN would leave a pool's shared connection inside a transaction. Keywords are ASCII.
+    first = next((token for _, token, _ in _tokens(statement) if token != ";"), None)
+    if first is None:
         return ExecutionOutcome.error(ErrorKind.EMPTY_SQL)
-    # The first token after any comments; a hidden BEGIN would otherwise leave
-    # a pool's shared connection inside a transaction. SQLite keywords are ASCII.
-    first = next((token for _, token, _ in _tokens(statement)), "")
     if first.isascii() and first.lower() in _WRITE_VERBS:
-        return ExecutionOutcome.error(
-            ErrorKind.RUNTIME, time.monotonic() - start, "write statements are not allowed"
-        )
+        return ExecutionOutcome.error(ErrorKind.RUNTIME, "write statements are not allowed")
     if conn is not None:
-        return _run(conn, statement, start, timeout)
+        return _run(conn, statement, timeout)
     try:
         conn = connect_readonly(catalog)
     except DbUnreadable as exc:
-        return ExecutionOutcome.error(ErrorKind.RUNTIME, time.monotonic() - start, str(exc))
+        return ExecutionOutcome.error(ErrorKind.RUNTIME, str(exc))
     try:
-        return _run(conn, statement, start, timeout)
+        return _run(conn, statement, timeout)
     finally:
         conn.close()
 
 
-def _run(conn: sqlite3.Connection, statement: str, start: float, timeout: float) -> ExecutionOutcome:
-    deadline = start + timeout
+def _run(conn: sqlite3.Connection, statement: str, timeout: float) -> ExecutionOutcome:
+    deadline = time.monotonic() + timeout
     timed_out = False
 
     def _progress():
@@ -317,20 +314,15 @@ def _run(conn: sqlite3.Connection, statement: str, start: float, timeout: float)
             conn.text_factory = _decode_leniently
             rows, size = _fetch(conn, statement)
     except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:  # the last: a lone surrogate
-        kind, detail = _classify_error(exc, timed_out)
-        return ExecutionOutcome.error(kind, time.monotonic() - start, detail)
+        return ExecutionOutcome.error(*_classify_error(exc, timed_out))
     finally:
         conn.text_factory = factory
         conn.set_progress_handler(None, 0)  # no deadline outlives its statement
     if len(rows) > MAX_ROWS:
-        return ExecutionOutcome.error(
-            ErrorKind.TOO_LARGE, time.monotonic() - start, f"result exceeds {MAX_ROWS} rows"
-        )
+        return ExecutionOutcome.error(ErrorKind.TOO_LARGE, f"result exceeds {MAX_ROWS} rows")
     if size > MAX_RESULT_BYTES:
-        return ExecutionOutcome.error(
-            ErrorKind.TOO_LARGE, time.monotonic() - start, f"result exceeds {MAX_RESULT_BYTES} bytes"
-        )
-    return ExecutionOutcome.success(rows, time.monotonic() - start)
+        return ExecutionOutcome.error(ErrorKind.TOO_LARGE, f"result exceeds {MAX_RESULT_BYTES} bytes")
+    return ExecutionOutcome.success(rows)
 
 
 def _fetch(conn: sqlite3.Connection, statement: str) -> tuple[list[tuple], int]:

@@ -10,8 +10,8 @@ The cache also keeps one record per pool, at `pools/<digest>.json`, keyed
 by the pool's inputs: the digest covers a format tag, the SQLite version,
 the SHA-256 of the database file's bytes, `repr(timeout)`, the seed, and
 each arm's model, design, prompt hash, temperature and samples. The record
-maps each executed statement to its outcome key, or to its error kind,
-elapsed time and detail; lists the statements that a pool which stopped
+maps each executed statement to its outcome key, or to `[its error kind]`
+(what the vote reads of it); lists the statements that a pool which stopped
 executing did not run (its tallies and margin are then lower bounds, see
 `voting`); and gives each pool position its statement's index,
 or null for a failed completion. A record with no null is the pool: a warm
@@ -49,7 +49,7 @@ from urllib.error import HTTPError
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .errors import BackendError, BackendUnavailable, ConfigError, DbUnreadable, DuplicateModelId
-from .execution import ErrorKind, ExecutionOutcome, KeyOrError, OutcomeKey, db_signature
+from .execution import ErrorKind, OutcomeKey, db_signature
 from .prompts import PromptDesignId, RenderedPrompt, content_hash_of
 
 DEFAULT_SAMPLES = 32
@@ -59,8 +59,8 @@ _RETRY_ATTEMPTS = 3
 _RETRY_BASE_DELAY = 1.0
 _TEMP_SUFFIX = ".tmp"  # a write in progress; never read as an entry
 _POOL_DIR = "pools"  # under the cache directory: one record per pool, keyed by the pool's inputs
-# change it when a record's meaning, or what execution.extract_sql returns for a text, changes
-_POOL_FORMAT = "sqlvote-pool-2"
+# change it when a record's meaning, what execution.extract_sql returns for a text, or an outcome changes
+_POOL_FORMAT = "sqlvote-pool-3"
 _RETIRED_DIR = "outcomes"  # outcome records of an earlier layout; only `cache clear` reads it
 _DIGEST_DIR = "databases"  # under the cache directory: one digest record per database file
 _DIGEST_FORMAT = "sqlvote-db-digest-1"  # a record: [format, *execution.db_signature, sha256]
@@ -305,8 +305,8 @@ class Gateway:
         seed: int,
         prompts: list[tuple[ModelArm, RenderedPrompt]],
         draw: Callable[[], list[str | None]],
-        execute_all: Callable[[list[str | None], dict[str, KeyOrError]], None],
-    ) -> tuple[list[str | None], dict[str, KeyOrError]]:
+        execute_all: Callable[[list[str | None], dict[str, OutcomeKey | ErrorKind]], None],
+    ) -> tuple[list[str | None], dict[str, OutcomeKey | ErrorKind]]:
         """Each pool position's statement (None for a failed completion), and the outcomes known.
 
         `draw()` samples and extracts the pool; `execute_all(slots, outcomes)`
@@ -394,15 +394,15 @@ def _read_entry(path: str) -> str | None:
         return None
 
 
-def _encode_pool(slots: list[str | None], outcomes: dict[str, KeyOrError]) -> bytes:
-    """A pool record: `[{statement run: key or [kind, elapsed, detail]}, [statement not run], [index, ...]]`.
+def _encode_pool(slots: list[str | None], outcomes: dict[str, OutcomeKey | ErrorKind]) -> bytes:
+    """A pool record: `[{statement run: key or [error kind]}, [statement not run], [index, ...]]`.
 
     Indexes count the statements run, then those not run; null marks a failed completion.
     """
     statements = list(dict.fromkeys(sql for sql in slots if sql is not None))
     skipped = [sql for sql in statements if sql not in outcomes]
     recorded = {
-        sql: o.key if isinstance(o := outcomes[sql], OutcomeKey) else [o.error_kind.value, o.elapsed, o.detail]
+        sql: o.key if isinstance(o := outcomes[sql], OutcomeKey) else [o.value]
         for sql in statements if sql in outcomes
     }
     index = {sql: i for i, sql in enumerate([*recorded, *skipped])}
@@ -410,12 +410,12 @@ def _encode_pool(slots: list[str | None], outcomes: dict[str, KeyOrError]) -> by
     return json.dumps([recorded, skipped, indexes]).encode("utf-8")
 
 
-def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, KeyOrError]] | None:
+def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, OutcomeKey | ErrorKind]] | None:
     """A record's slots and outcomes, or None unless it is well formed.
 
     Well formed: distinct statements (executed or not), `size` slots, each
     null or a statement's index, every statement at some slot, and each
-    outcome a key or an [error kind, elapsed, detail].
+    outcome a key or an [error kind].
     """
     try:
         recorded, skipped, indexes = json.loads(data)
@@ -427,15 +427,14 @@ def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, Ke
             return None
         if {i for i in indexes if i is not None} != set(range(len(statements))):
             return None
-        outcomes: dict[str, KeyOrError] = {}
+        outcomes: dict[str, OutcomeKey | ErrorKind] = {}
         for sql, value in recorded.items():
-            if isinstance(value, str):
+            if type(value) is list and len(value) == 1:
+                outcomes[sql] = ErrorKind(value[0])
+            elif isinstance(value, str):
                 outcomes[sql] = OutcomeKey(value)
-                continue
-            kind, elapsed, detail = value
-            if not isinstance(elapsed, float) or not isinstance(detail, str):
+            else:
                 return None
-            outcomes[sql] = ExecutionOutcome.error(ErrorKind(kind), elapsed, detail)
         return [None if i is None else statements[i] for i in indexes], outcomes
     except (AttributeError, TypeError, ValueError, RecursionError):  # not JSON or [mapping, list, list]
         return None

@@ -1,17 +1,17 @@
 """Candidate pooling across arms and majority voting over execution outcomes.
 
-For each question every arm renders its prompt and samples completions;
-the pool concatenates all candidates in configuration order. Each distinct
-completion text is extracted once per pool, and each distinct statement
-runs once per pool, on one read-only connection, and is reduced at once to
-what the vote reads: its order-insensitive outcome key, or its error
-outcome. A pool holds no rows. With a cache directory, the pool is recorded
-in the cache, keyed by its inputs: the database file's bytes, the timeout,
-the SQLite version, the seed and each arm's rendered prompt (see
-`gateway`). A warm run replays it, timeouts included: it samples, extracts
-and executes nothing, and opens no connection. Error candidates
-are filtered, survivors are grouped by outcome key, and the largest
-group's earliest candidate wins.
+For each question every arm renders its prompt and samples completions; the
+pool concatenates all candidates in configuration order. Each distinct
+completion text is extracted once per pool, and each distinct statement runs
+once per pool, on one read-only connection, and is reduced at once to what
+the vote reads: its order-insensitive outcome key, or its error kind (a
+failed completion is a RUNTIME error). A pool holds no rows, timings or
+error text. With a cache directory, the pool is recorded in the cache, keyed
+by its inputs: the database file's bytes, the timeout, the SQLite version,
+the seed and each arm's rendered prompt (see `gateway`). A warm run replays
+it, timeouts included: it samples, extracts and executes nothing, and opens
+no connection. Error candidates are filtered, survivors are grouped by
+outcome key, and the largest group's earliest candidate wins.
 
 A pool runs its statements by descending candidate count and stops once the
 winner is fixed (`_settled`); an audit runs them all. On a stopped pool the
@@ -27,8 +27,6 @@ from typing import Callable
 from .catalog import DatabaseCatalog, ExampleItem
 from .execution import (
     ErrorKind,
-    ExecutionOutcome,
-    KeyOrError,
     OutcomeKey,
     canonical_key,
     connect_readonly,
@@ -47,7 +45,7 @@ class Candidate:
     sql: str
     arm: ModelArm
     sample_index: int
-    outcome: KeyOrError | None  # order-insensitive key on success, the error outcome, None if not run
+    outcome: OutcomeKey | ErrorKind | None  # order-insensitive key, error kind, or None if not run
     pool_position: int
 
 
@@ -85,7 +83,7 @@ def build_pool(
     Each distinct completion text is extracted once, and each distinct
     statement executes at most once, by descending candidate count until the
     winner is fixed (all of them with `audit`); every candidate holding it
-    shares its key or error outcome, or None if it did not run. Values are
+    shares its key or error kind, or None if it did not run. Values are
     linked only when some arm's design renders them. All arms are rendered
     before anything is sampled, so a pool that the cache records replays
     without sampling, and connects only if it has statements left to run.
@@ -100,7 +98,6 @@ def build_pool(
         (arm, render(arm.design, question, catalog, matches, demos_for(arm) if demos_for else EMPTY_DEMOS))
         for arm in arms
     ]
-    failures: dict[int, ExecutionOutcome] = {}  # the error of each failed completion, by pool position
 
     def draw() -> list[str | None]:
         slots: list[str | None] = []
@@ -109,8 +106,6 @@ def build_pool(
             prefix_select = arm.design is PromptDesignId.BASELINE_DEFAULT
             for completion in gateway.sample(arm, prompt, seed):
                 if completion.failed:
-                    detail = f"backend failure: {completion.text}"
-                    failures[len(slots)] = ExecutionOutcome.error(ErrorKind.RUNTIME, detail=detail)
                     slots.append(None)
                     continue
                 sql = extracted.get((completion.text, prefix_select))
@@ -120,7 +115,7 @@ def build_pool(
                 slots.append(sql)
         return slots
 
-    def execute_all(slots: list[str | None], outcomes: dict[str, KeyOrError]) -> None:
+    def execute_all(slots: list[str | None], outcomes: dict[str, OutcomeKey | ErrorKind]) -> None:
         # candidates per statement, in first-appearance order (not a Counter: its first call costs ~50 us)
         counts = {sql: slots.count(sql) for sql in dict.fromkeys(slots) if sql is not None}
         if outcomes and (counts.keys() <= outcomes.keys() or not audit and _settled(counts, outcomes)):
@@ -131,23 +126,20 @@ def build_pool(
                 if not audit and _settled(counts, outcomes):
                     break
                 if sql not in outcomes:
-                    outcomes[sql] = _key_or_error(execute(sql, catalog, timeout, conn))
+                    outcome = execute(sql, catalog, timeout, conn)
+                    outcomes[sql] = outcome.error_kind or canonical_key(outcome, order_sensitive=False)
 
     slots, outcomes = gateway.pool(catalog.db_path, timeout, seed, prompts, draw, execute_all)
     places = [(arm, index) for arm in arms for index in range(arm.samples)]
     candidates = tuple(
-        Candidate("", arm, index, failures[position], position) if sql is None
+        Candidate("", arm, index, ErrorKind.RUNTIME, position) if sql is None
         else Candidate(sql, arm, index, outcomes.get(sql), position)
         for position, (sql, (arm, index)) in enumerate(zip(slots, places))
     )
     return CandidatePool(question.example_id, candidates, tuple(arms))
 
 
-def _key_or_error(outcome: ExecutionOutcome) -> KeyOrError:
-    return canonical_key(outcome, order_sensitive=False) if outcome.is_success else outcome
-
-
-def _settled(counts: dict[str, int], outcomes: dict[str, KeyOrError]) -> bool:
+def _settled(counts: dict[str, int], outcomes: dict[str, OutcomeKey | ErrorKind]) -> bool:
     """Whether the known outcomes fix the vote, whatever the statements not run return.
 
     They do once the leader's candidates outnumber the runner-up's plus all those not run
@@ -236,8 +228,8 @@ def audit_records(pool: CandidatePool, result: SelectionResult) -> list[dict]:
                 "sql": candidate.sql,
                 "arm": candidate.arm.describe(),
                 "sample_index": candidate.sample_index,
-                "outcome_kind": "success" if succeeded else outcome.kind,
-                "error_kind": None if succeeded else outcome.error_kind.value,
+                "outcome_kind": "success" if succeeded else "error",
+                "error_kind": None if succeeded else outcome.value,
                 "outcome_key": outcome.key if succeeded else None,
                 "selected": candidate.pool_position == winner_position,
             }

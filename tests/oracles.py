@@ -149,8 +149,8 @@ WRITE_VERBS = frozenset(
     "insert update delete replace drop create alter vacuum reindex attach detach "
     "pragma analyze begin commit rollback savepoint release end".split()
 )
-# the first run of ASCII letters after leading whitespace and comments
-FIRST_WORD = re.compile(r"(?:\s|--[^\n]*(?:\n|$)|/\*(?:[^*]|\*(?!/))*(?:\*/|$))*([A-Za-z]+)")
+# the first run of ASCII letters after leading whitespace, comments and `;`
+FIRST_WORD = re.compile(r"(?:\s|;|--[^\n]*(?:\n|$)|/\*(?:[^*]|\*(?!/))*(?:\*/|$))*([A-Za-z]+)")
 
 
 def scan_unquoted(sql: str):

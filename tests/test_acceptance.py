@@ -55,15 +55,15 @@ _ARM = ModelArm("m", PromptDesignId.CONCISE, samples=2)
 
 
 def _success(rows):
-    return ExecutionOutcome.success(rows, 0.0)
+    return ExecutionOutcome.success(rows)
 
 
 def _pool(outcomes):
-    """A pool as build_pool leaves it: each outcome reduced to its key, or kept as an error."""
+    """A pool as build_pool leaves it: each outcome reduced to its key, or to its error kind."""
     candidates = tuple(
         Candidate(
             f"SELECT {i}", _ARM, i,
-            canonical_key(outcome, False) if outcome.is_success else outcome, i,
+            canonical_key(outcome, False) if outcome.is_success else outcome.error_kind, i,
         )
         for i, outcome in enumerate(outcomes)
     )

@@ -762,16 +762,9 @@ def test_question_failing_in_a_blocking_section_frees_the_turn(mini_run):
     assert len(differing) == 1 and json.loads(differing[0][0])["sql"] == "SELECT NULL"
 
 
-def _cache_snapshot(cache_dir: Path) -> dict[str, object]:
-    snapshot: dict[str, object] = {}
-    for path in sorted(cache_dir.rglob("*")):
-        if path.is_file():
-            data = path.read_bytes()
-            if path.parent.name == "pools":  # an error outcome keeps its measured elapsed time
-                outcomes, skipped, indexes = json.loads(data)
-                data = [{sql: v if isinstance(v, str) else v[::2] for sql, v in outcomes.items()}, skipped, indexes]
-            snapshot[path.relative_to(cache_dir).as_posix()] = data
-    return snapshot
+def _cache_snapshot(cache_dir: Path) -> dict[str, bytes]:
+    files = (path for path in cache_dir.rglob("*") if path.is_file())
+    return {path.relative_to(cache_dir).as_posix(): path.read_bytes() for path in files}
 
 
 def test_outputs_are_identical_at_every_fan_out(fixture_root, tmp_path, short_settle, capsys):

@@ -137,6 +137,28 @@ def test_execute_empty(singer_catalog):
     assert outcome.error_kind is ErrorKind.EMPTY_SQL
 
 
+def _on_own_and_shared_connection(sql, catalog):
+    conn = connect_readonly(catalog)
+    try:
+        outcomes = [execute(sql, catalog, conn=c) for c in (None, conn)]
+        assert not conn.in_transaction
+    finally:
+        conn.close()
+    return outcomes
+
+
+@pytest.mark.parametrize("sql", ["-- c", "/* c */", ";"])
+def test_comments_and_semicolons_alone_are_empty(singer_catalog, sql):
+    for outcome in _on_own_and_shared_connection(sql, singer_catalog):
+        assert outcome.error_kind is ErrorKind.EMPTY_SQL
+
+
+@pytest.mark.parametrize("sql", [";BEGIN", " ; COMMIT", "/**/;SAVEPOINT s"])
+def test_leading_semicolon_hides_no_write(singer_catalog, sql):
+    for outcome in _on_own_and_shared_connection(sql, singer_catalog):
+        assert (outcome.error_kind, outcome.detail) == (ErrorKind.RUNTIME, "write statements are not allowed")
+
+
 def test_execute_runtime_error(singer_catalog):
     outcome = execute("SELECT * FROM no_such_table", singer_catalog)
     assert outcome.error_kind is ErrorKind.RUNTIME
@@ -351,7 +373,7 @@ def test_every_completion_maps_to_one_outcome(singer_catalog):
 
 
 def _success(rows):
-    return ExecutionOutcome.success(rows, 0.0)
+    return ExecutionOutcome.success(rows)
 
 
 def test_multiset_vs_sequence_semantics():
@@ -532,7 +554,7 @@ def _unopenable(catalog):
 _statements = st.one_of(
     _sql_texts,
     st.tuples(
-        st.sampled_from(["", " ", "-- c\n", "/* c */", "/**/\n"]),
+        st.sampled_from(["", " ", "-- c\n", "/* c */", "/**/\n", ";", " ;-- c\n;"]),
         st.sampled_from(sorted(oracles.WRITE_VERBS) + ["BEGIN", "Drop", "ROLLBAC\u212a"]),
         _sql_texts,
     ).map("".join),

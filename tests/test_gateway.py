@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from sqlvote import gateway as gateway_module
 from sqlvote.errors import BackendError, BackendUnavailable, DuplicateModelId
-from sqlvote.execution import db_signature
+from sqlvote.execution import ErrorKind, OutcomeKey, db_signature
 from sqlvote.gateway import (
     Completion,
     Gateway,
@@ -299,6 +299,25 @@ def test_publish_whose_second_rename_fails_leaves_no_temp(tmp_path, monkeypatch)
     assert (tmp_path / "1.txt").read_bytes() == b"SELECT 1"
 
 
+# --- pool records ----------------------------------------------------------------
+
+_recorded = st.none() | st.sampled_from(list(ErrorKind)) | st.text(max_size=4).map(OutcomeKey)  # None: not run
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.none() | st.sampled_from(["SELECT 1", "", '"x"', "[0]", "é"]) | st.text(max_size=4), max_size=12),
+    st.data(),
+)
+def test_pool_record_round_trips(slots, data):
+    """Any slots (failed, repeated) and outcomes (keys, every error kind, statements not run) decode as encoded."""
+    drawn = {sql: data.draw(_recorded) for sql in dict.fromkeys(slots) if sql is not None}
+    outcomes = {sql: o for sql, o in drawn.items() if o is not None}
+    decoded = gateway_module._decode_pool(gateway_module._encode_pool(slots, outcomes), len(slots))
+    assert decoded == (slots, outcomes)
+    assert [type(o) for o in decoded[1].values()] == [type(o) for o in outcomes.values()]  # "syntax" == SYNTAX
+
+
 # --- remote backend wire contract ------------------------------------------------
 
 
@@ -315,7 +334,7 @@ class _Script:
 def _running(handler):
     """A local HTTP server answering on its own thread; shut down and closed on exit."""
     server = HTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()  # shutdown() waits a poll
     try:
         yield server
     finally:
