@@ -100,6 +100,9 @@ def load_config(path: Path | str) -> RunConfig:
         for arm in arms:
             if arm.model_id not in backends:
                 raise ConfigError(f"arm model '{arm.model_id}' has no backend entry")
+        max_per_column = int(raw.get("max_per_column", DEFAULT_MAX_PER_COLUMN))
+        if max_per_column < 0:  # a negative slice bound would drop a column's last matches
+            raise ValueError(f"max_per_column must be >= 0, not {max_per_column}")
         return RunConfig(
             arms=arms,
             seed=int(raw.get("seed", 0)),
@@ -112,7 +115,7 @@ def load_config(path: Path | str) -> RunConfig:
             audit=bool(raw.get("audit", False)),
             demo_source=_path("demo_source", required=False),
             cache_dir=_path("cache_dir", required=False),
-            max_per_column=int(raw.get("max_per_column", DEFAULT_MAX_PER_COLUMN)),
+            max_per_column=max_per_column,
             backends=backends,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

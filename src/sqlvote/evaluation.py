@@ -6,23 +6,23 @@ that share the schema and keys. The generator here is a schema-respecting
 fuzzer, not the distilled suites of the published benchmark tooling, so all
 reports label the metric "TS (simplified)".
 
-`evaluate_file` scores one database at a time, over one read-only connection
-per file (the original and each suite). A memo runs each (statement, file,
-gold order flag) once and keeps its canonical key or error outcome, never
-its rows; it lives while its database is scored, because the next run
+`evaluate_file` and `ts_match` score through one path, one database at a
+time. Its `Memo` holds one read-only connection per file (the original and
+each suite), runs each (statement, file, gold order flag) once and keeps its
+canonical key or error outcome, never its rows, and keeps the suites built
+so far; it lives while its database is scored, because the next run
 rewrites suite files at the same paths. Suite cells come from one draw fixed
-per column. Suite k is generated and opened the first time a score reads it,
-and the database's observed values are read when its first suite is; a
-suite no score reads is never written, and a file an earlier run left for it
-in the suite directory is neither read nor rewritten. A prediction whose
-text is its gold's takes its EX as its TS without running on any suite: the
-memo already gives it the gold's outcome on every file. Scores and suite
-bytes are those of generating every suite up front. Each report record
-gives the `reason` for its score, read from the memo: None on a match,
-"gold_error",
-"pred_error:<kind>" (the pred fails on the original database; an ErrorKind
-value), "differs:original", or "differs:suite<k>" (k is the 1-based index of
-the first suite on which the pred fails or differs).
+per column. TS reaches the suites in index order: suite k is generated and
+opened the first time it is reached, and the database's observed values are
+read when its first suite is; a suite no score reaches is never written, and
+a file an earlier run left for it is neither read nor rewritten. A
+prediction whose text is its gold's takes its EX as its TS without running
+on any suite: the memo already gives it the gold's outcome on every file.
+Scores and suite bytes are those of generating every suite up front. Each
+report record gives the `reason` for its score, read from the memo: None on
+a match, "gold_error", "pred_error:<kind>" (the pred fails on the original
+database; an ErrorKind value), "differs:original", or "differs:suite<k>" (k
+is the 1-based index of the first suite on which the pred fails or differs).
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ import math
 import random
 import sqlite3
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 from .catalog import ColumnType, DatabaseCatalog, catalog_from_sqlite, load_examples, quote_identifier
 from .errors import (
@@ -100,12 +101,16 @@ class EvalReport:
 
 @dataclass
 class Memo:
-    """Outcomes by (SQL text, database path, gold order flag), gold order flags, and
-    open `connect_readonly` connections by path (other files get their own)."""
+    """One database's scoring state: outcomes by (SQL text, database path, gold order
+    flag), gold order flags, open `connect_readonly` connections by path (other files
+    get their own), and the suites built so far, in index order, with the observed
+    values they are drawn from."""
 
     outcomes: dict[tuple[str, Path, bool], KeyOrError] = field(default_factory=dict)
     order: dict[str, bool] = field(default_factory=dict)
     conns: dict[Path, sqlite3.Connection] = field(default_factory=dict)
+    suites: list[DatabaseCatalog] = field(default_factory=list)
+    observed: dict[tuple[int, int], list] = field(default_factory=dict)
 
     def order_sensitive(self, gold_sql: str) -> bool:
         if gold_sql not in self.order:
@@ -191,31 +196,23 @@ def _topological_tables(catalog: DatabaseCatalog) -> tuple[list[int], set[tuple]
     return order, dropped
 
 
-def _observed_values(
-    catalog: DatabaseCatalog, conn: sqlite3.Connection | None = None
-) -> dict[tuple[int, int], list]:
-    """Distinct non-NULL values per column, through `conn` (left open) if given."""
+def _observed_values(catalog: DatabaseCatalog, conn: sqlite3.Connection) -> dict[tuple[int, int], list]:
+    """Distinct non-NULL values per column, read through `conn` on the catalog's database."""
     observed: dict[tuple[int, int], list] = {}
-    own = connect_readonly(catalog) if conn is None else None
-    conn = own or conn
-    try:
-        for t, table in enumerate(catalog.tables):
-            for c, col in enumerate(table.columns):
-                seen: dict = {}
-                query = f"SELECT {quote_identifier(col.name)} FROM {quote_identifier(table.name)}"
-                try:  # a missing column, or a value over MAX_VALUE_BYTES: none observed
-                    for (value,) in conn.execute(query):
-                        if value is None or value in seen:
-                            continue
-                        seen[value] = None
-                        if len(seen) >= _ORIGINAL_VALUE_CAP:
-                            break
-                except sqlite3.Error:
-                    seen = {}
-                observed[(t, c)] = list(seen)
-    finally:
-        if own is not None:
-            own.close()
+    for t, table in enumerate(catalog.tables):
+        for c, col in enumerate(table.columns):
+            seen: dict = {}
+            query = f"SELECT {quote_identifier(col.name)} FROM {quote_identifier(table.name)}"
+            try:  # a missing column, or a value over MAX_VALUE_BYTES: none observed
+                for (value,) in conn.execute(query):
+                    if value is None or value in seen:
+                        continue
+                    seen[value] = None
+                    if len(seen) >= _ORIGINAL_VALUE_CAP:
+                        break
+            except sqlite3.Error:
+                seen = {}
+            observed[(t, c)] = list(seen)
     return observed
 
 
@@ -272,15 +269,17 @@ def generate_suite_db(
     spec: SuiteSpec,
     suite_index: int,
     out_dir: Path | str | None = None,
-    observed: dict[tuple[int, int], list] | None = None,
+    *,
+    observed: dict[tuple[int, int], list],
 ) -> Path:
     """Write one fuzzed database sharing the catalog's schema and keys.
 
     Parents are populated before children so foreign-key columns only hold
     values present in the parent; cells otherwise draw half from the
     original column and half from type-appropriate random values.
-    Deterministic given (catalog, spec.seed, suite_index). `observed` is the
-    catalog's original column values; they are read here when not given.
+    Deterministic given (catalog, spec.seed, suite_index) and `observed`, the
+    catalog's original column values (`_observed_values`). Without `out_dir`
+    the file goes in `_suites/` beside the database.
     """
     out_dir = Path(out_dir) if out_dir is not None else catalog.db_path.parent / "_suites"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,8 +289,6 @@ def generate_suite_db(
 
     rng = random.Random(f"{catalog.db_id}/{spec.seed}/{suite_index}")
     order, dropped = _topological_tables(catalog)
-    if observed is None:
-        observed = _observed_values(catalog)
     generated: dict[int, list[tuple]] = {}
 
     conn = sqlite3.connect(path)
@@ -348,28 +345,41 @@ def generate_suite_db(
     return path
 
 
-def cycle_broken_edges(catalog: DatabaseCatalog) -> set[tuple]:
-    """Foreign-key edges the generator cannot honor (cycles, self-references)."""
-    _, dropped = _topological_tables(catalog)
-    return dropped
+def _suites_match(
+    pred_sql: str, gold_sql: str, catalog: DatabaseCatalog, spec: SuiteSpec, suite_dir, memo: Memo
+) -> int | None:
+    """The suite half of TS: EX on every suite whose gold statement succeeds.
+
+    Returns None when the pred matches on all of them, else the 1-based
+    index of the first suite on which it fails or differs. Suites are
+    reached in index order, and suite k is built and opened into `memo` the
+    first time it is reached, so none past the first differing one is built.
+    """
+    for k in range(1, spec.suite_count + 1):
+        if k > len(memo.suites):  # one past the suites built so far
+            if not memo.suites:
+                memo.observed = _observed_values(catalog, memo.conns[catalog.db_path])
+            path = generate_suite_db(catalog, spec, k, suite_dir, observed=memo.observed)
+            memo.suites.append(replace(catalog, db_path=path))
+            memo.conns[path] = connect_readonly(memo.suites[-1])
+        try:
+            if not exec_match(pred_sql, gold_sql, memo.suites[k - 1], memo=memo):
+                return k
+        except GoldExecutionFailed:
+            continue
+    return None
 
 
-def suite_catalogs(
-    catalog: DatabaseCatalog,
-    spec: SuiteSpec,
-    suite_dir: Path | str | None = None,
-    observed: dict[tuple[int, int], list] | None = None,
-) -> list[DatabaseCatalog]:
-    """Generate all suites for a catalog, returned as catalogs over the new files."""
-    if observed is None:
-        observed = _observed_values(catalog)
-    return [
-        replace(
-            catalog,
-            db_path=generate_suite_db(catalog, spec, suite_index, suite_dir, observed=observed),
-        )
-        for suite_index in range(1, spec.suite_count + 1)
-    ]
+@contextmanager
+def _database_memo(catalog: DatabaseCatalog) -> Iterator[Memo]:
+    """A Memo with the original database open; every connection it holds is closed on exit."""
+    memo = Memo()
+    try:
+        memo.conns[catalog.db_path] = connect_readonly(catalog)
+        yield memo
+    finally:
+        for conn in memo.conns.values():
+            conn.close()
 
 
 def ts_match(
@@ -379,61 +389,16 @@ def ts_match(
     spec: SuiteSpec,
     suite_dir: Path | str | None = None,
 ) -> bool:
-    """EX on the original database plus every generated suite.
+    """TS of one question, scored as `evaluate_file` scores it: EX on the
+    original database, then EX on each suite in order until the first miss.
 
     A gold statement failing on a fuzzed suite skips that suite; failing on
     the original raises as in exec_match.
     """
-    if not exec_match(pred_sql, gold_sql, catalog):
-        return False
-    return _suites_match(pred_sql, gold_sql, suite_catalogs(catalog, spec, suite_dir)) is None
-
-
-def _suites_match(
-    pred_sql: str, gold_sql: str, suites: Sequence[DatabaseCatalog], memo: Memo | None = None
-) -> int | None:
-    """The suite half of TS: EX on every suite whose gold statement succeeds.
-
-    Returns None when the pred matches on all of them, else the 1-based
-    index of the first suite on which it fails or differs. Suites are
-    indexed in order, so a `_LazySuites` builds only those it reaches.
-    """
-    for k in range(1, len(suites) + 1):
-        try:
-            if not exec_match(pred_sql, gold_sql, suites[k - 1], memo=memo):
-                return k
-        except GoldExecutionFailed:
-            continue
-    return None
-
-
-class _LazySuites:
-    """A catalog's suites, each generated and opened into `memo.conns` on first use.
-
-    The observed values are read through the original's open connection when
-    the first suite is built.
-    """
-
-    def __init__(self, catalog: DatabaseCatalog, spec: SuiteSpec, suite_dir, memo: Memo):
-        self._catalog, self._spec, self._suite_dir, self._memo = catalog, spec, suite_dir, memo
-        self._built: dict[int, DatabaseCatalog] = {}
-        self._observed: dict[tuple[int, int], list] | None = None
-
-    def __len__(self) -> int:
-        return self._spec.suite_count
-
-    def __getitem__(self, index: int) -> DatabaseCatalog:
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        if index not in self._built:
-            if self._observed is None:
-                self._observed = _observed_values(self._catalog, self._memo.conns[self._catalog.db_path])
-            path = generate_suite_db(
-                self._catalog, self._spec, index + 1, self._suite_dir, observed=self._observed
-            )
-            suite = self._built[index] = replace(self._catalog, db_path=path)
-            self._memo.conns[path] = connect_readonly(suite)
-        return self._built[index]
+    with _database_memo(catalog) as memo:
+        if not exec_match(pred_sql, gold_sql, catalog, memo=memo):
+            return False
+        return pred_sql == gold_sql or _suites_match(pred_sql, gold_sql, catalog, spec, suite_dir, memo) is None
 
 
 # --- file-level evaluation -----------------------------------------------------
@@ -486,10 +451,8 @@ def evaluate_file(
     scores: dict[int, QuestionScore] = {}
     for db_id, positions in by_db.items():
         catalog = catalog_from_sqlite(Path(db_dir) / db_id / f"{db_id}.sqlite", db_id)
-        memo = Memo()  # this database only: another run rewrites its suite files in place
-        try:
-            memo.conns[catalog.db_path] = connect_readonly(catalog)
-            suites = None if spec is None else _LazySuites(catalog, spec, suite_dir, memo)
+        # this database only: another run rewrites its suite files in place
+        with _database_memo(catalog) as memo:
             for position in positions:
                 example_id = examples[position].example_id
                 pred_sql, gold_sql = predictions[example_id], examples[position].gold_sql or ""
@@ -499,17 +462,14 @@ def evaluate_file(
                     scores[position] = QuestionScore(example_id, False, None, str(failure), "gold_error")
                     continue
                 reason = None if ex else _original_miss(pred_sql, gold_sql, catalog, memo)
-                ts = None if suites is None else ex
+                ts = None if spec is None else ex
                 # TS includes EX, so only the suites are left; the gold's own text
                 # shares the gold's memo entry on every suite, so it needs none
                 if ts and pred_sql != gold_sql:
-                    suite = _suites_match(pred_sql, gold_sql, suites, memo)
+                    suite = _suites_match(pred_sql, gold_sql, catalog, spec, suite_dir, memo)
                     ts = suite is None
                     reason = None if ts else f"differs:suite{suite}"
                 scores[position] = QuestionScore(example_id, ex, ts, None, reason)
-        finally:
-            for conn in memo.conns.values():
-                conn.close()
 
     per_question = [scores[position] for position in range(len(examples))]
     scored = [q for q in per_question if q.gold_error is None]

@@ -1,10 +1,11 @@
 """Sandboxed SQL execution and outcome canonicalization.
 
-One tokenizer (`_tokens`) reads the SQL text for all three lexical
+One tokenizer (`_tokens`) reads the SQL text for all four lexical
 decisions: where a completion's statement ends (the first `;`), whether it
-has a top-level ORDER BY, and what its first token other than `;` is: a
-write verb is refused, and a statement of nothing but comments and `;` is
-EMPTY_SQL. It knows string literals, quoted identifiers and comments.
+has a top-level ORDER BY, what its first token other than `;` is (a write
+verb is refused, and a statement of nothing but comments and `;` is
+EMPTY_SQL), and where its trailing `;`s begin (they are dropped before it
+runs). It knows string literals, quoted identifiers and comments.
 
 Statements run on a read-only, query-only SQLite connection with a
 wall-clock deadline, a row cap and a byte budget; all failures come back as
@@ -274,11 +275,19 @@ def execute(
     statement = sql.strip()
     # The first token other than `;` after any comments: with none, SQLite runs nothing and succeeds;
     # a hidden BEGIN would leave a pool's shared connection inside a transaction. Keywords are ASCII.
-    first = next((token for _, token, _ in _tokens(statement) if token != ";"), None)
+    # The same pass finds where the trailing `;`s start: Python's sqlite3 refuses any tail after
+    # a statement's `;` but whitespace and comments, so `SELECT 1;;` runs as `SELECT 1`.
+    first = end = None
+    for index, token, _ in _tokens(statement):
+        if token != ";":
+            first, end = first or token, None
+        elif end is None:
+            end = index
     if first is None:
         return ExecutionOutcome.error(ErrorKind.EMPTY_SQL)
     if first.isascii() and first.lower() in _WRITE_VERBS:
         return ExecutionOutcome.error(ErrorKind.RUNTIME, "write statements are not allowed")
+    statement = statement[:end]
     if conn is not None:
         return _run(conn, statement, timeout)
     try:

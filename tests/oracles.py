@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without touching the package
 internals it checks: brute-force, quadratic, or Decimal-based versions of
-the same contracts.
+the same contracts. The eager test-suite references at the end are the one
+exception: they compose the package's own suite generator and EX.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import math
 import random
 import re
 import string
+from contextlib import closing
+from dataclasses import replace
 from decimal import ROUND_HALF_EVEN, Decimal
+
+from sqlvote import evaluation, execution
+from sqlvote.errors import GoldExecutionFailed
 
 
 def lcs_ratio(question: str, value: str) -> float:
@@ -326,3 +332,35 @@ def suite_rows(catalog, spec, suite_index: int, observed: dict, order: list[int]
         generated[t] = rows
         written.append((table.name, rows))
     return written
+
+
+# --- eager test-suite references ---------------------------------------------------
+# Every suite built up front, each on its own: `sqlvote.evaluation` must give
+# the same suite bytes and the same TS while it builds a suite only when a
+# score first reaches it.
+
+
+def suite_db(catalog, spec, k: int, out_dir):
+    """Suite k of `catalog`, with its observed values read on a connection of its own."""
+    with closing(execution.connect_readonly(catalog)) as conn:
+        observed = evaluation._observed_values(catalog, conn)
+    return evaluation.generate_suite_db(catalog, spec, k, out_dir, observed=observed)
+
+
+def ts_match(pred_sql: str, gold_sql: str, catalog, spec, suite_dir) -> bool:
+    """EX on the original database, then on every suite, all built up front.
+
+    A gold failing on a suite skips that suite; failing on the original raises.
+    """
+    if not evaluation.exec_match(pred_sql, gold_sql, catalog):
+        return False
+    suites = [
+        replace(catalog, db_path=suite_db(catalog, spec, k, suite_dir)) for k in range(1, spec.suite_count + 1)
+    ]
+    for suite in suites:
+        try:
+            if not evaluation.exec_match(pred_sql, gold_sql, suite):
+                return False
+        except GoldExecutionFailed:
+            continue
+    return True

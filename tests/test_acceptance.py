@@ -14,7 +14,7 @@ import pytest
 
 from sqlvote.catalog import load_examples
 from sqlvote.cli import main
-from sqlvote.evaluation import SuiteSpec, evaluate_file, exec_match, generate_suite_db, ts_match
+from sqlvote.evaluation import SuiteSpec, evaluate_file, exec_match, ts_match
 from sqlvote.execution import ErrorKind, ExecutionOutcome, OutcomeKey, canonical_key, execute
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
 from sqlvote.linking import link_values
@@ -22,7 +22,7 @@ from sqlvote.prompts import PromptDesignId, render
 from sqlvote.voting import Candidate, CandidatePool, run_question, select_by_consistency
 
 from conftest import read_golden
-from oracles import majority_select
+from oracles import majority_select, suite_db
 from pipeline_fixtures import write_run_config, write_scripted_fixture
 from test_evaluation import EX_PAIRS, TS_FALSE_POSITIVE, check_suite_integrity
 
@@ -297,7 +297,7 @@ def test_suite_integrity_hundred_databases(catalogs, tmp_path, capsys):
     for catalog, count in plans:
         for i in range(count):
             spec = SuiteSpec(suite_count=count, rows_per_table=50, seed=100 + i)
-            path = generate_suite_db(catalog, spec, i + 1, tmp_path / catalog.db_id)
+            path = suite_db(catalog, spec, i + 1, tmp_path / catalog.db_id)
             pk_bad, fk_bad = check_suite_integrity(catalog, path)
             violations += pk_bad + fk_bad
             generated += 1

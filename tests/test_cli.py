@@ -82,10 +82,12 @@ def test_arm_weight_key_is_ignored(fixture_root, tmp_path):
     [
         ("arms", ["concise"]), ("seed", "abc"), ("backends", ["scripted-a"]),
         ("timeout", float("nan")), ("timeout", 0), ("timeout", -1), ("timeout", float("inf")),
+        ("max_per_column", -1),
     ],
     ids=[
         "arm-not-a-mapping", "seed-not-a-number", "backends-not-a-mapping",
         "timeout-nan", "timeout-zero", "timeout-negative", "timeout-infinite",
+        "max-per-column-negative",
     ],
 )
 def test_malformed_config_value_is_a_config_error(mini_run, capsys, key, value):

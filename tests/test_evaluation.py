@@ -4,6 +4,7 @@ import hashlib
 import json
 import sqlite3
 from collections import Counter
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -22,16 +23,7 @@ from sqlvote.catalog import (
 )
 from sqlvote.linking import link_values
 from sqlvote.errors import GenerationFailed, GoldExecutionFailed, MissingDbFile, MissingPrediction
-from sqlvote.evaluation import (
-    SuiteSpec,
-    _suites_match,
-    cycle_broken_edges,
-    evaluate_file,
-    exec_match,
-    generate_suite_db,
-    suite_catalogs,
-    ts_match,
-)
+from sqlvote.evaluation import SuiteSpec, evaluate_file, exec_match, generate_suite_db, ts_match
 
 # (gold, pred, expected EX) pairs; the two provable anchors are marked.
 EX_PAIRS = [
@@ -183,14 +175,15 @@ def _fk_violations(conn, catalog, excluded) -> int:
 def check_suite_integrity(catalog, path) -> tuple[int, int]:
     conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     try:
-        return _pk_violations(conn, catalog), _fk_violations(conn, catalog, cycle_broken_edges(catalog))
+        dropped = evaluation._topological_tables(catalog)[1]
+        return _pk_violations(conn, catalog), _fk_violations(conn, catalog, dropped)
     finally:
         conn.close()
 
 
 def test_suite_referential_integrity(car_catalog, tmp_path):
     spec = SuiteSpec(suite_count=1, rows_per_table=50, seed=3)
-    path = generate_suite_db(car_catalog, spec, 1, tmp_path)
+    path = oracles.suite_db(car_catalog, spec, 1, tmp_path)
     pk_bad, fk_bad = check_suite_integrity(car_catalog, path)
     assert pk_bad == 0 and fk_bad == 0
     # every car_names.Model value must exist in model_list.Model
@@ -205,14 +198,14 @@ def test_suite_referential_integrity(car_catalog, tmp_path):
 
 def test_suite_deterministic_bytes(singer_catalog, tmp_path):
     spec = SuiteSpec(suite_count=1, rows_per_table=30, seed=11)
-    first = generate_suite_db(singer_catalog, spec, 1, tmp_path / "a")
-    second = generate_suite_db(singer_catalog, spec, 1, tmp_path / "b")
+    first = oracles.suite_db(singer_catalog, spec, 1, tmp_path / "a")
+    second = oracles.suite_db(singer_catalog, spec, 1, tmp_path / "b")
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_suite_bytes_do_not_depend_on_journal_or_sync(singer_catalog, tmp_path, monkeypatch):
     spec = SuiteSpec(suite_count=1, rows_per_table=30, seed=11)
-    unsynced = generate_suite_db(singer_catalog, spec, 1, tmp_path / "a")
+    unsynced = oracles.suite_db(singer_catalog, spec, 1, tmp_path / "a")
 
     class Journaled(sqlite3.Connection):  # SQLite's defaults: rollback journal, full sync
         def execute(self, sql, *args):
@@ -222,15 +215,15 @@ def test_suite_bytes_do_not_depend_on_journal_or_sync(singer_catalog, tmp_path, 
 
     connect = sqlite3.connect
     monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: connect(*a, factory=Journaled, **k))
-    journaled = generate_suite_db(singer_catalog, spec, 1, tmp_path / "b")
+    journaled = oracles.suite_db(singer_catalog, spec, 1, tmp_path / "b")
     assert unsynced.read_bytes() == journaled.read_bytes()
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [unsynced.name]
 
 
 def test_suite_differs_across_indices(singer_catalog, tmp_path):
     spec = SuiteSpec(suite_count=2, rows_per_table=30, seed=11)
-    one = generate_suite_db(singer_catalog, spec, 1, tmp_path)
-    two = generate_suite_db(singer_catalog, spec, 2, tmp_path)
+    one = oracles.suite_db(singer_catalog, spec, 1, tmp_path)
+    two = oracles.suite_db(singer_catalog, spec, 2, tmp_path)
     assert one.read_bytes() != two.read_bytes()
 
 
@@ -253,10 +246,10 @@ def test_cycle_reported_and_broken(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     catalog = load_catalogs(manifest_path, tmp_path)[0]
 
-    dropped = cycle_broken_edges(catalog)
+    dropped = evaluation._topological_tables(catalog)[1]
     assert len(dropped) == 1  # one edge is enough to break a 2-cycle
 
-    path = generate_suite_db(catalog, SuiteSpec(suite_count=1, rows_per_table=10, seed=1), 1, tmp_path)
+    path = oracles.suite_db(catalog, SuiteSpec(suite_count=1, rows_per_table=10, seed=1), 1, tmp_path)
     conn = sqlite3.connect(path)
     pk_bad = _pk_violations(conn, catalog)
     fk_bad = _fk_violations(conn, catalog, dropped)
@@ -273,7 +266,7 @@ def test_infinite_numbers_do_not_bound_fresh_draws(tmp_path):
     conn.close()
     catalog = catalog_from_sqlite(tmp_path / "inf" / "inf.sqlite", "inf")
 
-    suite = generate_suite_db(catalog, SuiteSpec(suite_count=1, rows_per_table=30, seed=2), 1, tmp_path)
+    suite = oracles.suite_db(catalog, SuiteSpec(suite_count=1, rows_per_table=30, seed=2), 1, tmp_path)
     conn = sqlite3.connect(suite)
     values = {a for (a,) in conn.execute("SELECT a FROM t")}
     conn.close()
@@ -291,9 +284,10 @@ def test_a_value_over_the_length_limit_is_not_observed(tmp_path, monkeypatch):
     conn.close()
     catalog = catalog_from_sqlite(tmp_path / "long" / "long.sqlite", "long")
 
-    assert evaluation._observed_values(catalog) == {(0, 0): [], (0, 1): ["x", "z"]}
+    with closing(execution.connect_readonly(catalog)) as conn:
+        assert evaluation._observed_values(catalog, conn) == {(0, 0): [], (0, 1): ["x", "z"]}
     spec = SuiteSpec(suite_count=1, rows_per_table=10, seed=2)
-    assert len(suite_catalogs(catalog, spec, tmp_path / "suites")) == 1
+    assert oracles.suite_db(catalog, spec, 1, tmp_path / "suites").exists()
 
 
 def test_identifiers_holding_a_double_quote_load_link_and_score(tmp_path):
@@ -436,13 +430,6 @@ def test_evaluate_with_ts_implies_ex(fixture_root, dev_examples, tmp_path):
             assert q.ex
 
 
-def test_suite_catalogs_generates_all(singer_catalog, tmp_path):
-    spec = SuiteSpec(suite_count=4, rows_per_table=10, seed=9)
-    suites = suite_catalogs(singer_catalog, spec, tmp_path)
-    assert len(suites) == 4
-    assert all(s.db_path.exists() for s in suites)
-
-
 def test_evaluate_ts_runs_ex_once_per_question(fixture_root, dev_examples, tmp_path, monkeypatch):
     """With TS, the original database is matched once (EX), then only the suites."""
     pred_path = tmp_path / "pred.jsonl"
@@ -465,22 +452,22 @@ def test_evaluate_ts_runs_ex_once_per_question(fixture_root, dev_examples, tmp_p
     assert 0 < len(matched) - len(originals) <= len(dev_examples) * spec.suite_count
 
 
-def test_suite_catalogs_reads_observed_values_once(singer_catalog, tmp_path, monkeypatch):
+def test_ts_match_reads_observed_values_once(singer_catalog, tmp_path, monkeypatch):
     spec = SuiteSpec(suite_count=4, rows_per_table=10, seed=9)
+    gold = "SELECT Name FROM singer WHERE Birth_Year > 1940"
     reads = []
     observed_values = evaluation._observed_values
 
-    def recording_read(catalog):
+    def recording_read(catalog, conn):
         reads.append(catalog)
-        return observed_values(catalog)
+        return observed_values(catalog, conn)
 
     monkeypatch.setattr(evaluation, "_observed_values", recording_read)
-    suites = suite_catalogs(singer_catalog, spec, tmp_path / "a")
+    assert ts_match(_reworded(gold), gold, singer_catalog, spec, tmp_path / "a")  # reaches every suite
     assert len(reads) == 1
-    for suite in suites:  # same bytes as generating each suite on its own
-        index = int(suite.db_path.name.split("__suite")[1][:3])
-        alone = generate_suite_db(singer_catalog, spec, index, tmp_path / "b")
-        assert alone.read_bytes() == suite.db_path.read_bytes()
+    for k in range(1, spec.suite_count + 1):  # same bytes as generating each suite on its own
+        alone = oracles.suite_db(singer_catalog, spec, k, tmp_path / "b")
+        assert alone.read_bytes() == (tmp_path / "a" / alone.name).read_bytes()
 
 
 # --- the per-call memo and the reason of each score -------------------------------
@@ -550,8 +537,9 @@ def test_memo_scores_like_unmemoized_calls(fixture_root, singer_catalog, tmp_pat
             except GoldExecutionFailed as failure:
                 assert (score.ex, score.ts, score.gold_error) == (False, None, str(failure))
                 continue
-            ts = ts_match(pred, gold, singer_catalog, spec, work / "plain")
+            ts = oracles.ts_match(pred, gold, singer_catalog, spec, work / "plain")
             assert (score.ex, score.ts, score.gold_error) == (ex, ts, None)
+            assert ts_match(pred, gold, singer_catalog, spec, work / "one") == ts
 
 
 def test_evaluate_executes_each_statement_once(fixture_root, tmp_path, monkeypatch):
@@ -610,6 +598,10 @@ _SINGER_GOLD = "SELECT Name FROM singer WHERE Birth_Year = 1948 OR Birth_Year = 
         pytest.param(_SINGER_GOLD, "", "pred_error:empty_sql", id="empty_sql"),
         pytest.param(_SINGER_GOLD, _TOO_LARGE, "pred_error:too_large", id="too_large"),
         pytest.param(_SINGER_GOLD, "SELECT Name FROM singer", "differs:original", id="differs"),
+        pytest.param(  # Python's sqlite3 refuses a second `;`; the gold is scored all the same
+            _SINGER_GOLD + ";;", "SELECT name FROM singer WHERE birth_year IN (1948, 1949)", None,
+            id="gold_trailing_semicolons",
+        ),
     ],
 )
 @pytest.mark.parametrize("ts", [False, True], ids=["ex", "ts"])
@@ -630,9 +622,10 @@ def test_gold_over_the_byte_budget_is_a_gold_error(fixture_root, tmp_path, monke
 def test_reason_names_the_first_differing_suite(fixture_root, singer_catalog, tmp_path):
     gold, pred = TS_FALSE_POSITIVE
     spec = SuiteSpec(suite_count=10, rows_per_table=50, seed=13)
-    suites = suite_catalogs(singer_catalog, spec, tmp_path / "alone")
-    first = next(k for k, suite in enumerate(suites, 1) if not exec_match(pred, gold, suite))
-    assert _suites_match(pred, gold, suites) == first
+    alone = [oracles.suite_db(singer_catalog, spec, k, tmp_path / "alone") for k in range(1, spec.suite_count + 1)]
+    first = next(
+        k for k, path in enumerate(alone, 1) if not exec_match(pred, gold, replace(singer_catalog, db_path=path))
+    )
     (score,) = _evaluate_pairs(fixture_root, tmp_path, [(gold, pred)], spec).per_question
     assert (score.ex, score.ts, score.reason) == (True, False, f"differs:suite{first}")
 
@@ -662,7 +655,7 @@ _PINNED_SUITES = {
 def test_suite_files_are_pinned(singer_catalog, car_catalog, tmp_path):
     spec = SuiteSpec(suite_count=2, rows_per_table=40, seed=7)
     digests = {
-        (catalog.db_id, index): _suite_digest(generate_suite_db(catalog, spec, index, tmp_path))
+        (catalog.db_id, index): _suite_digest(oracles.suite_db(catalog, spec, index, tmp_path))
         for catalog in (singer_catalog, car_catalog)
         for index in (1, 2)
     }
@@ -871,7 +864,7 @@ def test_suites_built_on_first_use_equal_suites_built_alone(fixture_root, singer
     assert [q.ts for q in report.per_question] == [False, True]
     for k in range(1, spec.suite_count + 1):
         lazy = tmp_path / "suites" / f"singer__suite{k:03d}__seed4.sqlite"
-        alone = generate_suite_db(singer_catalog, spec, k, tmp_path / "alone")
+        alone = oracles.suite_db(singer_catalog, spec, k, tmp_path / "alone")
         assert lazy.read_bytes() == alone.read_bytes()
 
 

@@ -4,6 +4,7 @@ import random
 import re
 import sqlite3
 import time
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,6 +158,17 @@ def test_comments_and_semicolons_alone_are_empty(singer_catalog, sql):
 def test_leading_semicolon_hides_no_write(singer_catalog, sql):
     for outcome in _on_own_and_shared_connection(sql, singer_catalog):
         assert (outcome.error_kind, outcome.detail) == (ErrorKind.RUNTIME, "write statements are not allowed")
+
+
+@pytest.mark.parametrize("sql", ["SELECT 1;", "SELECT 1;;", "SELECT 1; ;", "SELECT 1; /* c */ ;"])
+def test_trailing_semicolons_are_dropped(singer_catalog, sql):
+    for outcome in _on_own_and_shared_connection(sql, singer_catalog):
+        assert outcome.rows == ((1,),)
+
+
+def test_a_second_statement_is_a_runtime_error(singer_catalog):
+    for outcome in _on_own_and_shared_connection("SELECT 1; SELECT 2", singer_catalog):
+        assert outcome.error_kind is ErrorKind.RUNTIME
 
 
 def test_execute_runtime_error(singer_catalog):
@@ -340,7 +352,8 @@ def test_invalid_utf8_reads_as_replacement_characters(invalid_utf8, monkeypatch)
 
 
 def test_invalid_utf8_is_read_by_linking_and_suites(invalid_utf8):
-    assert "\ufffdA\ufffd" in evaluation._observed_values(invalid_utf8)[(0, 0)]
+    with closing(connect_readonly(invalid_utf8)) as conn:
+        assert "\ufffdA\ufffd" in evaluation._observed_values(invalid_utf8, conn)[(0, 0)]
     matches = linking.link_values("is the value \ufffdA\ufffd there?", invalid_utf8)
     assert ("t", "a", "\ufffdA\ufffd") in [(m.table_name, m.column_name, m.value) for m in matches]
 
