@@ -40,11 +40,10 @@ class ColumnType(str, Enum):
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """One column: original-cased name, type word, global manifest ordinal."""
+    """One column: original-cased name and type word."""
 
     name: str
     data_type: ColumnType
-    ordinal: int
 
     def __post_init__(self):
         if not self.name:
@@ -108,80 +107,44 @@ def quote_identifier(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _check_key_ref(db_id: str, tables: tuple[TableSchema, ...], ref: KeyRef, raw_index: int) -> None:
-    t, c = ref
-    if t < 0 or t >= len(tables) or c < 0 or c >= len(tables[t].columns):
-        raise KeyIndexOutOfRange(db_id, raw_index)
-
-
-def _resolve_global_column(
-    db_id: str,
-    spans: list[tuple[int, int]],
-    global_index: int,
-) -> KeyRef:
-    """Map a Spider global column index (with '*' at 0) to (table, column)."""
-    for t, (start, end) in enumerate(spans):
-        if start <= global_index < end:
-            return (t, global_index - start)
-    raise KeyIndexOutOfRange(db_id, global_index)
-
-
 def _catalog_from_entry(entry: dict, db_dir: Path) -> DatabaseCatalog:
-    try:
-        db_id = entry["db_id"]
-        table_names = entry["table_names_original"]
-        column_names = entry["column_names_original"]
-        column_types = entry["column_types"]
-        raw_pks = entry.get("primary_keys", [])
-        raw_fks = entry.get("foreign_keys", [])
-    except (KeyError, TypeError) as exc:
-        raise MalformedManifest(f"missing field {exc}") from exc
+    db_id = entry["db_id"]
+    table_names = entry["table_names_original"]
+    column_names = entry["column_names_original"]
+    column_types = entry["column_types"]
     if len(column_names) != len(column_types):
         raise MalformedManifest(f"{db_id}: column name/type length mismatch")
 
     per_table: list[list[ColumnSchema]] = [[] for _ in table_names]
-    spans: list[tuple[int, int]] = [(0, 0)] * len(table_names)
-    for ordinal, ((tab_idx, col_name), col_type) in enumerate(zip(column_names, column_types)):
+    refs: dict[int, KeyRef] = {}  # manifest column index -> (table, column); '*' is index 0
+    for index, ((tab_idx, col_name), col_type) in enumerate(zip(column_names, column_types)):
         if tab_idx == -1:  # the '*' pseudo-column
             continue
-        if tab_idx < 0 or tab_idx >= len(table_names):
-            raise MalformedManifest(f"{db_id}: column '{col_name}' cites table {tab_idx}")
-        per_table[tab_idx].append(ColumnSchema(col_name, ColumnType.from_string(col_type), ordinal))
+        if type(tab_idx) is not int or not 0 <= tab_idx < len(table_names):
+            raise MalformedManifest(f"{db_id}: column '{col_name}' cites table {tab_idx!r}")
+        refs[index] = (tab_idx, len(per_table[tab_idx]))
+        per_table[tab_idx].append(ColumnSchema(col_name, ColumnType.from_string(col_type)))
+    tables = tuple(TableSchema(name, tuple(cols)) for name, cols in zip(table_names, per_table))
 
-    # Global indices are contiguous per table in the Spider layout.
-    tables: list[TableSchema] = []
-    for name, cols in zip(table_names, per_table):
-        tables.append(TableSchema(name, tuple(cols)))
-        if cols:
-            spans[len(tables) - 1] = (cols[0].ordinal, cols[-1].ordinal + 1)
-    tables_t = tuple(tables)
-
-    lowered = [t.name.lower() for t in tables_t]
+    lowered = [t.name.lower() for t in tables]
     if len(set(lowered)) != len(lowered):
         raise MalformedManifest(f"{db_id}: duplicate table name")
 
-    pks: list[KeyRef] = []
-    for raw in raw_pks:
-        for idx in raw if isinstance(raw, list) else [raw]:
-            ref = _resolve_global_column(db_id, spans, idx)
-            _check_key_ref(db_id, tables_t, ref, idx)
-            pks.append(ref)
-    fks: list[ForeignKey] = []
-    for pair in raw_fks:
-        try:
-            child_raw, parent_raw = pair
-        except (TypeError, ValueError) as exc:
-            raise MalformedManifest(f"{db_id}: bad foreign key entry {pair!r}") from exc
-        child = _resolve_global_column(db_id, spans, child_raw)
-        parent = _resolve_global_column(db_id, spans, parent_raw)
-        _check_key_ref(db_id, tables_t, child, child_raw)
-        _check_key_ref(db_id, tables_t, parent, parent_raw)
-        fks.append((child, parent))
+    def ref(index: int) -> KeyRef:
+        if type(index) is not int:
+            raise MalformedManifest(f"{db_id}: key column index {index!r} is not an integer")
+        if index not in refs:
+            raise KeyIndexOutOfRange(db_id, index)
+        return refs[index]
+
+    raw_pks = entry.get("primary_keys", [])  # an index, or a list of them for a composite key
+    pks = tuple(ref(index) for raw in raw_pks for index in (raw if isinstance(raw, list) else [raw]))
+    fks = tuple((ref(child), ref(parent)) for child, parent in entry.get("foreign_keys", []))
 
     db_path = db_dir / db_id / f"{db_id}.sqlite"
     if not db_path.is_file():
         raise MissingDbFile(db_id, str(db_path))
-    return DatabaseCatalog(db_id, tables_t, tuple(pks), tuple(fks), db_path)
+    return DatabaseCatalog(db_id, tables, pks, fks, db_path)
 
 
 def load_catalogs(manifest_path: Path | str, db_dir: Path | str) -> list[DatabaseCatalog]:
@@ -194,7 +157,11 @@ def load_catalogs(manifest_path: Path | str, db_dir: Path | str) -> list[Databas
         raise MalformedManifest(str(exc)) from exc
     if not isinstance(entries, list):
         raise MalformedManifest("manifest root is not a list")
-    return [_catalog_from_entry(entry, db_dir) for entry in entries]
+    # One guard for every field: a missing field or a wrong type anywhere is a MalformedManifest.
+    try:
+        return [_catalog_from_entry(entry, db_dir) for entry in entries]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedManifest(f"{type(exc).__name__}: {exc}") from exc
 
 
 def load_examples(
@@ -215,16 +182,17 @@ def load_examples(
     for pos, record in enumerate(records):
         if not isinstance(record, dict):
             raise MalformedDataset(f"record {pos} is not an object")
-        question = record.get("question")
+        question, db_id, query = record.get("question"), record.get("db_id"), record.get("query")
         if not question:
             raise MalformedDataset(f"record {pos} missing question")
-        db_id = record.get("db_id")
         if not db_id:
             raise MalformedDataset(f"record {pos} missing db_id")
+        if not all(isinstance(value, str) for value in (question, db_id, "" if query is None else query)):
+            raise MalformedDataset(f"record {pos}: question, db_id and query must be strings")
         if known is not None and db_id not in known:
             raise UnknownDbId(db_id)
         example_id = str(record.get("example_id") or f"{pos:06d}")
-        examples.append(ExampleItem(example_id, question, record.get("query"), db_id))
+        examples.append(ExampleItem(example_id, question, query, db_id))
     return examples
 
 
@@ -247,15 +215,13 @@ def catalog_from_sqlite(db_path: Path | str, db_id: str) -> DatabaseCatalog:
         ]
         tables: list[TableSchema] = []
         pks: list[KeyRef] = []
-        ordinal = 1
         for t, name in enumerate(names):
             cols = []
             info = conn.execute(f"PRAGMA table_info({quote_identifier(name)})")
             for _, col_name, decl_type, _, _, pk in info:
-                cols.append(ColumnSchema(col_name, _affinity_type(decl_type), ordinal))
+                cols.append(ColumnSchema(col_name, _affinity_type(decl_type)))
                 if pk:
                     pks.append((t, len(cols) - 1))
-                ordinal += 1
             tables.append(TableSchema(name, tuple(cols)))
         index = {t.name.lower(): i for i, t in enumerate(tables)}
         fks: list[ForeignKey] = []

@@ -17,6 +17,7 @@ import yaml
 from .catalog import DatabaseCatalog, ExampleItem, load_catalogs, load_examples
 from .errors import ConfigError, SqlVoteError
 from .evaluation import SuiteSpec, evaluate_file
+from .execution import DEFAULT_TIMEOUT
 from .gateway import (
     DEFAULT_SAMPLES,
     DEFAULT_TEMPERATURE,
@@ -110,7 +111,7 @@ def load_config(path: Path | str) -> RunConfig:
             db_dir=_path("db_dir"),
             dataset=_path("dataset"),
             output=_path("output", required=False) or (base / "predictions.jsonl"),
-            timeout=_seconds(raw.get("timeout", 5.0), "timeout"),
+            timeout=_seconds(raw.get("timeout", DEFAULT_TIMEOUT), "timeout"),
             fan_out=int(raw.get("fan_out", 8)),
             audit=bool(raw.get("audit", False)),
             demo_source=_path("demo_source", required=False),

@@ -10,22 +10,27 @@ error text. With a cache directory, the pool is recorded in the cache, keyed
 by its inputs: the database file's bytes, the timeout, the SQLite version,
 the seed and each arm's rendered prompt (see `gateway`). A warm run replays
 it, timeouts included: it samples, extracts and executes nothing, and opens
-no connection. Error candidates are filtered, survivors are grouped by
-outcome key, and the largest group's earliest candidate wins.
+no connection.
 
-A pool runs its statements by descending candidate count and stops once the
-winner is fixed (`_settled`); an audit runs them all. On a stopped pool the
-tallies, error count and margin are lower bounds; the selection is exact.
+A pool is its slots (each position's statement, or None for a failed
+completion), the outcome of each statement that ran, and its arms. One tally
+(`_tally`) weighs each statement's outcome by the positions holding it:
+errors are filtered, the first key with the most candidates wins, and its
+earliest statement is the SQL. Statements run by descending candidate count
+until the same tally fixes the winner (`_settled`); an audit runs them all.
+On a stopped pool the tallies, error count and margin are lower bounds; the
+selection is exact.
 """
 
 from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .catalog import DatabaseCatalog, ExampleItem
 from .execution import (
+    DEFAULT_TIMEOUT,
     ErrorKind,
     OutcomeKey,
     canonical_key,
@@ -42,6 +47,7 @@ FALLBACK_SQL = "SELECT NULL"
 
 @dataclass(frozen=True)
 class Candidate:
+    """One pool position, as read from a pool; the vote itself never builds one."""
     sql: str
     arm: ModelArm
     sample_index: int
@@ -51,9 +57,23 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidatePool:
-    question_id: str
-    candidates: tuple[Candidate, ...]
+    """Each position's statement (None for a failed completion), the outcomes of those run, the arms."""
+    slots: tuple[str | None, ...]
+    outcomes: dict[str, OutcomeKey | ErrorKind]
     arms: tuple[ModelArm, ...]
+
+    def _rows(self):
+        """(sql, arm, sample index, outcome, position) per position; a failed completion reads "", RUNTIME."""
+        places = ((arm, index) for arm in self.arms for index in range(arm.samples))
+        for position, (sql, (arm, index)) in enumerate(zip(self.slots, places)):
+            if sql is None:
+                yield "", arm, index, ErrorKind.RUNTIME, position
+            else:
+                yield sql, arm, index, self.outcomes.get(sql), position
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        return tuple(Candidate(*row) for row in self._rows())
 
 
 @dataclass(frozen=True)
@@ -73,17 +93,17 @@ def build_pool(
     arms: list[ModelArm],
     seed: int,
     gateway: Gateway,
-    timeout: float = 5.0,
+    timeout: float = DEFAULT_TIMEOUT,
     max_per_column: int = DEFAULT_MAX_PER_COLUMN,
     demos_for: Callable[[ModelArm], DemoSet] | None = None,
     audit: bool = False,
 ) -> CandidatePool:
-    """Sample every arm's candidates, in configuration order, and reduce each to its outcome.
+    """Sample every arm's candidates, in configuration order, and run their statements.
 
     Each distinct completion text is extracted once, and each distinct
     statement executes at most once, by descending candidate count until the
-    winner is fixed (all of them with `audit`); every candidate holding it
-    shares its key or error kind, or None if it did not run. Values are
+    winner is fixed (all of them with `audit`); its key or error kind is
+    recorded once, for every position holding it. Values are
     linked only when some arm's design renders them. All arms are rendered
     before anything is sampled, so a pool that the cache records replays
     without sampling, and connects only if it has statements left to run.
@@ -116,8 +136,7 @@ def build_pool(
         return slots
 
     def execute_all(slots: list[str | None], outcomes: dict[str, OutcomeKey | ErrorKind]) -> None:
-        # candidates per statement, in first-appearance order (not a Counter: its first call costs ~50 us)
-        counts = {sql: slots.count(sql) for sql in dict.fromkeys(slots) if sql is not None}
+        counts = _counts(slots)
         if outcomes and (counts.keys() <= outcomes.keys() or not audit and _settled(counts, outcomes)):
             return  # a replay with nothing to run neither lets go of the turn nor connects
         # a pool with no outcome yet connects even with no statement: an unreadable database fails it
@@ -130,13 +149,29 @@ def build_pool(
                     outcomes[sql] = outcome.error_kind or canonical_key(outcome, order_sensitive=False)
 
     slots, outcomes = gateway.pool(catalog.db_path, timeout, seed, prompts, draw, execute_all)
-    places = [(arm, index) for arm in arms for index in range(arm.samples)]
-    candidates = tuple(
-        Candidate("", arm, index, ErrorKind.RUNTIME, position) if sql is None
-        else Candidate(sql, arm, index, outcomes.get(sql), position)
-        for position, (sql, (arm, index)) in enumerate(zip(slots, places))
-    )
-    return CandidatePool(question.example_id, candidates, tuple(arms))
+    return CandidatePool(tuple(slots), outcomes, tuple(arms))
+
+
+def _counts(slots: Sequence[str | None]) -> dict[str, int]:
+    """Candidates per statement, in first-appearance order (not a Counter: its first call costs ~50 us)."""
+    return {sql: slots.count(sql) for sql in dict.fromkeys(slots) if sql is not None}
+
+
+def _tally(
+    counts: dict[str, int], outcomes: dict[str, OutcomeKey | ErrorKind]
+) -> tuple[dict[OutcomeKey, int], int, int]:
+    """Candidates per key, in order of each key's first position; candidates in error; candidates not run."""
+    tallies: dict[OutcomeKey, int] = {}
+    errors = pending = 0
+    for sql, count in counts.items():
+        outcome = outcomes.get(sql)
+        if outcome is None:
+            pending += count
+        elif isinstance(outcome, OutcomeKey):
+            tallies[outcome] = tallies.get(outcome, 0) + count
+        else:
+            errors += count
+    return tallies, errors, pending
 
 
 def _settled(counts: dict[str, int], outcomes: dict[str, OutcomeKey | ErrorKind]) -> bool:
@@ -145,54 +180,35 @@ def _settled(counts: dict[str, int], outcomes: dict[str, OutcomeKey | ErrorKind]
     They do once the leader's candidates outnumber the runner-up's plus all those not run
     (errors never vote), and no statement not run first appears before the leader's first.
     """
-    tallies: dict[OutcomeKey, int] = {}
-    pending = 0
-    for sql, count in counts.items():
-        outcome = outcomes.get(sql)
-        if outcome is None:
-            pending += count
-        elif isinstance(outcome, OutcomeKey):
-            tallies[outcome] = tallies.get(outcome, 0) + count
-    (leader, lead), (_, second) = (sorted(tallies.items(), key=lambda item: -item[1]) + [(None, 0)] * 2)[:2]
+    tallies, _, pending = _tally(counts, outcomes)
+    lead, second = (sorted(tallies.values(), reverse=True) + [0, 0])[:2]
     if lead <= second + pending:
         return False
+    leader = max(tallies, key=tallies.__getitem__)
     return next(sql for sql in counts if sql not in outcomes or outcomes[sql] == leader) in outcomes
 
 
 def select_by_consistency(pool: CandidatePool) -> SelectionResult:
     """Majority vote over order-insensitive outcome keys.
 
-    Error candidates count in `filtered_error_count` and nowhere else, and
-    a candidate whose statement did not run counts nowhere. Ties go to the
-    group holding the smallest pool position, and the winning group's
-    earliest candidate supplies the SQL.
+    Candidates in error (a failed completion is one) count in
+    `filtered_error_count` and nowhere else, and a candidate whose statement
+    did not run counts nowhere. The first key with the most candidates, in
+    order of first position, wins, and its earliest statement is the SQL.
     """
-    groups: dict[OutcomeKey, list[Candidate]] = {}
-    filtered = 0
-    for candidate in pool.candidates:
-        if isinstance(candidate.outcome, OutcomeKey):
-            groups.setdefault(candidate.outcome, []).append(candidate)
-        elif candidate.outcome is not None:
-            filtered += 1
-
-    total = len(pool.candidates)
-    tallies = {key: len(members) for key, members in groups.items()}
-    if not groups:
+    counts = _counts(pool.slots)
+    tallies, errors, _ = _tally(counts, pool.outcomes)
+    filtered, total = errors + pool.slots.count(None), len(pool.slots)
+    if not tallies:
         return SelectionResult(None, None, {}, filtered, total, False)
-
-    top = max(tallies.values())
-    leaders = [key for key, count in tallies.items() if count == top]
-    winning_key = min(
-        leaders, key=lambda key: min(c.pool_position for c in groups[key])
-    )
-    winner = min(groups[winning_key], key=lambda c: c.pool_position)
+    winning_key = max(tallies, key=tallies.__getitem__)  # the first maximum
     return SelectionResult(
-        selected_sql=winner.sql,
+        selected_sql=next(sql for sql in counts if pool.outcomes.get(sql) == winning_key),
         winning_key=winning_key,
         tallies=tallies,
         filtered_error_count=filtered,
         total_candidates=total,
-        tie_broken=len(leaders) > 1,
+        tie_broken=list(tallies.values()).count(tallies[winning_key]) > 1,
     )
 
 
@@ -202,7 +218,7 @@ def run_question(
     arms: list[ModelArm],
     seed: int,
     gateway: Gateway,
-    timeout: float = 5.0,
+    timeout: float = DEFAULT_TIMEOUT,
     max_per_column: int = DEFAULT_MAX_PER_COLUMN,
     demos_for: Callable[[ModelArm], DemoSet] | None = None,
     audit: bool = False,
@@ -214,24 +230,21 @@ def run_question(
 
 
 def audit_records(pool: CandidatePool, result: SelectionResult) -> list[dict]:
-    """One record per candidate, suitable for line-delimited audit output."""
-    winner_position = next(
-        (c.pool_position for c in pool.candidates if c.outcome == result.winning_key), None
-    )
+    """One record per pool position, for line-delimited audit output; the pool ran every statement."""
+    winner_position = None if result.selected_sql is None else pool.slots.index(result.selected_sql)
     records = []
-    for candidate in pool.candidates:
-        outcome = candidate.outcome
+    for sql, arm, sample_index, outcome, position in pool._rows():
         succeeded = isinstance(outcome, OutcomeKey)
         records.append(
             {
-                "pool_position": candidate.pool_position,
-                "sql": candidate.sql,
-                "arm": candidate.arm.describe(),
-                "sample_index": candidate.sample_index,
+                "pool_position": position,
+                "sql": sql,
+                "arm": arm.describe(),
+                "sample_index": sample_index,
                 "outcome_kind": "success" if succeeded else "error",
                 "error_kind": None if succeeded else outcome.value,
                 "outcome_key": outcome.key if succeeded else None,
-                "selected": candidate.pool_position == winner_position,
+                "selected": position == winner_position,
             }
         )
     return records

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from sqlvote.execution import ErrorKind, ExecutionOutcome, OutcomeKey, canonical
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
 from sqlvote.linking import link_values
 from sqlvote.prompts import PromptDesignId, render
-from sqlvote.voting import Candidate, CandidatePool, run_question, select_by_consistency
+from sqlvote.voting import CandidatePool, run_question, select_by_consistency
 
 from conftest import read_golden
 from oracles import majority_select, suite_db
@@ -59,15 +60,13 @@ def _success(rows):
 
 
 def _pool(outcomes):
-    """A pool as build_pool leaves it: each outcome reduced to its key, or to its error kind."""
-    candidates = tuple(
-        Candidate(
-            f"SELECT {i}", _ARM, i,
-            canonical_key(outcome, False) if outcome.is_success else outcome.error_kind, i,
-        )
-        for i, outcome in enumerate(outcomes)
-    )
-    return CandidatePool("q", candidates, (_ARM,))
+    """A pool as build_pool leaves it, position i holding `SELECT i`: outcomes reduced to keys or error kinds."""
+    slots = tuple(f"SELECT {i}" for i in range(len(outcomes)))
+    reduced = {
+        sql: canonical_key(outcome, False) if outcome.is_success else outcome.error_kind
+        for sql, outcome in zip(slots, outcomes)
+    }
+    return CandidatePool(slots, reduced, (replace(_ARM, samples=len(slots)),) if slots else ())
 
 
 def test_vote_oracle_thousand_pools(capsys):
@@ -95,7 +94,7 @@ def test_vote_oracle_thousand_pools(capsys):
         if winner_position is None:
             assert result.selected_sql is None
         else:
-            assert result.selected_sql == pool.candidates[winner_position].sql
+            assert result.selected_sql == pool.slots[winner_position]
             assert result.tallies[result.winning_key] == best
             assert result.tie_broken == tie
         agreements += 1

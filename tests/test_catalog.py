@@ -63,6 +63,31 @@ def test_key_index_out_of_range(tmp_path, fixture_root):
         load_catalogs(manifest, fixture_root / "database")
 
 
+def test_key_indexes_resolve_columns_listed_apart(tmp_path):
+    """A manifest may list a table's columns apart: each key index names the column at that index."""
+    entry = {
+        "db_id": "ab",
+        "table_names_original": ["a", "b"],
+        "column_names_original": [[-1, "*"], [0, "a_id"], [1, "b_id"], [0, "b_ref"]],
+        "column_types": ["text", "number", "number", "number"],
+        "primary_keys": [1, 2],
+        "foreign_keys": [[3, 2]],
+    }
+    (tmp_path / "ab").mkdir()
+    (tmp_path / "ab" / "ab.sqlite").touch()
+    manifest = tmp_path / "tables.json"
+    manifest.write_text(json.dumps([entry]))
+    (catalog,) = load_catalogs(manifest, tmp_path)
+    assert [[c.name for c in t.columns] for t in catalog.tables] == [["a_id", "b_ref"], ["b_id"]]
+    assert catalog.primary_keys == ((0, 0), (1, 0))
+    assert catalog.foreign_keys == (((0, 1), (1, 0)),)
+    for bad in (0, 4):  # '*', and one past the last column
+        entry["foreign_keys"] = [[3, bad]]
+        manifest.write_text(json.dumps([entry]))
+        with pytest.raises(KeyIndexOutOfRange):
+            load_catalogs(manifest, tmp_path)
+
+
 def test_malformed_manifest(tmp_path):
     manifest = tmp_path / "tables.json"
     manifest.write_text(json.dumps([{"db_id": "x"}]))

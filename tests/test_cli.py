@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import itertools
 import json
 import shutil
@@ -480,6 +481,50 @@ def test_evaluate_malformed_prediction_line(fixture_root, tmp_path, capsys, line
     assert err.startswith(f"{pred_path}:2: ") and err.count("\n") == 1
 
 
+# (file, path to the field in the singer manifest entry or the first record, wrongly typed value)
+_WRONG_TYPES = {
+    "table-index-a-string": ("manifest", ["column_names_original", 1, 0], "0"),
+    "column-not-a-pair": ("manifest", ["column_names_original", 1], [0]),
+    "key-index-a-string": ("manifest", ["primary_keys", 0], "1"),
+    "key-index-nested": ("manifest", ["primary_keys", 0], [[1]]),
+    "column-type-not-a-string": ("manifest", ["column_types", 1], 5),
+    "question-a-number": ("dataset", ["question"], 5),
+    "db-id-a-list": ("dataset", ["db_id"], ["singer"]),
+    "query-a-number": ("evaluate", ["query"], 5),
+    "query-a-list": ("evaluate", ["query"], ["SELECT 1"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_TYPES))
+def test_wrongly_typed_manifest_or_dataset_field_is_one_line(mini_run, capsys, name):
+    fixture_root, work, config_path = mini_run
+    target, path, value = _WRONG_TYPES[name]
+    source = fixture_root / ("tables.json" if target == "manifest" else "mini_dev.json")
+    data = json.loads(source.read_text(encoding="utf-8"))
+    field = data[1] if target == "manifest" else data[0]
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    edited = work / source.name
+    edited.write_text(json.dumps(data), encoding="utf-8")
+    if target == "evaluate":
+        pred_path = work / "pred.jsonl"
+        pred_path.write_text("".join(
+            json.dumps({"example_id": f"{i:06d}", "sql": "SELECT 1"}) + "\n" for i in range(len(data))
+        ))
+        argv = ["evaluate", "--pred", str(pred_path), "--dataset", str(edited),
+                "--db-dir", str(fixture_root / "database")]
+    else:
+        config = yaml.safe_load(config_path.read_text())
+        config[target] = str(edited)
+        config_path.write_text(yaml.safe_dump(config))
+        argv = ["predict", "--config", str(config_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    prefix = "malformed schema manifest: " if target == "manifest" else "malformed dataset: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_evaluate_prediction_file_not_utf8(fixture_root, tmp_path, capsys):
     pred_path = tmp_path / "pred.jsonl"
     pred_path.write_bytes(b"\xff\xfe[")
@@ -787,3 +832,27 @@ def test_outputs_are_identical_at_every_fan_out(fixture_root, tmp_path, short_se
     assert runs[1, "cold"] == runs[1, "warm"]
     for fan_out, part in itertools.product((2, 8), ("cold", "warm", "cache")):
         assert runs[fan_out, part] == runs[1, part]
+
+
+# The audit file of the mini run, as written before the vote stopped building per-candidate objects.
+_MINI_AUDIT_SHA256 = "32a669cb69e46ad6b436f82df0f0c36062590c707cf7d8e5080ddc77b1a17ea2"
+
+
+def test_predict_and_audit_build_no_candidate(mini_run, monkeypatch):
+    fixture_root, work, config_path = mini_run
+    assert main(["predict", "--config", str(config_path)]) == 0
+    expected = (work / "predictions.jsonl").read_bytes()
+    shutil.rmtree(work / "cache")
+
+    def no_candidate(*args, **kwargs):
+        raise AssertionError("a Candidate was built")
+
+    monkeypatch.setattr(voting, "Candidate", no_candidate)
+    for flags in ([], ["--audit"]):
+        for phase in ("cold", "warm"):
+            assert main(["predict", "--config", str(config_path), *flags]) == 0, (flags, phase)
+            assert (work / "predictions.jsonl").read_bytes() == expected, (flags, phase)
+            if flags:
+                audit = (work / "predictions.jsonl.audit.jsonl").read_bytes()
+                assert hashlib.sha256(audit).hexdigest() == _MINI_AUDIT_SHA256, phase
+        shutil.rmtree(work / "cache")

@@ -689,7 +689,7 @@ def _suite_cases(draw):
 
 def _fuzz_catalog(tables, primary, foreign, path) -> DatabaseCatalog:
     schemas = tuple(
-        TableSchema(f"t{t}", tuple(ColumnSchema(f"c{c}", kind, 0) for c, kind in enumerate(kinds)))
+        TableSchema(f"t{t}", tuple(ColumnSchema(f"c{c}", kind) for c, kind in enumerate(kinds)))
         for t, kinds in enumerate(tables)
     )
     return DatabaseCatalog("fuzz", schemas, tuple(primary), tuple(foreign), path)

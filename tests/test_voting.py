@@ -8,6 +8,7 @@ import shutil
 import sqlite3
 import tempfile
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -22,7 +23,6 @@ from sqlvote.execution import ErrorKind, ExecutionOutcome, OutcomeKey, canonical
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
 from sqlvote.prompts import PromptDesignId
 from sqlvote.voting import (
-    Candidate,
     CandidatePool,
     audit_records,
     build_pool,
@@ -48,11 +48,15 @@ def _reduced(outcome):
     return canonical_key(outcome, False) if outcome.is_success else outcome.error_kind
 
 
-def _pool(outcomes, question_id="q"):
-    candidates = tuple(
-        Candidate(f"SELECT {i}", ARM, i, _reduced(outcome), i) for i, outcome in enumerate(outcomes)
-    )
-    return CandidatePool(question_id, candidates, (ARM,))
+def _one_arm(slots):
+    """One arm whose samples fill the pool (none for an empty pool)."""
+    return (replace(ARM, samples=len(slots)),) if slots else ()
+
+
+def _pool(outcomes):
+    """A pool whose position i holds its own statement `SELECT i`, whose outcome is outcomes[i]."""
+    slots = tuple(f"SELECT {i}" for i in range(len(outcomes)))
+    return CandidatePool(slots, {sql: _reduced(o) for sql, o in zip(slots, outcomes)}, _one_arm(slots))
 
 
 def test_strict_majority():
@@ -117,7 +121,19 @@ def _random_outcomes(rng):
 
 
 def _random_pool(rng):
-    return _pool(_random_outcomes(rng))
+    """Up to 40 positions over a few statements: repeats, failed completions and statements not run."""
+    statements = [f"SELECT {i}" for i in range(rng.randint(1, 12))]
+    n_keys = rng.randint(1, 5)
+    error_rate = rng.uniform(0.0, 0.3)
+    outcomes = {
+        sql: _reduced(
+            _error(rng.choice(list(ErrorKind))) if rng.random() < error_rate else _random_outcome(rng, n_keys)
+        )
+        for sql in statements
+        if rng.random() >= 0.1  # else not run
+    }
+    slots = tuple(None if rng.random() < 0.05 else rng.choice(statements) for _ in range(rng.randint(0, 40)))
+    return CandidatePool(slots, outcomes, _one_arm(slots))
 
 
 def test_thousand_pools_match_bruteforce_oracle():
@@ -134,7 +150,7 @@ def test_thousand_pools_match_bruteforce_oracle():
         if winner_position is None:
             assert result.selected_sql is None, trial
         else:
-            assert result.selected_sql == pool.candidates[winner_position].sql, trial
+            assert result.selected_sql == pool.slots[winner_position], trial
             assert result.winning_key == canonical_key(outcomes[winner_position], False), trial
             assert result.tallies[result.winning_key] == best_count, trial
             assert result.tie_broken == tie, trial
@@ -145,15 +161,13 @@ def test_error_immunity():
     for _ in range(100):
         pool = _random_pool(rng)
         base = select_by_consistency(pool)
-        extended = CandidatePool(
-            pool.question_id,
-            pool.candidates
-            + (Candidate("SELECT broken", ARM, 0, _error(), len(pool.candidates)),),
-            pool.arms,
-        )
-        grown = select_by_consistency(extended)
-        assert grown.winning_key == base.winning_key
-        assert grown.selected_sql == base.selected_sql
+        for slot in ("SELECT broken", None):  # an error statement, and a failed completion
+            extended = replace(
+                pool, slots=(*pool.slots, slot), outcomes={**pool.outcomes, "SELECT broken": ErrorKind.SYNTAX}
+            )
+            grown = select_by_consistency(extended)
+            assert grown.winning_key == base.winning_key
+            assert grown.selected_sql == base.selected_sql
 
 
 def test_duplication_monotonicity():
@@ -163,25 +177,20 @@ def test_duplication_monotonicity():
         base = select_by_consistency(pool)
         if base.winning_key is None:
             continue
-        winners = [c for c in pool.candidates if c.outcome == base.winning_key]
-        clone = winners[0]
-        extended = CandidatePool(
-            pool.question_id,
-            pool.candidates
-            + (Candidate(clone.sql, clone.arm, clone.sample_index, clone.outcome, len(pool.candidates)),),
-            pool.arms,
-        )
+        clone = next(sql for sql in pool.slots if pool.outcomes.get(sql) == base.winning_key)
+        extended = replace(pool, slots=(*pool.slots, clone))
         assert select_by_consistency(extended).winning_key == base.winning_key
 
 
 def test_group_permutation_invariance():
+    """The vote follows pool positions, not the order in which statements ran (the outcomes' order)."""
     rng = random.Random(8)
     for _ in range(100):
         pool = _random_pool(rng)
         base = select_by_consistency(pool)
-        shuffled = list(pool.candidates)
+        shuffled = list(pool.outcomes.items())
         rng.shuffle(shuffled)
-        permuted = CandidatePool(pool.question_id, tuple(shuffled), pool.arms)
+        permuted = replace(pool, outcomes=dict(shuffled))
         result = select_by_consistency(permuted)
         assert result.winning_key == base.winning_key
         assert result.selected_sql == base.selected_sql
@@ -198,27 +207,62 @@ _ARMS = tuple(
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_vote_ignores_how_the_pool_is_split_across_arms(data):
-    outcomes = data.draw(
-        st.lists(
-            st.one_of(
-                st.integers(0, 3).map(lambda v: _success([(v,)])),
-                st.sampled_from(list(ErrorKind)).map(_error),
-            ),
-            max_size=30,
-        )
-    )
+    pool = _drawn_pool(data)
     # arms take consecutive blocks of the pool, in configuration order
-    n = len(outcomes)
+    n = len(pool.slots)
     owners = sorted(data.draw(st.lists(st.integers(0, len(_ARMS) - 1), min_size=n, max_size=n)))
-    split = CandidatePool(
-        "q",
-        tuple(
-            Candidate(f"SELECT {i}", _ARMS[owner], i, _reduced(outcome), i)
-            for i, (owner, outcome) in enumerate(zip(owners, outcomes))
+    arms = {owner: replace(_ARMS[owner], samples=owners.count(owner)) for owner in owners}
+    split = replace(pool, arms=tuple(arms.values()))
+    assert [(c.arm, c.sample_index) for c in split.candidates] == [
+        (arms[owner], i - owners.index(owner)) for i, owner in enumerate(owners)
+    ]
+    assert select_by_consistency(split) == select_by_consistency(pool)
+
+
+_STATEMENTS = [f"SELECT {i}" for i in range(6)]
+
+
+def _drawn_pool(data):
+    """Slots of six statements or failed completions; each statement has one of 4 keys, an error or no run."""
+    outcomes = data.draw(st.lists(
+        st.one_of(
+            st.none(),
+            st.integers(0, 3).map(lambda v: _success([(v,)])),
+            st.sampled_from(list(ErrorKind)).map(_error),
         ),
-        _ARMS,
+        min_size=len(_STATEMENTS), max_size=len(_STATEMENTS),
+    ))
+    slots = tuple(data.draw(st.lists(st.one_of(st.none(), st.sampled_from(_STATEMENTS)), max_size=30)))
+    ran = {sql: _reduced(o) for sql, o in zip(_STATEMENTS, outcomes) if o is not None}
+    return CandidatePool(slots, ran, _one_arm(slots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_vote_equals_the_oracle_over_the_per_candidate_expansion(data):
+    pool = _drawn_pool(data)
+    result = select_by_consistency(pool)
+    # one outcome per position: a failed completion is a RUNTIME error, a statement not run has none
+    expansion = [ErrorKind.RUNTIME if sql is None else pool.outcomes.get(sql) for sql in pool.slots]
+    assert [c.outcome for c in pool.candidates] == expansion
+    assert [c.sql for c in pool.candidates] == ["" if sql is None else sql for sql in pool.slots]
+    ran = [(position, outcome) for position, outcome in enumerate(expansion) if outcome is not None]
+    rows = {  # each key stands for the one-row result it was made from
+        canonical_key(_success([(v,)]), False): [(v,)] for v in range(4)
+    }
+    winner, best, tie = majority_select(
+        [(position, rows.get(outcome, []), isinstance(outcome, ErrorKind)) for position, outcome in ran]
     )
-    assert select_by_consistency(split) == select_by_consistency(_pool(outcomes))
+    keys = [outcome for _, outcome in ran if isinstance(outcome, OutcomeKey)]
+    assert result.tallies == dict(Counter(keys))
+    assert result.filtered_error_count == len(ran) - len(keys)
+    assert result.total_candidates == len(pool.slots)
+    if winner is None:
+        assert (result.selected_sql, result.winning_key, result.tie_broken) == (None, None, False)
+    else:
+        assert result.selected_sql == pool.slots[winner]
+        assert result.winning_key == expansion[winner]
+        assert (result.tallies[result.winning_key], result.tie_broken) == (best, tie)
 
 
 # --- pipeline-level pooling -------------------------------------------------------
@@ -510,11 +554,11 @@ def test_memoized_pool_votes_like_separate_executions(dev_examples, singer_catal
     )
     result, pool = run_question(example, singer_catalog, arms, seed=0, gateway=gateway, audit=True)
 
-    separate = CandidatePool(
-        pool.question_id,
-        tuple(replace(c, outcome=_reduced(execute(c.sql, singer_catalog))) for c in pool.candidates),
-        pool.arms,
-    )
+    # each candidate on a connection of its own
+    separately = [(sql, _reduced(execute(sql, singer_catalog))) for sql in pool.slots]
+    separate = replace(pool, outcomes=dict(separately))
+    assert len(set(separately)) == len(separate.outcomes)  # the candidates of one statement agree
+    assert separate.outcomes == pool.outcomes
     reference = select_by_consistency(separate)
     assert result == reference
     assert audit_records(pool, result) == audit_records(separate, reference)
@@ -854,14 +898,15 @@ def test_warm_pool_equals_cold_and_separate_executions(dev_examples, singer_cata
             )
     assert warm == cold
 
-    separate = tuple(
-        c if c.arm.model_id == "down" else replace(c, outcome=_reduced(execute(c.sql, singer_catalog)))
-        for c in cold.candidates
-    )
-    assert [c.outcome for c in cold.candidates] == [c.outcome for c in separate]
+    separately = [  # each candidate on its own connection; a failed completion is a RUNTIME error
+        ErrorKind.RUNTIME if sql is None else _reduced(execute(sql, singer_catalog)) for sql in cold.slots
+    ]
+    assert [c.outcome for c in cold.candidates] == separately
     failed = [c.outcome for c in cold.candidates if c.arm.model_id == "down"]
     assert failed == [ErrorKind.RUNTIME] * 2
-    reference_pool = replace(cold, candidates=separate)
+    reference_pool = replace(
+        cold, outcomes={sql: outcome for sql, outcome in zip(cold.slots, separately) if sql is not None}
+    )
     assert audit_records(cold, select_by_consistency(cold)) == audit_records(
         reference_pool, select_by_consistency(reference_pool)
     )
