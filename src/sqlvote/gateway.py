@@ -3,8 +3,9 @@
 Each arm draws `samples` i.i.d. completions for one rendered prompt. The
 cache is content-addressed by (model, prompt hash, temperature, seed, index)
 so recorded runs replay byte-identically and repeat runs cost nothing.
-Entries of one sampling call that hold the same text are hard links of one
-file (see `_publish`), so an entry is replaced by rename, never edited in place.
+Each distinct text is stored once for the whole cache, at `texts/<SHA-256
+of its UTF-8 bytes>`, and every entry holding it is a hard link of that file
+(see `_link_entries`), so an entry is replaced by rename, never edited in place.
 
 The cache also keeps one record per pool, at `pools/<digest>.json`, keyed
 by the pool's inputs: the digest covers a format tag, the SQLite version,
@@ -61,10 +62,10 @@ _TEMP_SUFFIX = ".tmp"  # a write in progress; never read as an entry
 _POOL_DIR = "pools"  # under the cache directory: one record per pool, keyed by the pool's inputs
 # change it when a record's meaning, what execution.extract_sql returns for a text, or an outcome changes
 _POOL_FORMAT = "sqlvote-pool-3"
-_RETIRED_DIR = "outcomes"  # outcome records of an earlier layout; only `cache clear` reads it
 _DIGEST_DIR = "databases"  # under the cache directory: one digest record per database file
 _DIGEST_FORMAT = "sqlvote-db-digest-1"  # a record: [format, *execution.db_signature, sha256]
 _SETTLE_NS = 2 * 10**9  # only a file unchanged this long before hashing gets a digest record
+_TEXT_DIR = "texts"  # under the cache directory: one file per distinct completion text, named by its SHA-256
 
 
 @dataclass(frozen=True)
@@ -292,10 +293,12 @@ class Gateway:
                     if entries is not None:
                         writes.setdefault(data, []).append(os.path.join(entries, f"{i}.txt"))
                 if writes:
+                    text_dir = os.path.join(self.cache_dir, _TEXT_DIR)
                     with self.blocking():
                         os.makedirs(entries, exist_ok=True)
+                        os.makedirs(text_dir, exist_ok=True)
                         for data, paths in writes.items():
-                            _publish(paths, data)
+                            _link_entries(os.path.join(text_dir, hashlib.sha256(data).hexdigest()), paths, data)
         return [c for c in results if c is not None]
 
     def pool(
@@ -348,7 +351,7 @@ class Gateway:
         if path is not None and not unchanged and (encoded := _encode_pool(slots, outcomes)) != data:
             with self.blocking():
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                _publish([path], encoded)
+                _publish(path, encoded)
         return slots, outcomes
 
     def _db_digest(self, db_path: Path) -> str:
@@ -381,12 +384,12 @@ class Gateway:
             last_change = max(signature[3:])  # the later of mtime and ctime
             if last_change < started - _SETTLE_NS and db_signature(db_path) == signature:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                _publish([path], json.dumps([_DIGEST_FORMAT, *signature, digest]).encode("utf-8"))
+                _publish(path, json.dumps([_DIGEST_FORMAT, *signature, digest]).encode("utf-8"))
         return digest
 
 
 def _read_entry(path: str) -> str | None:
-    """A cache entry's text, line endings kept as written; None if there is none or it is not UTF-8."""
+    """A cache file's text, line endings kept as written; None if there is none or it is not UTF-8."""
     try:
         with open(path, "rb") as handle:
             return handle.read().decode("utf-8")
@@ -440,34 +443,39 @@ def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, Ou
         return None
 
 
-def _publish(paths: list[str], data: bytes) -> None:
-    """Give each name in `paths` the bytes `data`, whole or not at all.
-
-    `data` is written once, to a random temp name of its own, so concurrent
-    writers never touch each other's file. Each further path gets a hard link
-    of that temp under a second temp name, renamed into place; last, the temp
-    is renamed onto `paths[0]`. Links come only from the private temp, so
-    replacing one name (by rename; an entry is never edited in place) never
-    changes another. Without hard links, a path gets a write of its own.
-    """
-    tmp = f"{paths[0]}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
-    made = [tmp]
+def _publish(path: str, data: bytes) -> None:
+    """Give `path` the bytes `data`, whole or not at all: written to a random temp name of its own, renamed."""
+    tmp = f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
     try:
         with open(tmp, "xb") as handle:
             handle.write(data)
-        for path in paths[1:]:
-            made.append(link := f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}")
-            try:
-                os.link(tmp, link)
-            except OSError:  # a file system without hard links
-                with open(link, "xb") as handle:
-                    handle.write(data)
-            os.replace(link, path)
-        os.replace(tmp, paths[0])
+        os.replace(tmp, path)
     except BaseException:
-        for name in made:
-            Path(name).unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def _link_entries(text: str, paths: list[str], data: bytes) -> None:
+    """Make each entry in `paths` a hard link of the text file `text`, renamed into place from a temp name.
+
+    The text file is read back first and published again unless it holds
+    `data`, so an in-place edit is never linked. An entry is written on its
+    own when it cannot be linked.
+    """
+    if _read_entry(text) != data.decode("utf-8"):  # missing, or edited in place
+        _publish(text, data)
+    for path in paths:
+        tmp = f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
+        try:
+            os.link(text, tmp)
+        except OSError:  # no hard links, too many links, or the text file was cleared meanwhile
+            _publish(path, data)
+            continue
+        try:
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
 
 def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
@@ -483,7 +491,7 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
 
 
 def cache_clear(cache_dir: Path | str) -> int:
-    """Remove all completion entries, pool, digest and retired outcome records, and stray temp files.
+    """Remove all completion entries and texts, pool and digest records, and stray temp files.
 
     Returns how many completion entries were deleted.
     """
@@ -494,7 +502,7 @@ def cache_clear(cache_dir: Path | str) -> int:
     for path in sorted(root.rglob("*.txt"), reverse=True):
         path.unlink()
         removed += 1
-    for path in [p for d in (_POOL_DIR, _RETIRED_DIR, _DIGEST_DIR) for p in (root / d).glob("*.json")]:
+    for path in [p for d in (_POOL_DIR, _DIGEST_DIR, _TEXT_DIR) for p in (root / d).glob("*")]:
         path.unlink()
     for path in list(root.rglob("*" + _TEMP_SUFFIX)):  # left by a writer that was killed
         path.unlink()

@@ -292,6 +292,14 @@ def test_cold_predict_links_the_repeated_texts_of_a_call(fixture_root, tmp_path)
         assert len({p.stat().st_ino for p in entries}) == len({p.read_bytes() for p in entries}) == 2
 
 
+def test_cold_predict_stores_each_distinct_text_of_the_cache_once(fixture_root, tmp_path):
+    assert main(["predict", "--config", str(_repeating_run(fixture_root, tmp_path))]) == 0
+    entries = list((tmp_path / "cache").rglob("*.txt"))
+    distinct = {p.read_bytes() for p in entries}
+    assert len(distinct) < 2 * len({p.parent for p in entries})  # some texts repeat across calls
+    assert len({p.stat().st_ino for p in entries}) == len(distinct)
+
+
 def test_predict_without_hard_links_writes_the_same_entries(fixture_root, tmp_path, monkeypatch):
     linked, copied = tmp_path / "linked", tmp_path / "copied"
     for work in (linked, copied):
@@ -726,15 +734,13 @@ def test_cache_cli(mini_run, capsys):
     assert list(cache_dir.iterdir()) == []  # pool records went too
 
 
-def test_cache_clear_removes_pool_records_and_retired_outcome_records(mini_run, short_settle, capsys):
+def test_cache_clear_removes_pool_records_and_texts(mini_run, short_settle, capsys):
     fixture_root, work, config_path = mini_run
     cache_dir = work / "cache"
     short_settle()
     assert main(["predict", "--config", str(config_path)]) == 0
-    retired = cache_dir / "outcomes" / f"{'0' * 64}.json"  # the per-pool outcome record of an older layout
-    retired.parent.mkdir()
-    retired.write_text('{"SELECT 1": "k"}', encoding="utf-8")
     assert len(list((cache_dir / "pools").glob("*.json"))) == 5
+    assert len(list((cache_dir / "texts").iterdir())) == len(set(_entries(cache_dir).values()))
     assert len(list((cache_dir / "databases").glob("*.json"))) >= 1
     assert main(["cache", "clear", "--dir", str(cache_dir)]) == 0
     assert capsys.readouterr().out.endswith("cleared 30 entries\n")

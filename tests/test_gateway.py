@@ -154,8 +154,6 @@ def test_cache_stats_and_clear(tmp_path):
     gateway.sample(_arm(samples=2), prompt, seed=0)
     entry = next(tmp_path.rglob("0.txt"))
     (entry.parent / "1.tmp").write_text("SEL", encoding="utf-8")  # left by a killed writer
-    (tmp_path / "outcomes").mkdir()
-    (tmp_path / "outcomes" / f"{'0' * 64}.json").write_text('{"SELECT 1": "k"}', encoding="utf-8")
     (tmp_path / "databases").mkdir()
     (tmp_path / "databases" / f"{'0' * 64}.json").write_text('["tag", 1, 2, 3, 4, 5, "d"]', encoding="utf-8")
     assert cache_stats(tmp_path) == (2, len("SELECT 1") + len("SELECT 2"))  # completions only
@@ -263,26 +261,32 @@ def test_replacing_a_linked_entry_leaves_its_siblings(tmp_path):
     gateway.sample(_arm(samples=4), prompt, seed=0)
     entries = sorted(tmp_path.rglob("*.txt"))
     assert os.path.samefile(entries[0], entries[2])
-    gateway_module._publish([str(entries[0])], b"SELECT 9")
+    gateway_module._publish(str(entries[0]), b"SELECT 9")
     assert [p.read_bytes() for p in entries] == [b"SELECT 9", b"SELECT 2", b"SELECT 1", b"SELECT 2"]
     warm = gateway.sample(_arm(samples=4), prompt, seed=0)
     assert [c.text for c in warm] == ["SELECT 9", "SELECT 2", "SELECT 1", "SELECT 2"]
 
 
 def test_an_entry_replaced_while_its_repeats_are_linked_changes_no_sibling(tmp_path, monkeypatch):
+    text = tmp_path / "text"
     paths = [str(tmp_path / f"{i}.txt") for i in range(3)]
     link = os.link
 
     def another_writer_first(source, target):
-        gateway_module._publish([paths[0]], b"SELECT 2")  # replaces the first entry meanwhile
+        gateway_module._publish(paths[0], b"SELECT 2")  # replaces the first entry meanwhile
         link(source, target)
 
     monkeypatch.setattr(gateway_module.os, "link", another_writer_first)
-    gateway_module._publish(paths, b"SELECT 1")
-    assert [Path(p).read_bytes() for p in paths] == [b"SELECT 1"] * 3
+    gateway_module._link_entries(str(text), paths, b"SELECT 1")
+    # the other writer replaced the first entry last; the text file and the entries linked to it keep their bytes
+    assert [Path(p).read_bytes() for p in paths] == [b"SELECT 2", b"SELECT 1", b"SELECT 1"]
+    assert text.read_bytes() == b"SELECT 1"
+    assert all(os.path.samefile(p, text) for p in paths[1:])
 
 
 def test_publish_whose_second_rename_fails_leaves_no_temp(tmp_path, monkeypatch):
+    text = tmp_path / "text"
+    text.write_bytes(b"SELECT 1")  # holds the bytes already, so only the entries are renamed into place
     paths = [str(tmp_path / f"{i}.txt") for i in range(3)]
     replace, renamed = os.replace, []
 
@@ -294,9 +298,31 @@ def test_publish_whose_second_rename_fails_leaves_no_temp(tmp_path, monkeypatch)
 
     monkeypatch.setattr(gateway_module.os, "replace", second_fails)
     with pytest.raises(OSError, match="rename failed"):
-        gateway_module._publish(paths, b"SELECT 1")
-    assert [p.name for p in tmp_path.iterdir()] == ["1.txt"]
-    assert (tmp_path / "1.txt").read_bytes() == b"SELECT 1"
+        gateway_module._link_entries(str(text), paths, b"SELECT 1")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.txt", "text"]
+    assert (tmp_path / "0.txt").read_bytes() == text.read_bytes() == b"SELECT 1"
+
+
+def test_a_text_edited_in_place_is_published_again_before_it_is_linked(tmp_path):
+    prompt = _prompt()
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1"]))
+
+    def entries(seed):
+        return sorted(tmp_path.glob(f"scripted-a/*/*/{seed}/*.txt"))
+
+    gateway.sample(_arm(), prompt, seed=0)
+    text = tmp_path / "texts" / hashlib.sha256(b"SELECT 1").hexdigest()
+    assert all(os.path.samefile(p, text) for p in entries(0))
+    with open(text, "r+b") as handle:  # an edit in place reaches every entry linked to the file
+        handle.write(b"SELECT 9")
+    assert [c.text for c in gateway.sample(_arm(), prompt, seed=1)] == ["SELECT 1"] * 2
+    assert text.read_bytes() == b"SELECT 1"
+    assert [p.read_bytes() for p in entries(1)] == [b"SELECT 1"] * 2
+    assert all(os.path.samefile(p, text) for p in entries(1))
+    assert [p.read_bytes() for p in entries(0)] == [b"SELECT 9"] * 2  # the edited file, no longer the text file
+    gateway.sample(_arm(), prompt, seed=2)  # a later call links the fresh file as it is
+    assert all(os.path.samefile(p, text) for p in entries(2))
 
 
 # --- pool records ----------------------------------------------------------------
@@ -316,6 +342,57 @@ def test_pool_record_round_trips(slots, data):
     decoded = gateway_module._decode_pool(gateway_module._encode_pool(slots, outcomes), len(slots))
     assert decoded == (slots, outcomes)
     assert [type(o) for o in decoded[1].values()] == [type(o) for o in outcomes.values()]  # "syntax" == SYNTAX
+
+
+def _refuse_links(*args):
+    raise OSError(errno.EMLINK, "Too many links")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["scripted-a", "scripted-b"]),
+            st.lists(st.sampled_from(["SELECT 1", "SELECT 2", "", "é\r\n"]) | st.text(max_size=3), min_size=1, max_size=6),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.booleans(),
+)
+def test_cold_sample_stores_each_distinct_text_once(calls, links_fail):
+    """Calls of two models whose texts repeat within and across calls: one inode per distinct text."""
+    prompts = [_prompt(f"ask {k}: [SQL]: ") for k in range(len(calls))]
+    tables: dict[str, dict[str, list[str]]] = {"scripted-a": {}, "scripted-b": {}}
+    for prompt, (model, texts) in zip(prompts, calls):
+        tables[model][prompt.content_hash] = texts
+    with tempfile.TemporaryDirectory() as root, patch.object(
+        gateway_module.os, "link", _refuse_links if links_fail else os.link
+    ):
+        cache = Path(root)
+        gateway = Gateway(cache_dir=cache)
+        for model, table in tables.items():
+            gateway.register_backend(model, ScriptedBackend(table))
+
+        def sample_all():
+            return [
+                gateway.sample(_arm(len(texts), model), prompt, seed=0) for prompt, (model, texts) in zip(prompts, calls)
+            ]
+
+        assert [[c.text for c in s] for s in sample_all()] == [texts for _, texts in calls]
+        entries = []
+        for prompt, (model, texts) in zip(prompts, calls):
+            for i, text in enumerate(texts):
+                entries.append(cache / model / prompt.content_hash / "0.5" / "0" / f"{i}.txt")
+                assert entries[-1].read_bytes() == text.encode("utf-8")
+        assert len(list(cache.rglob("*.txt"))) == len(entries)
+        distinct = {text for _, texts in calls for text in texts}
+        inodes = {p.stat().st_ino for p in entries}
+        assert len(inodes) == (len(entries) if links_fail else len(distinct))
+        assert list(cache.rglob("*.tmp")) == []
+        warm = sample_all()
+        assert [[c.text for c in s] for s in warm] == [texts for _, texts in calls]
+        assert all(c.from_cache for s in warm for c in s)
 
 
 # --- remote backend wire contract ------------------------------------------------
