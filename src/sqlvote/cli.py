@@ -8,7 +8,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -33,29 +33,89 @@ from .prompts import EMPTY_DEMOS, DemoSet, PromptDesignId, render
 from .voting import FALLBACK_SQL, audit_records, run_question
 
 
+def _checked(ok, wanted: str, convert=lambda value: value):
+    """A converter whose result must pass `ok`."""
+    def check(value):
+        result = convert(value)
+        if not ok(result):
+            raise ValueError(f"must be {wanted}, not {value!r}")
+        return result
+    return check
+
+
+_mapping = _checked(lambda value: isinstance(value, dict), "a mapping")
+_flag = _checked(lambda value: isinstance(value, bool), "true or false")  # bool("false") is True
+_positive = _checked(lambda n: n >= 1, ">= 1", int)
+_seconds = _checked(lambda s: math.isfinite(s) and s > 0, "a finite number of seconds above 0", float)
+# urlopen also reads file: URLs
+_url = _checked(lambda url: urlsplit(url).scheme in ("http", "https"), "an http or https URL", str)
+
+
+def _key(convert, default=...):
+    """A top-level config key as a `RunConfig` field: its converter and its default (`...`: required)."""
+    return field(metadata={"read": (convert, default)})
+
+
 @dataclass
 class RunConfig:
-    arms: list[ModelArm]
-    seed: int
-    manifest: Path
-    db_dir: Path
-    dataset: Path
-    output: Path
-    timeout: float
-    fan_out: int
-    audit: bool
-    demo_source: Path | None
-    cache_dir: Path | None
-    max_per_column: int
-    backends: dict[str, dict]
+    arms: list[ModelArm] = _key(list, ())  # each read by `_ARM`
+    seed: int = _key(int, 0)
+    manifest: Path = _key(Path)
+    db_dir: Path = _key(Path)
+    dataset: Path = _key(Path)
+    output: Path = _key(Path, Path("predictions.jsonl"))
+    timeout: float = _key(_seconds, DEFAULT_TIMEOUT)
+    fan_out: int = _key(_positive, 8)
+    audit: bool = _key(_flag, False)
+    demo_source: Path | None = _key(Path, None)
+    cache_dir: Path | None = _key(Path, None)
+    # a negative slice bound would drop a column's last matches
+    max_per_column: int = _key(_checked(lambda n: n >= 0, ">= 0", int), DEFAULT_MAX_PER_COLUMN)
+    backends: dict[str, dict] = _key(_mapping, {})  # model id -> its section, read by `_BACKENDS[its type]`
 
 
-def _seconds(value, key: str) -> float:
-    """A timeout from the config: finite and above zero (a NaN deadline never passes)."""
-    seconds = float(value)
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise ValueError(f"{key} must be a finite number of seconds above 0, not {value!r}")
-    return seconds
+# One table per config section: key -> (converter, default). A `Path` value resolves against the
+# config's directory, and a null path is an absent one.
+_CONFIG = {key.name: key.metadata["read"] for key in fields(RunConfig)}
+_ARM = {  # in `ModelArm` field order
+    "model": (str, ...),
+    "design": (lambda name: PromptDesignId.parse(str(name)), PromptDesignId.CONCISE),
+    "shots": (int, 0),
+    "samples": (_positive, DEFAULT_SAMPLES),
+    "temperature": (float, DEFAULT_TEMPERATURE),
+}
+_BACKENDS = {  # by backend type
+    "scripted": {"type": (str, "scripted"), "dir": (Path, ...)},
+    "remote": {"type": (str, "remote"), "endpoint": (_url, ...), "auth_token_env": (str, ""),
+               "request_timeout": (_seconds, 60.0)},
+}
+_backend_type = _checked(_BACKENDS.__contains__, f"one of {', '.join(_BACKENDS)}", str)
+
+
+def _backend_table(spec: dict) -> dict:
+    return _BACKENDS[_backend_type(spec.get("type", "scripted"))]
+
+
+def _read(raw, table, path: Path, where: str = "") -> dict:
+    """Read one config section, named `where` in errors, by its table or by the one `table(raw)` picks."""
+    key = None
+    try:
+        raw = _mapping(raw)
+        table = table(raw) if callable(table) else table
+        for key in raw:
+            if key not in table:
+                raise ValueError(f"unknown key, not one of {', '.join(table)}")
+        values = {}
+        for key, (convert, default) in table.items():
+            value = raw.get(key)
+            value = default if value is None and (key not in raw or convert is Path) else convert(value)
+            if value is ...:
+                raise KeyError(key)
+            values[key] = path.parent / value if isinstance(value, Path) else value
+        return values
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:  # int(.inf) overflows
+        at = where if key is None else f"{where}.{key}" if where else key
+        raise ConfigError(f"bad config value in {path}: {at}: {type(exc).__name__}: {exc}") from exc
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -66,89 +126,26 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-
-    base = path.parent
-
-    def _path(key: str, required: bool = True) -> Path | None:
-        value = raw.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"config missing '{key}'")
-            return None
-        candidate = Path(value)
-        return candidate if candidate.is_absolute() else base / candidate
-
-    raw_arms = raw.get("arms") or []
-    if not raw_arms:
+    config = RunConfig(**_read(raw, _CONFIG, path))
+    if not config.arms:
         raise ConfigError("no arms configured")
-    # One guard for every value conversion: a wrong type anywhere is a ConfigError.
-    try:
-        arms = [
-            ModelArm(
-                model_id=str(arm["model"]),
-                design=PromptDesignId.parse(str(arm.get("design", "concise"))),
-                shots=int(arm.get("shots", 0)),
-                samples=int(arm.get("samples", DEFAULT_SAMPLES)),
-                temperature=float(arm.get("temperature", DEFAULT_TEMPERATURE)),
-            )
-            for arm in raw_arms
-        ]
-        backends = raw.get("backends") or {}
-        for spec in backends.values():
-            directory = spec.get("dir")
-            if directory is not None and not Path(directory).is_absolute():
-                spec["dir"] = str(base / directory)
-        for arm in arms:
-            if arm.model_id not in backends:
-                raise ConfigError(f"arm model '{arm.model_id}' has no backend entry")
-        max_per_column = int(raw.get("max_per_column", DEFAULT_MAX_PER_COLUMN))
-        if max_per_column < 0:  # a negative slice bound would drop a column's last matches
-            raise ValueError(f"max_per_column must be >= 0, not {max_per_column}")
-        return RunConfig(
-            arms=arms,
-            seed=int(raw.get("seed", 0)),
-            manifest=_path("manifest"),
-            db_dir=_path("db_dir"),
-            dataset=_path("dataset"),
-            output=_path("output", required=False) or (base / "predictions.jsonl"),
-            timeout=_seconds(raw.get("timeout", DEFAULT_TIMEOUT), "timeout"),
-            fan_out=int(raw.get("fan_out", 8)),
-            audit=bool(raw.get("audit", False)),
-            demo_source=_path("demo_source", required=False),
-            cache_dir=_path("cache_dir", required=False),
-            max_per_column=max_per_column,
-            backends=backends,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value in {path}: {type(exc).__name__}: {exc}") from exc
+    arms = enumerate(config.arms)
+    config.arms = [ModelArm(*_read(arm, _ARM, path, f"arms[{i}]").values()) for i, arm in arms]
+    sections = config.backends.items()
+    config.backends = {name: _read(spec, _backend_table, path, f"backends.{name}") for name, spec in sections}
+    for arm in config.arms:
+        if arm.model_id not in config.backends:
+            raise ConfigError(f"arm model '{arm.model_id}' has no backend entry")
+    return config
 
 
 def build_gateway(config: RunConfig) -> Gateway:
     gateway = Gateway(cache_dir=config.cache_dir)
     for model_id, spec in config.backends.items():
-        kind = str(spec.get("type", "scripted"))
-        if kind == "scripted":
-            directory = spec.get("dir")
-            if not directory:
-                raise ConfigError(f"scripted backend '{model_id}' missing 'dir'")
-            backend = ScriptedBackend.from_dir(Path(directory))
-        elif kind == "remote":
-            try:
-                endpoint = str(spec["endpoint"])
-                if urlsplit(endpoint).scheme not in ("http", "https"):  # urlopen also reads file: URLs
-                    raise ValueError(f"endpoint must be an http or https URL, not {endpoint!r}")
-                backend = RemoteBackend(
-                    endpoint=endpoint,
-                    auth_token_env=str(spec.get("auth_token_env", "")),
-                    request_timeout=_seconds(spec.get("request_timeout", 60.0), "request_timeout"),
-                    model=model_id,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"bad config value for remote backend '{model_id}': {type(exc).__name__}: {exc}"
-                ) from exc
+        if spec["type"] == "scripted":
+            backend = ScriptedBackend.from_dir(spec["dir"])
         else:
-            raise ConfigError(f"unknown backend type '{kind}' for '{model_id}'")
+            backend = RemoteBackend(spec["endpoint"], spec["auth_token_env"], spec["request_timeout"], model_id)
         gateway.register_backend(model_id, backend)
     return gateway
 
@@ -223,7 +220,7 @@ def cmd_predict(config: RunConfig) -> int:
         open(audit_path, "w", encoding="utf-8") if config.audit else nullcontext() as audit_handle,
         open(config.output, "w", encoding="utf-8") as out,
     ):
-        with ThreadPoolExecutor(max_workers=max(1, config.fan_out)) as pool_exec:
+        with ThreadPoolExecutor(max_workers=config.fan_out) as pool_exec:
             for example, result, pool, error in pool_exec.map(process, examples):
                 if error is not None:
                     failures += 1

@@ -10,64 +10,52 @@ class SqlVoteError(Exception):
 class MalformedManifest(SqlVoteError):
     def __init__(self, reason: str):
         super().__init__(f"malformed schema manifest: {reason}")
-        self.reason = reason
 
 
 class MissingDbFile(SqlVoteError):
     def __init__(self, db_id: str, path: str):
         super().__init__(f"database file for '{db_id}' not found at {path}")
-        self.db_id = db_id
-        self.path = path
 
 
 class KeyIndexOutOfRange(SqlVoteError):
     def __init__(self, db_id: str, index: int):
         super().__init__(f"key column index {index} out of range in '{db_id}'")
-        self.db_id = db_id
-        self.index = index
 
 
 class MalformedDataset(SqlVoteError):
     def __init__(self, reason: str):
         super().__init__(f"malformed dataset: {reason}")
-        self.reason = reason
 
 
 class UnknownDbId(SqlVoteError):
     def __init__(self, db_id: str):
         super().__init__(f"dataset references unknown db_id '{db_id}'")
-        self.db_id = db_id
 
 
 class DbUnreadable(SqlVoteError):
     def __init__(self, path: str, reason: str = ""):
         detail = f": {reason}" if reason else ""
         super().__init__(f"cannot read database at {path}{detail}")
-        self.path = path
 
 
 class UnknownDesign(SqlVoteError):
     def __init__(self, name: str):
         super().__init__(f"unknown prompt design '{name}'")
-        self.name = name
 
 
 class CatalogEmpty(SqlVoteError):
     def __init__(self, db_id: str):
         super().__init__(f"catalog '{db_id}' has no tables")
-        self.db_id = db_id
 
 
 class DuplicateModelId(SqlVoteError):
     def __init__(self, model_id: str):
         super().__init__(f"backend already registered for '{model_id}'")
-        self.model_id = model_id
 
 
 class BackendUnavailable(SqlVoteError):
     def __init__(self, model_id: str):
         super().__init__(f"no backend registered for '{model_id}'")
-        self.model_id = model_id
 
 
 class BackendError(SqlVoteError):
@@ -75,7 +63,6 @@ class BackendError(SqlVoteError):
         prefix = f"status {status}: " if status is not None else ""
         super().__init__(f"backend error: {prefix}{message}")
         self.status = status
-        self.message = message
 
 
 class GoldExecutionFailed(SqlVoteError):
@@ -83,19 +70,16 @@ class GoldExecutionFailed(SqlVoteError):
         subject = f" for example {example_id}" if example_id is not None else ""
         super().__init__(f"gold SQL failed{subject}: {detail}")
         self.example_id = example_id
-        self.detail = detail
 
 
 class GenerationFailed(SqlVoteError):
     def __init__(self, reason: str):
         super().__init__(f"suite database generation failed: {reason}")
-        self.reason = reason
 
 
 class MissingPrediction(SqlVoteError):
     def __init__(self, example_id: str):
         super().__init__(f"no prediction for example {example_id}")
-        self.example_id = example_id
 
 
 class ConfigError(SqlVoteError):

@@ -75,7 +75,6 @@ EMPTY_DEMOS = DemoSet()
 class RenderedPrompt:
     text: str
     design: PromptDesignId
-    question_id: str
     content_hash: str
 
     def __post_init__(self):
@@ -224,4 +223,4 @@ def render(
         parts.append(block(item.question, demo_catalog, demo_matches) + gold + "\n\n")
     parts.append(block(question.question, catalog, matches))
     text = "".join(parts)
-    return RenderedPrompt(text, design, question.example_id, content_hash_of(text))
+    return RenderedPrompt(text, design, content_hash_of(text))

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import itertools
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import yaml
 
 from sqlvote import gateway as gateway_module
-from sqlvote import voting
+from sqlvote import cli, voting
 from sqlvote.cli import load_config, main
 from sqlvote.errors import ConfigError
 from sqlvote.gateway import Gateway, ScriptedBackend
@@ -58,7 +59,7 @@ def test_arm_without_backend(fixture_root, tmp_path):
         load_config(path)
 
 
-def test_arm_weight_key_is_ignored(fixture_root, tmp_path):
+def test_arm_weight_key_is_rejected(fixture_root, tmp_path):
     config = {
         "manifest": str(fixture_root / "tables.json"),
         "db_dir": str(fixture_root / "database"),
@@ -71,11 +72,78 @@ def test_arm_weight_key_is_ignored(fixture_root, tmp_path):
     }
     path = tmp_path / "weights.yaml"
     path.write_text(yaml.safe_dump(config))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == (
+        f"bad config value in {path}: arms[0].weight: ValueError: "
+        "unknown key, not one of model, design, shots, samples, temperature"
+    )
     for arm in config["arms"]:
         del arm["weight"]
     plain = tmp_path / "plain.yaml"
     plain.write_text(yaml.safe_dump(config))
-    assert load_config(path).arms == load_config(plain).arms
+    assert [arm.design.value for arm in load_config(plain).arms] == ["concise", "verbose"]
+
+
+_TOP_KEYS = (
+    "arms, seed, manifest, db_dir, dataset, output, timeout, fan_out, audit, demo_source, cache_dir, "
+    "max_per_column, backends"
+)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda c: c.update(timout=0.01), f"timout: ValueError: unknown key, not one of {_TOP_KEYS}"),
+        (
+            lambda c: c["arms"][1].update(sample=4),
+            "arms[1].sample: ValueError: unknown key, not one of model, design, shots, samples, temperature",
+        ),
+        (
+            lambda c: c["backends"]["scripted-a"].update(endpoint="http://localhost:9"),
+            "backends.scripted-a.endpoint: ValueError: unknown key, not one of type, dir",
+        ),
+        (
+            lambda c: c["backends"].update(
+                {"remote-x": {"type": "remote", "endpoint": "http://localhost:9", "dir": "s"}}
+            ),
+            "backends.remote-x.dir: ValueError: "
+            "unknown key, not one of type, endpoint, auth_token_env, request_timeout",
+        ),
+        (lambda c: c.update(audit="false"), "audit: ValueError: must be true or false, not 'false'"),
+        (lambda c: c.update(fan_out=0), "fan_out: ValueError: must be >= 1, not 0"),
+        (
+            lambda c: c["backends"].update({"remote-x": {"type": "grpc"}}),
+            "backends.remote-x: ValueError: must be one of scripted, remote, not 'grpc'",
+        ),
+    ],
+    ids=[
+        "unknown-top-level-key", "unknown-arm-key", "unknown-scripted-backend-key",
+        "unknown-remote-backend-key", "audit-quoted-false", "fan-out-zero", "unknown-backend-type",
+    ],
+)
+def test_config_error_names_the_section_and_key(mini_run, capsys, edit, error):
+    fixture_root, work, config_path = mini_run
+    config = yaml.safe_load(config_path.read_text())
+    edit(config)
+    config_path.write_text(yaml.safe_dump(config))
+    assert main(["predict", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"bad config value in {config_path}: {error}\n"
+    assert not (work / "predictions.jsonl").exists()
+
+
+def test_example_config_loads():
+    root = Path(__file__).resolve().parents[1]
+    config = load_config(root / "configs" / "example.yaml")
+    assert [(arm.model_id, arm.design.value, arm.samples) for arm in config.arms] == [
+        ("remote-llm", "concise", 32), ("remote-llm", "verbose", 32),
+    ]
+    assert {name: spec["type"] for name, spec in config.backends.items()} == {
+        "remote-llm": "remote", "replay": "scripted",
+    }
+    # the README's sentence on arm keys names exactly the keys an arm reads
+    sentence = re.search(r"An arm reads (.*?);", (root / "README.md").read_text(encoding="utf-8"), re.S)
+    assert set(re.findall(r"`(\w+)`", sentence.group(1))) == set(cli._ARM)
 
 
 @pytest.mark.parametrize(
@@ -595,14 +663,20 @@ def test_evaluate_report_records_give_a_reason(fixture_root, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec, kind",
+    "spec, key, kind",
     [
-        ({"type": "remote", "endpoint": "http://localhost:9", "request_timeout": "abc"}, "ValueError"),
-        ({"type": "remote"}, "KeyError"),
-        ({"type": "remote", "endpoint": "file:///etc/hostname"}, "ValueError"),
-        ({"type": "remote", "endpoint": "localhost:8000/complete"}, "ValueError"),
+        (
+            {"type": "remote", "endpoint": "http://localhost:9", "request_timeout": "abc"},
+            "request_timeout", "ValueError",
+        ),
+        ({"type": "remote"}, "endpoint", "KeyError"),
+        ({"type": "remote", "endpoint": "file:///etc/hostname"}, "endpoint", "ValueError"),
+        ({"type": "remote", "endpoint": "localhost:8000/complete"}, "endpoint", "ValueError"),
         *(
-            ({"type": "remote", "endpoint": "http://localhost:9", "request_timeout": t}, "ValueError")
+            (
+                {"type": "remote", "endpoint": "http://localhost:9", "request_timeout": t},
+                "request_timeout", "ValueError",
+            )
             for t in (float("nan"), 0, -1, float("inf"))
         ),
     ],
@@ -611,14 +685,14 @@ def test_evaluate_report_records_give_a_reason(fixture_root, tmp_path):
         "timeout-nan", "timeout-zero", "timeout-negative", "timeout-infinite",
     ],
 )
-def test_bad_remote_backend_value_is_a_config_error(mini_run, capsys, spec, kind):
+def test_bad_remote_backend_value_is_a_config_error(mini_run, capsys, spec, key, kind):
     fixture_root, work, config_path = mini_run
     config = yaml.safe_load(config_path.read_text())
     config["backends"]["remote-x"] = spec
     config_path.write_text(yaml.safe_dump(config))
     assert main(["predict", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"bad config value for remote backend 'remote-x': {kind}: ")
+    assert err.startswith(f"bad config value in {config_path}: backends.remote-x.{key}: {kind}: ")
     assert err.count("\n") == 1
 
 

@@ -623,3 +623,21 @@ def test_canonical_key_ignores_row_order_when_order_insensitive(data):
     )
     permuted = data.draw(st.permutations(rows))
     assert canonical_key(_success(rows), False) == canonical_key(_success(permuted), False)
+
+
+# quotes, brackets, comment markers, ';' and words: SQLite's own end-of-statement test is a
+# second oracle that shares no code with the tokenizer or the reference scanners
+_END_FRAGMENTS = [
+    "'", "''", '"', '""', "`", "[", "]", "--", "/*", "*/", "*", "/", "-", "(", ")", ";", " ", "\n",
+    "select", "x", "1",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_END_FRAGMENTS), max_size=24).map("".join))
+def test_first_semicolon_token_is_where_sqlite_completes_a_statement(text):
+    first = next((i for i, token, _ in execution._tokens(text) if token == ";"), None)
+    complete = next(
+        (i for i, char in enumerate(text) if char == ";" and sqlite3.complete_statement(text[: i + 1])), None
+    )
+    assert first == complete

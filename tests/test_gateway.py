@@ -35,7 +35,7 @@ from conftest import SHORT_SETTLE_NS, wait_to_settle
 
 
 def _prompt(text="ask: [SQL]: "):
-    return RenderedPrompt(text, PromptDesignId.CONCISE, "q0", content_hash_of(text))
+    return RenderedPrompt(text, PromptDesignId.CONCISE, content_hash_of(text))
 
 
 def _arm(samples=2, model_id="scripted-a", design=PromptDesignId.CONCISE, temperature=0.5):
@@ -112,7 +112,6 @@ def test_arm_independence(tmp_path):
     verbose = RenderedPrompt(
         "verbose text The corresponding SQL is: ",
         PromptDesignId.VERBOSE,
-        "q0",
         content_hash_of("verbose text The corresponding SQL is: "),
     )
     gateway = Gateway(cache_dir=tmp_path)
