@@ -46,6 +46,7 @@ def _checked(ok, wanted: str, convert=lambda value: value):
 _mapping = _checked(lambda value: isinstance(value, dict), "a mapping")
 _flag = _checked(lambda value: isinstance(value, bool), "true or false")  # bool("false") is True
 _positive = _checked(lambda n: n >= 1, ">= 1", int)
+_nonnegative = _checked(lambda n: n >= 0, ">= 0", int)
 _seconds = _checked(lambda s: math.isfinite(s) and s > 0, "a finite number of seconds above 0", float)
 # urlopen also reads file: URLs
 _url = _checked(lambda url: urlsplit(url).scheme in ("http", "https"), "an http or https URL", str)
@@ -69,8 +70,7 @@ class RunConfig:
     audit: bool = _key(_flag, False)
     demo_source: Path | None = _key(Path, None)
     cache_dir: Path | None = _key(Path, None)
-    # a negative slice bound would drop a column's last matches
-    max_per_column: int = _key(_checked(lambda n: n >= 0, ">= 0", int), DEFAULT_MAX_PER_COLUMN)
+    max_per_column: int = _key(_nonnegative, DEFAULT_MAX_PER_COLUMN)  # a negative slice bound drops matches
     backends: dict[str, dict] = _key(_mapping, {})  # model id -> its section, read by `_BACKENDS[its type]`
 
 
@@ -78,11 +78,12 @@ class RunConfig:
 # config's directory, and a null path is an absent one.
 _CONFIG = {key.name: key.metadata["read"] for key in fields(RunConfig)}
 _ARM = {  # in `ModelArm` field order
-    "model": (str, ...),
+    "model": (_checked(lambda m: m not in ("", ".", ".."), "a name other than '', '.' and '..'", str), ...),
     "design": (lambda name: PromptDesignId.parse(str(name)), PromptDesignId.CONCISE),
-    "shots": (int, 0),
+    "shots": (_nonnegative, 0),
     "samples": (_positive, DEFAULT_SAMPLES),
-    "temperature": (float, DEFAULT_TEMPERATURE),
+    # a NaN or infinite temperature would reach entry names, cache keys and request bodies
+    "temperature": (_checked(lambda t: math.isfinite(t) and t >= 0, "finite and >= 0", float), DEFAULT_TEMPERATURE),
 }
 _BACKENDS = {  # by backend type
     "scripted": {"type": (str, "scripted"), "dir": (Path, ...)},

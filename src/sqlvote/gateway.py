@@ -2,10 +2,13 @@
 
 Each arm draws `samples` i.i.d. completions for one rendered prompt. The
 cache is content-addressed by (model, prompt hash, temperature, seed, index)
-so recorded runs replay byte-identically and repeat runs cost nothing.
-Each distinct text is stored once for the whole cache, at `texts/<SHA-256
-of its UTF-8 bytes>`, and every entry holding it is a hard link of that file
-(see `_link_entries`), so an entry is replaced by rename, never edited in place.
+so recorded runs replay byte-identically and repeat runs cost nothing. An
+entry is `<model>/<prompt hash>_<temperature:g>_<seed>_<index>.txt`, the model
+id percent-encoded into one directory: a sampling call makes no directory,
+and no other part holds a `_`, so no two keys share a name. Each distinct
+text is stored once for the whole cache, at `texts/<SHA-256 of its UTF-8
+bytes>`, and every entry holding it is a hard link of that file (see
+`_link_entries`), so an entry is replaced by rename, never edited in place.
 
 The cache also keeps one record per pool, at `pools/<digest>.json`, keyed
 by the pool's inputs: the digest covers a format tag, the SQLite version,
@@ -47,6 +50,7 @@ from http.client import HTTPException
 from pathlib import Path
 from typing import Callable, Protocol
 from urllib.error import HTTPError
+from urllib.parse import quote
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .errors import BackendError, BackendUnavailable, ConfigError, DbUnreadable, DuplicateModelId
@@ -81,6 +85,8 @@ class ModelArm:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.model_id in ("", ".", ".."):  # each would name no cache directory of its own
+            raise ValueError(f"model id must not be {self.model_id!r}")
 
     def describe(self) -> dict:
         return {
@@ -246,12 +252,11 @@ class Gateway:
             raise DuplicateModelId(model_id)
         self._backends[model_id] = backend
 
-    def _entry_dir(self, arm: ModelArm, prompt: RenderedPrompt, seed: int) -> str | None:
+    def _entry_prefix(self, arm: ModelArm, prompt: RenderedPrompt, seed: int) -> str | None:
         if self.cache_dir is None:
             return None
-        return os.path.join(
-            self.cache_dir, arm.model_id, prompt.content_hash, format(arm.temperature, "g"), str(seed)
-        )
+        model_dir = quote(arm.model_id, safe="")  # one path component: "/" and "%" are encoded
+        return os.path.join(self.cache_dir, model_dir, f"{prompt.content_hash}_{arm.temperature:g}_{seed}_")
 
     def sample(self, arm: ModelArm, prompt: RenderedPrompt, seed: int) -> list[Completion]:
         """Exactly arm.samples completions, cache first, placeholders on failure."""
@@ -259,11 +264,11 @@ class Gateway:
         if backend is None:
             raise BackendUnavailable(arm.model_id)
 
-        entries = self._entry_dir(arm, prompt, seed)
+        prefix = self._entry_prefix(arm, prompt, seed)
         results: list[Completion | None] = [None] * arm.samples
         missing: list[int] = []
         for i in range(arm.samples):
-            text = None if entries is None else _read_entry(os.path.join(entries, f"{i}.txt"))
+            text = None if prefix is None else _read_entry(f"{prefix}{i}.txt")
             if text is None:
                 missing.append(i)
             else:
@@ -290,12 +295,12 @@ class Gateway:
                         results[i] = Completion(detail, arm, i, failed=True)
                         continue
                     results[i] = Completion(text, arm, i)
-                    if entries is not None:
-                        writes.setdefault(data, []).append(os.path.join(entries, f"{i}.txt"))
+                    if prefix is not None:
+                        writes.setdefault(data, []).append(f"{prefix}{i}.txt")
                 if writes:
                     text_dir = os.path.join(self.cache_dir, _TEXT_DIR)
                     with self.blocking():
-                        os.makedirs(entries, exist_ok=True)
+                        os.makedirs(os.path.dirname(prefix), exist_ok=True)
                         os.makedirs(text_dir, exist_ok=True)
                         for data, paths in writes.items():
                             _link_entries(os.path.join(text_dir, hashlib.sha256(data).hexdigest()), paths, data)
@@ -443,39 +448,42 @@ def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, Ou
         return None
 
 
-def _publish(path: str, data: bytes) -> None:
-    """Give `path` the bytes `data`, whole or not at all: written to a random temp name of its own, renamed."""
+def _publish(path: str, data: bytes, text: str | None = None) -> None:
+    """Give `path` the bytes `data` whole or not at all: a temp name of its own (a link of `text`, if any), renamed."""
     tmp = f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
     try:
-        with open(tmp, "xb") as handle:
-            handle.write(data)
+        try:
+            if text is None:
+                raise FileNotFoundError("no file to link")
+            os.link(text, tmp)
+        except OSError:  # no hard links, too many links, or the text file was cleared meanwhile
+            with open(tmp, "xb") as handle:
+                handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+    if text is not None:  # a rename onto another link of the same file does nothing, and keeps the temp
+        Path(tmp).unlink(missing_ok=True)
 
 
 def _link_entries(text: str, paths: list[str], data: bytes) -> None:
-    """Make each entry in `paths` a hard link of the text file `text`, renamed into place from a temp name.
+    """Make each entry in `paths` a hard link of the text file `text`, linked straight to its name.
 
     The text file is read back first and published again unless it holds
-    `data`, so an in-place edit is never linked. An entry is written on its
-    own when it cannot be linked.
+    `data`, so an in-place edit is never linked. A name that is taken (a
+    spoiled entry, or another writer's) is replaced by rename through
+    `_publish`, and an entry is written on its own when it cannot be linked.
     """
     if _read_entry(text) != data.decode("utf-8"):  # missing, or edited in place
         _publish(text, data)
     for path in paths:
-        tmp = f"{path}.{os.urandom(16).hex()}{_TEMP_SUFFIX}"
         try:
-            os.link(text, tmp)
+            os.link(text, path)
+        except FileExistsError:
+            _publish(path, data, text)
         except OSError:  # no hard links, too many links, or the text file was cleared meanwhile
             _publish(path, data)
-            continue
-        try:
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
 
 
 def cache_stats(cache_dir: Path | str) -> tuple[int, int]:

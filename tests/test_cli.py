@@ -116,10 +116,32 @@ _TOP_KEYS = (
             lambda c: c["backends"].update({"remote-x": {"type": "grpc"}}),
             "backends.remote-x: ValueError: must be one of scripted, remote, not 'grpc'",
         ),
+        (lambda c: c["arms"][0].update(shots=-3), "arms[0].shots: ValueError: must be >= 0, not -3"),
+        (
+            lambda c: c["arms"][1].update(temperature=float("nan")),
+            "arms[1].temperature: ValueError: must be finite and >= 0, not nan",
+        ),
+        (
+            lambda c: c["arms"][0].update(temperature=float("inf")),
+            "arms[0].temperature: ValueError: must be finite and >= 0, not inf",
+        ),
+        (
+            lambda c: c["arms"][0].update(temperature=-0.5),
+            "arms[0].temperature: ValueError: must be finite and >= 0, not -0.5",
+        ),
+        *[
+            (
+                lambda c, model=model: c["arms"][0].update(model=model),
+                f"arms[0].model: ValueError: must be a name other than '', '.' and '..', not {model!r}",
+            )
+            for model in ("..", ".", "")
+        ],
     ],
     ids=[
         "unknown-top-level-key", "unknown-arm-key", "unknown-scripted-backend-key",
         "unknown-remote-backend-key", "audit-quoted-false", "fan-out-zero", "unknown-backend-type",
+        "negative-shots", "nan-temperature", "infinite-temperature", "negative-temperature",
+        "model-parent-dir", "model-this-dir", "model-empty",
     ],
 )
 def test_config_error_names_the_section_and_key(mini_run, capsys, edit, error):
@@ -350,12 +372,18 @@ def _entries(cache_dir):
     return {path.relative_to(cache_dir): path.read_bytes() for path in cache_dir.rglob("*.txt")}
 
 
+def _call_of(entry: Path) -> tuple[Path, str]:
+    """The sampling call of an entry `<model>/<prompt hash>_<temperature>_<seed>_<index>.txt`."""
+    return entry.parent, entry.name.rsplit("_", 1)[0]
+
+
 def test_cold_predict_links_the_repeated_texts_of_a_call(fixture_root, tmp_path):
     assert main(["predict", "--config", str(_repeating_run(fixture_root, tmp_path))]) == 0
-    directories = {path.parent for path in (tmp_path / "cache").rglob("*.txt")}
-    assert len(directories) == 10  # 5 questions x 2 arms
-    for directory in directories:
-        entries = list(directory.glob("*.txt"))
+    calls: dict[tuple[Path, str], list[Path]] = {}
+    for path in (tmp_path / "cache").rglob("*.txt"):
+        calls.setdefault(_call_of(path), []).append(path)
+    assert len(calls) == 10  # 5 questions x 2 arms
+    for entries in calls.values():
         assert len(entries) == 3
         assert len({p.stat().st_ino for p in entries}) == len({p.read_bytes() for p in entries}) == 2
 
@@ -364,8 +392,18 @@ def test_cold_predict_stores_each_distinct_text_of_the_cache_once(fixture_root, 
     assert main(["predict", "--config", str(_repeating_run(fixture_root, tmp_path))]) == 0
     entries = list((tmp_path / "cache").rglob("*.txt"))
     distinct = {p.read_bytes() for p in entries}
-    assert len(distinct) < 2 * len({p.parent for p in entries})  # some texts repeat across calls
+    assert len(distinct) < 2 * len({_call_of(p) for p in entries})  # some texts repeat across calls
     assert len({p.stat().st_ino for p in entries}) == len(distinct)
+
+
+def test_cold_predict_makes_no_directory_per_call(fixture_root, tmp_path, short_settle):
+    short_settle()  # the fixture's database files are settled, so their digest records are written
+    assert main(["predict", "--config", str(_repeating_run(fixture_root, tmp_path))]) == 0
+    cache = tmp_path / "cache"
+    directories = {path.relative_to(cache).as_posix() for path in cache.rglob("*") if path.is_dir()}
+    assert directories == {"scripted-a", "texts", "pools", "databases"}
+    assert len(list((cache / "scripted-a").glob("*.txt"))) == 30  # 10 calls x 3 samples
+    assert list(cache.rglob("*.tmp")) == []
 
 
 def test_predict_without_hard_links_writes_the_same_entries(fixture_root, tmp_path, monkeypatch):

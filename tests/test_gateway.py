@@ -46,6 +46,11 @@ def _scripted_for(prompt, completions):
     return ScriptedBackend({prompt.content_hash: completions})
 
 
+def _entry(cache_dir, prompt, seed, index, model="scripted-a"):
+    """Where the entry of (model, prompt, temperature 0.5, seed, index) lives."""
+    return cache_dir / model / f"{prompt.content_hash}_0.5_{seed}_{index}.txt"
+
+
 def test_defaults():
     arm = ModelArm("m", PromptDesignId.CONCISE)
     assert arm.samples == 32
@@ -74,8 +79,7 @@ def test_cache_round_trip(tmp_path):
     warm = second_gateway.sample(_arm(), prompt, seed=3)
     assert [c.text for c in warm] == [c.text for c in cold]
     assert all(c.from_cache for c in warm)
-    entries = tmp_path / "scripted-a" / prompt.content_hash / "0.5" / "3"
-    assert sorted(tmp_path.rglob("*.txt")) == [entries / "0.txt", entries / "1.txt"]
+    assert sorted(tmp_path.rglob("*.txt")) == [_entry(tmp_path, prompt, 3, 0), _entry(tmp_path, prompt, 3, 1)]
 
 
 def test_cache_keeps_carriage_returns(tmp_path):
@@ -151,7 +155,7 @@ def test_cache_stats_and_clear(tmp_path):
     gateway = Gateway(cache_dir=tmp_path)
     gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1", "SELECT 2"]))
     gateway.sample(_arm(samples=2), prompt, seed=0)
-    entry = next(tmp_path.rglob("0.txt"))
+    entry = _entry(tmp_path, prompt, 0, 0)
     (entry.parent / "1.tmp").write_text("SEL", encoding="utf-8")  # left by a killed writer
     (tmp_path / "databases").mkdir()
     (tmp_path / "databases" / f"{'0' * 64}.json").write_text('["tag", 1, 2, 3, 4, 5, "d"]', encoding="utf-8")
@@ -203,7 +207,7 @@ def test_concurrent_writers_of_linked_entries_keep_each_index_text(tmp_path):
     texts = {name: [f"SELECT '{name}{k % periods[name]}' " * 200 for k in range(8)] for name in periods}
     _write_concurrently(tmp_path, texts)
     for path in tmp_path.rglob("*.txt"):
-        index = int(path.stem)
+        index = int(path.stem.rsplit("_", 1)[1])
         assert path.read_text(encoding="utf-8") in (texts["A"][index], texts["B"][index])
     assert len(list(tmp_path.rglob("*.txt"))) == 150 * 8
     assert list(tmp_path.rglob("*.tmp")) == []
@@ -287,6 +291,8 @@ def test_publish_whose_second_rename_fails_leaves_no_temp(tmp_path, monkeypatch)
     text = tmp_path / "text"
     text.write_bytes(b"SELECT 1")  # holds the bytes already, so only the entries are renamed into place
     paths = [str(tmp_path / f"{i}.txt") for i in range(3)]
+    for path in paths:  # spoiled entries: each name is taken, so each is replaced by rename
+        Path(path).write_bytes(b"\xff")
     replace, renamed = os.replace, []
 
     def second_fails(source, target):
@@ -298,8 +304,10 @@ def test_publish_whose_second_rename_fails_leaves_no_temp(tmp_path, monkeypatch)
     monkeypatch.setattr(gateway_module.os, "replace", second_fails)
     with pytest.raises(OSError, match="rename failed"):
         gateway_module._link_entries(str(text), paths, b"SELECT 1")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.txt", "text"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.txt", "1.txt", "2.txt", "text"]
     assert (tmp_path / "0.txt").read_bytes() == text.read_bytes() == b"SELECT 1"
+    assert os.path.samefile(tmp_path / "0.txt", text)
+    assert [Path(p).read_bytes() for p in paths[1:]] == [b"\xff"] * 2
 
 
 def test_a_text_edited_in_place_is_published_again_before_it_is_linked(tmp_path):
@@ -308,7 +316,7 @@ def test_a_text_edited_in_place_is_published_again_before_it_is_linked(tmp_path)
     gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1"]))
 
     def entries(seed):
-        return sorted(tmp_path.glob(f"scripted-a/*/*/{seed}/*.txt"))
+        return [_entry(tmp_path, prompt, seed, i) for i in range(2)]
 
     gateway.sample(_arm(), prompt, seed=0)
     text = tmp_path / "texts" / hashlib.sha256(b"SELECT 1").hexdigest()
@@ -322,6 +330,83 @@ def test_a_text_edited_in_place_is_published_again_before_it_is_linked(tmp_path)
     assert [p.read_bytes() for p in entries(0)] == [b"SELECT 9"] * 2  # the edited file, no longer the text file
     gateway.sample(_arm(), prompt, seed=2)  # a later call links the fresh file as it is
     assert all(os.path.samefile(p, text) for p in entries(2))
+
+
+def test_a_spoiled_entry_is_replaced_by_rename_and_its_siblings_keep_their_inodes(tmp_path, monkeypatch):
+    prompt = _prompt()
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1", "SELECT 2"]))
+    gateway.sample(_arm(samples=3), prompt, seed=0)
+    entries = [_entry(tmp_path, prompt, 0, i) for i in range(4)]
+    inodes = [p.stat().st_ino for p in entries[:3]]
+    entries[0].unlink()
+    entries[0].write_bytes(b"\xff\xfe SELECT")  # not UTF-8, in a file of its own
+    replace, renamed = os.replace, []
+
+    def record(source, target):
+        renamed.append(Path(target))
+        replace(source, target)
+
+    monkeypatch.setattr(gateway_module.os, "replace", record)
+    grown = gateway.sample(_arm(samples=4), prompt, seed=0)  # index 0 sampled again, index 3 new
+    assert [(c.text, c.from_cache) for c in grown] == [
+        ("SELECT 1", False), ("SELECT 2", True), ("SELECT 1", True), ("SELECT 2", False)
+    ]
+    assert renamed == [entries[0]]  # the new index 3 is linked straight to its name
+    text = tmp_path / "texts" / hashlib.sha256(b"SELECT 1").hexdigest()
+    assert os.path.samefile(entries[0], text) and os.path.samefile(entries[0], entries[2])
+    assert [p.stat().st_ino for p in entries[1:3]] == inodes[1:]
+    assert os.path.samefile(entries[3], entries[1])
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_an_entry_linked_again_to_its_own_text_leaves_no_temp(tmp_path):
+    text = tmp_path / "text"
+    path = str(tmp_path / "0.txt")
+    for _ in range(2):  # the second link finds the name taken by a link of the same file: rename does nothing
+        gateway_module._link_entries(str(text), [path], b"SELECT 1")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.txt", "text"]
+    assert os.path.samefile(path, text)
+
+
+def test_a_cache_of_nested_entries_is_sampled_again_and_cleared(tmp_path):
+    prompt = _prompt()
+    nested = tmp_path / "scripted-a" / prompt.content_hash / "0.5" / "3"  # the layout of earlier versions
+    nested.mkdir(parents=True)
+    for i in range(2):
+        (nested / f"{i}.txt").write_text(f"SELECT {i + 7}", encoding="utf-8")
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1", "SELECT 2"]))
+    completions = gateway.sample(_arm(), prompt, seed=3)
+    assert [(c.text, c.from_cache) for c in completions] == [("SELECT 1", False), ("SELECT 2", False)]
+    assert [_entry(tmp_path, prompt, 3, i).read_text(encoding="utf-8") for i in range(2)] == ["SELECT 1", "SELECT 2"]
+    assert cache_stats(tmp_path) == (4, 4 * len("SELECT 1"))
+    assert cache_clear(tmp_path) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_model_id_is_one_directory_inside_the_cache(tmp_path):
+    prompt = _prompt()
+    cache, outside = tmp_path / "cache", tmp_path / "outside"
+    gateway = Gateway(cache_dir=cache)
+    models = [str(outside), "openai/gpt-4o", "50%"]
+    for model in models:
+        gateway.register_backend(model, _scripted_for(prompt, ["SELECT 1", "SELECT 2"]))
+        assert [c.text for c in gateway.sample(_arm(model_id=model), prompt, seed=0)] == ["SELECT 1", "SELECT 2"]
+        assert all(c.from_cache for c in gateway.sample(_arm(model_id=model), prompt, seed=0))
+    assert not outside.exists()
+    model_dirs = ["%2F" + str(outside)[1:].replace("/", "%2F"), "openai%2Fgpt-4o", "50%25"]
+    assert sorted(p.name for p in cache.iterdir()) == sorted([*model_dirs, "texts"])
+    assert all(len(list((cache / d).iterdir())) == 2 for d in model_dirs)
+    assert cache_clear(cache) == 6
+    assert list(cache.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+
+
+@pytest.mark.parametrize("model", ["", ".", ".."])
+def test_a_model_id_that_names_no_directory_of_its_own_is_refused(model):
+    with pytest.raises(ValueError, match="model id must not be"):
+        _arm(model_id=model)
 
 
 # --- pool records ----------------------------------------------------------------
@@ -382,7 +467,7 @@ def test_cold_sample_stores_each_distinct_text_once(calls, links_fail):
         entries = []
         for prompt, (model, texts) in zip(prompts, calls):
             for i, text in enumerate(texts):
-                entries.append(cache / model / prompt.content_hash / "0.5" / "0" / f"{i}.txt")
+                entries.append(_entry(cache, prompt, 0, i, model))
                 assert entries[-1].read_bytes() == text.encode("utf-8")
         assert len(list(cache.rglob("*.txt"))) == len(entries)
         distinct = {text for _, texts in calls for text in texts}
@@ -645,8 +730,8 @@ def test_short_reply_fails_missing_indexes_and_caches_nothing_for_them(tmp_path)
     assert [c.text for c in first[:2]] == ["SELECT 10", "SELECT 11"]
     assert [c.failed for c in first] == [False, False, True, True, True]
     assert [c.sample_index for c in first] == [0, 1, 2, 3, 4]
-    cached = {p.name: p.read_text(encoding="utf-8") for p in tmp_path.rglob("*.txt")}
-    assert cached == {"0.txt": "SELECT 10", "1.txt": "SELECT 11"}
+    cached = {p: p.read_text(encoding="utf-8") for p in tmp_path.rglob("*.txt")}
+    assert cached == {_entry(tmp_path, prompt, 0, 0): "SELECT 10", _entry(tmp_path, prompt, 0, 1): "SELECT 11"}
 
     # The next call asks again for exactly the indexes that were not returned.
     second = gateway.sample(_arm(samples=5), prompt, seed=0)
