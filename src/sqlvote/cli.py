@@ -82,8 +82,9 @@ _ARM = {  # in `ModelArm` field order
     "design": (lambda name: PromptDesignId.parse(str(name)), PromptDesignId.CONCISE),
     "shots": (_nonnegative, 0),
     "samples": (_positive, DEFAULT_SAMPLES),
-    # a NaN or infinite temperature would reach entry names, cache keys and request bodies
-    "temperature": (_checked(lambda t: math.isfinite(t) and t >= 0, "finite and >= 0", float), DEFAULT_TEMPERATURE),
+    # a NaN or infinite temperature would reach entry names, cache keys and request bodies; -0.0 is 0.0
+    "temperature": (_checked(lambda t: math.isfinite(t) and t >= 0, "finite and >= 0", lambda t: float(t) + 0.0),
+                    DEFAULT_TEMPERATURE),
 }
 _BACKENDS = {  # by backend type
     "scripted": {"type": (str, "scripted"), "dir": (Path, ...)},
@@ -272,6 +273,8 @@ def cmd_evaluate(
 
 
 def cmd_show_prompt(config: RunConfig, example_id: str, design_name: str, shots: int) -> int:
+    if shots < 0:
+        raise SqlVoteError(f"--shots must be >= 0, not {shots}")
     design = PromptDesignId.parse(design_name)
     catalogs = load_catalogs(config.manifest, config.db_dir)
     catalog_index = {c.db_id: c for c in catalogs}

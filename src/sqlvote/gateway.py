@@ -3,33 +3,23 @@
 Each arm draws `samples` i.i.d. completions for one rendered prompt. The
 cache is content-addressed by (model, prompt hash, temperature, seed, index)
 so recorded runs replay byte-identically and repeat runs cost nothing. An
-entry is `<model>/<prompt hash>_<temperature:g>_<seed>_<index>.txt`, the model
-id percent-encoded into one directory: a sampling call makes no directory,
-and no other part holds a `_`, so no two keys share a name. Each distinct
-text is stored once for the whole cache, at `texts/<SHA-256 of its UTF-8
-bytes>`, and every entry holding it is a hard link of that file (see
+entry is `<model>/<prompt hash>_<temperature>_<seed>_<index>.txt`, the model
+id percent-encoded into one directory and the temperature in its shortest
+exact form (`0.5`, `-0.0` as `0`, `1.0` as `1`): a sampling call makes no
+directory, and no other part holds a `_`, so no two keys share a name. Each
+distinct text is stored once for the whole cache, at `texts/<SHA-256 of its
+UTF-8 bytes>`, and every entry holding it is a hard link of that file (see
 `_link_entries`), so an entry is replaced by rename, never edited in place.
 
-The cache also keeps one record per pool, at `pools/<digest>.json`, keyed
-by the pool's inputs: the digest covers a format tag, the SQLite version,
-the SHA-256 of the database file's bytes, `repr(timeout)`, the seed, and
-each arm's model, design, prompt hash, temperature and samples. The record
-maps each executed statement to its outcome key, or to `[its error kind]`
-(what the vote reads of it); lists the statements that a pool which stopped
-executing did not run (its tallies and margin are then lower bounds, see
-`voting`); and gives each pool position its statement's index,
-or null for a failed completion. A record with no null is the pool: a warm
-run reads no completion entry, extracts nothing and executes nothing,
-timeouts included, unless it audits a stopped pool: then it runs only the
-statements not run. A changed input misses. The format tag also covers what
-`execution.extract_sql` returns for a text. The database file's
-SHA-256 comes from its digest record, `databases/<SHA-256 of its absolute
-path>.json`, while the file's stat (`execution.db_signature`) equals the
-recorded one, so a warm run reads no database bytes. A miss hashes the
-file, and records it only if its stat held while it was hashed and it had
-last changed more than _SETTLE_NS before: any later write moves its ctime
-(git's "racily clean" rule). Like make and git, this trusts the file
-system's timestamps. `cache clear` drops the records with the completions.
+The cache also keeps voting's pool records, at `pools/<digest>.json`
+(`Gateway.pool_record`; see `voting`), and one digest record per database
+file, `databases/<SHA-256 of its absolute path>.json`, which gives the
+file's SHA-256 while its stat (`execution.db_signature`) equals the recorded
+one, so a warm run reads no database bytes. A miss hashes the file, and
+records it only if its stat held while it was hashed and it had last changed
+more than _SETTLE_NS before: any later write moves its ctime (git's "racily
+clean" rule). Like make and git, this trusts the file system's timestamps.
+`cache clear` drops the records with the completions.
 
 Workers take turns (`Gateway.turn`) to run Python, and let go of the turn only
 around calls that block without the interpreter: threads running Python side by
@@ -54,7 +44,7 @@ from urllib.parse import quote
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .errors import BackendError, BackendUnavailable, ConfigError, DbUnreadable, DuplicateModelId
-from .execution import ErrorKind, OutcomeKey, db_signature
+from .execution import db_signature
 from .prompts import PromptDesignId, RenderedPrompt, content_hash_of
 
 DEFAULT_SAMPLES = 32
@@ -64,8 +54,6 @@ _RETRY_ATTEMPTS = 3
 _RETRY_BASE_DELAY = 1.0
 _TEMP_SUFFIX = ".tmp"  # a write in progress; never read as an entry
 _POOL_DIR = "pools"  # under the cache directory: one record per pool, keyed by the pool's inputs
-# change it when a record's meaning, what execution.extract_sql returns for a text, or an outcome changes
-_POOL_FORMAT = "sqlvote-pool-3"
 _DIGEST_DIR = "databases"  # under the cache directory: one digest record per database file
 _DIGEST_FORMAT = "sqlvote-db-digest-1"  # a record: [format, *execution.db_signature, sha256]
 _SETTLE_NS = 2 * 10**9  # only a file unchanged this long before hashing gets a digest record
@@ -216,7 +204,7 @@ class RemoteBackend:
 
 @dataclass
 class Gateway:
-    """Routes sampling to registered backends; persists completions, pool outcomes and digests."""
+    """Routes sampling to registered backends; persists completions, pool records and digests."""
 
     cache_dir: Path | None = None
     _backends: dict[str, GenerationBackend] = field(default_factory=dict)
@@ -256,7 +244,8 @@ class Gateway:
         if self.cache_dir is None:
             return None
         model_dir = quote(arm.model_id, safe="")  # one path component: "/" and "%" are encoded
-        return os.path.join(self.cache_dir, model_dir, f"{prompt.content_hash}_{arm.temperature:g}_{seed}_")
+        temperature = repr(arm.temperature + 0.0).removesuffix(".0")  # exact; -0.0 and 1.0 as :g wrote them
+        return os.path.join(self.cache_dir, model_dir, f"{prompt.content_hash}_{temperature}_{seed}_")
 
     def sample(self, arm: ModelArm, prompt: RenderedPrompt, seed: int) -> list[Completion]:
         """Exactly arm.samples completions, cache first, placeholders on failure."""
@@ -306,58 +295,28 @@ class Gateway:
                             _link_entries(os.path.join(text_dir, hashlib.sha256(data).hexdigest()), paths, data)
         return [c for c in results if c is not None]
 
-    def pool(
-        self,
-        db_path: Path,
-        timeout: float,
-        seed: int,
-        prompts: list[tuple[ModelArm, RenderedPrompt]],
-        draw: Callable[[], list[str | None]],
-        execute_all: Callable[[list[str | None], dict[str, OutcomeKey | ErrorKind]], None],
-    ) -> tuple[list[str | None], dict[str, OutcomeKey | ErrorKind]]:
-        """Each pool position's statement (None for a failed completion), and the outcomes known.
+    def pool_record(self, db_path: Path, key: list) -> tuple[str, bytes | None] | None:
+        """A pool record's path and bytes (None if it has none), or None without a cache.
 
-        `draw()` samples and extracts the pool; `execute_all(slots, outcomes)`
-        adds what it runs to `outcomes`. Without a cache, both run on an empty
-        `outcomes`. Otherwise the pool's record is read first, and a record
-        with no failed completion gives the slots, nothing sampled. Else
-        `draw()` runs, and the record's outcomes are kept if it holds exactly
-        the drawn statements. Then `execute_all` runs, and the record is
-        rewritten if it changed. A record that does not decode is a miss.
-        The database file's digest comes from its digest record (see
-        `_db_digest`); a file that cannot be read raises DbUnreadable.
+        The name covers the SQLite version, the SHA-256 of the database
+        file's bytes (see `_db_digest`) and `key`. A file that cannot be read
+        raises DbUnreadable.
         """
-        path = data = recorded = None
-        if self.cache_dir is not None:
-            identity = json.dumps([
-                _POOL_FORMAT, sqlite3.sqlite_version, self._db_digest(db_path), repr(timeout), seed,
-                [[a.model_id, a.design.value, p.content_hash, a.temperature, a.samples] for a, p in prompts],
-            ])
-            path = os.path.join(
-                self.cache_dir, _POOL_DIR, hashlib.sha256(identity.encode("ascii")).hexdigest() + ".json"
-            )
-            try:
-                with open(path, "rb") as handle:
-                    data = handle.read()
-            except FileNotFoundError:
-                pass
-            else:
-                recorded = _decode_pool(data, sum(arm.samples for arm, _ in prompts))
-        replay = recorded is not None and None not in recorded[0]
-        if replay:
-            slots, outcomes = recorded
-        else:
-            slots, outcomes = draw(), {}
-            if recorded is not None and {*recorded[0]} - {None} == {*slots} - {None}:
-                outcomes = recorded[1]
-        known = len(outcomes)
-        execute_all(slots, outcomes)
-        unchanged = replay and len(outcomes) == known  # a replay that ran nothing keeps its record as it is
-        if path is not None and not unchanged and (encoded := _encode_pool(slots, outcomes)) != data:
-            with self.blocking():
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                _publish(path, encoded)
-        return slots, outcomes
+        if self.cache_dir is None:
+            return None
+        identity = json.dumps([sqlite3.sqlite_version, self._db_digest(db_path), key]).encode("ascii")
+        path = os.path.join(self.cache_dir, _POOL_DIR, hashlib.sha256(identity).hexdigest() + ".json")
+        try:
+            with open(path, "rb") as handle:
+                return path, handle.read()
+        except FileNotFoundError:
+            return path, None
+
+    def store(self, path: str, data: bytes) -> None:
+        """Give the cache file `path` the bytes `data` (see `_publish`), the turn let go meanwhile."""
+        with self.blocking():
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _publish(path, data)
 
     def _db_digest(self, db_path: Path) -> str:
         """SHA-256 of the file's bytes, from its digest record while the file's signature holds.
@@ -388,8 +347,7 @@ class Gateway:
                 raise DbUnreadable(str(db_path), str(exc)) from exc
             last_change = max(signature[3:])  # the later of mtime and ctime
             if last_change < started - _SETTLE_NS and db_signature(db_path) == signature:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                _publish(path, json.dumps([_DIGEST_FORMAT, *signature, digest]).encode("utf-8"))
+                self.store(path, json.dumps([_DIGEST_FORMAT, *signature, digest]).encode("utf-8"))
         return digest
 
 
@@ -399,52 +357,6 @@ def _read_entry(path: str) -> str | None:
         with open(path, "rb") as handle:
             return handle.read().decode("utf-8")
     except (FileNotFoundError, UnicodeDecodeError):  # a bad entry is sampled again and replaced
-        return None
-
-
-def _encode_pool(slots: list[str | None], outcomes: dict[str, OutcomeKey | ErrorKind]) -> bytes:
-    """A pool record: `[{statement run: key or [error kind]}, [statement not run], [index, ...]]`.
-
-    Indexes count the statements run, then those not run; null marks a failed completion.
-    """
-    statements = list(dict.fromkeys(sql for sql in slots if sql is not None))
-    skipped = [sql for sql in statements if sql not in outcomes]
-    recorded = {
-        sql: o.key if isinstance(o := outcomes[sql], OutcomeKey) else [o.value]
-        for sql in statements if sql in outcomes
-    }
-    index = {sql: i for i, sql in enumerate([*recorded, *skipped])}
-    indexes = [None if sql is None else index[sql] for sql in slots]
-    return json.dumps([recorded, skipped, indexes]).encode("utf-8")
-
-
-def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, OutcomeKey | ErrorKind]] | None:
-    """A record's slots and outcomes, or None unless it is well formed.
-
-    Well formed: distinct statements (executed or not), `size` slots, each
-    null or a statement's index, every statement at some slot, and each
-    outcome a key or an [error kind].
-    """
-    try:
-        recorded, skipped, indexes = json.loads(data)
-        statements = [*recorded.keys(), *skipped]
-        if (type(skipped) is not list or not all(type(sql) is str for sql in skipped)
-                or len(set(statements)) < len(statements)):  # a statement both run and not run
-            return None
-        if len(indexes) != size or not all(i is None or type(i) is int for i in indexes):  # True is an int
-            return None
-        if {i for i in indexes if i is not None} != set(range(len(statements))):
-            return None
-        outcomes: dict[str, OutcomeKey | ErrorKind] = {}
-        for sql, value in recorded.items():
-            if type(value) is list and len(value) == 1:
-                outcomes[sql] = ErrorKind(value[0])
-            elif isinstance(value, str):
-                outcomes[sql] = OutcomeKey(value)
-            else:
-                return None
-        return [None if i is None else statements[i] for i in indexes], outcomes
-    except (AttributeError, TypeError, ValueError, RecursionError):  # not JSON or [mapping, list, list]
         return None
 
 

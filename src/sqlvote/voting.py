@@ -6,11 +6,7 @@ completion text is extracted once per pool, and each distinct statement runs
 once per pool, on one read-only connection, and is reduced at once to what
 the vote reads: its order-insensitive outcome key, or its error kind (a
 failed completion is a RUNTIME error). A pool holds no rows, timings or
-error text. With a cache directory, the pool is recorded in the cache, keyed
-by its inputs: the database file's bytes, the timeout, the SQLite version,
-the seed and each arm's rendered prompt (see `gateway`). A warm run replays
-it, timeouts included: it samples, extracts and executes nothing, and opens
-no connection.
+error text.
 
 A pool is its slots (each position's statement, or None for a failed
 completion), the outcome of each statement that ran, and its arms. One tally
@@ -20,10 +16,24 @@ earliest statement is the SQL. Statements run by descending candidate count
 until the same tally fixes the winner (`_settled`); an audit runs them all.
 On a stopped pool the tallies, error count and margin are lower bounds; the
 selection is exact.
+
+With a cache directory, each pool has one record (`Gateway.pool_record`),
+named by its inputs: the SQLite version, the SHA-256 of the database file's
+bytes, `_POOL_FORMAT`, `repr(timeout)`, the seed, and each arm's model,
+design, prompt hash, temperature and samples. The record is `[{statement:
+key, [error kind], or null if it did not run}, [each position's statement
+index, or null for a failed completion]]`. A record with no null index is
+the pool: a warm run reads no completion entry, extracts nothing and
+executes nothing, timeouts included, and opens no connection, unless it
+audits a stopped pool: then it runs only the statements not run. A record
+with a failed completion is drawn again, and its outcomes are kept if it
+holds exactly the drawn statements. A changed input misses, and a record
+that does not decode is a miss.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,6 +53,8 @@ from .linking import DEFAULT_MAX_PER_COLUMN, link_values
 from .prompts import EMPTY_DEMOS, DemoSet, PromptDesignId, render
 
 FALLBACK_SQL = "SELECT NULL"
+# change it when a record's meaning, what extract_sql returns for a text, or an outcome changes
+_POOL_FORMAT = "sqlvote-pool-4"
 
 
 @dataclass(frozen=True)
@@ -100,17 +112,15 @@ def build_pool(
 ) -> CandidatePool:
     """Sample every arm's candidates, in configuration order, and run their statements.
 
-    Each distinct completion text is extracted once, and each distinct
-    statement executes at most once, by descending candidate count until the
-    winner is fixed (all of them with `audit`); its key or error kind is
-    recorded once, for every position holding it. Values are
-    linked only when some arm's design renders them. All arms are rendered
-    before anything is sampled, so a pool that the cache records replays
-    without sampling, and connects only if it has statements left to run.
-    Otherwise the statements share one read-only connection that is closed
-    before this returns; it is never kept across pools, since a database
-    file may be rewritten between them. An unreadable database raises
-    DbUnreadable.
+    Reads the pool's record; replays it, or draws the pool and keeps the
+    record's outcomes if it holds the drawn statements; connects only if
+    statements are left to run; runs them by descending candidate count
+    until the winner is fixed (all of them with `audit`); and rewrites the
+    record if its bytes changed. Values are linked only when some arm's
+    design renders them. The statements share one read-only connection,
+    closed before this returns and never kept across pools, since a
+    database file may be rewritten between them. An unreadable database
+    raises DbUnreadable.
     """
     renders_values = any(arm.design is not PromptDesignId.BASELINE_DEFAULT for arm in arms)
     matches = link_values(question.question, catalog, max_per_column) if renders_values else []
@@ -118,28 +128,29 @@ def build_pool(
         (arm, render(arm.design, question, catalog, matches, demos_for(arm) if demos_for else EMPTY_DEMOS))
         for arm in arms
     ]
-
-    def draw() -> list[str | None]:
-        slots: list[str | None] = []
-        extracted: dict[tuple[str, bool], str] = {}
+    key = [_POOL_FORMAT, repr(timeout), seed, [
+        [arm.model_id, arm.design.value, prompt.content_hash, arm.temperature, arm.samples]
+        for arm, prompt in prompts
+    ]]
+    path, data = gateway.pool_record(catalog.db_path, key) or (None, None)
+    recorded = None if data is None else _decode_pool(data, sum(arm.samples for arm in arms))
+    if recorded is not None and None not in recorded[0]:
+        slots, outcomes = recorded
+    else:
+        slots, extracted = [], {}
         for arm, prompt in prompts:
             prefix_select = arm.design is PromptDesignId.BASELINE_DEFAULT
             for completion in gateway.sample(arm, prompt, seed):
-                if completion.failed:
-                    slots.append(None)
-                    continue
-                sql = extracted.get((completion.text, prefix_select))
-                if sql is None:
-                    sql = extract_sql(completion.text, prefix_select=prefix_select)
-                    extracted[completion.text, prefix_select] = sql
-                slots.append(sql)
-        return slots
+                text = completion.text
+                if not completion.failed and (text, prefix_select) not in extracted:
+                    extracted[text, prefix_select] = extract_sql(text, prefix_select=prefix_select)
+                slots.append(None if completion.failed else extracted[text, prefix_select])
+        same = recorded is not None and {*recorded[0]} - {None} == {*slots} - {None}
+        outcomes = recorded[1] if same else {}
 
-    def execute_all(slots: list[str | None], outcomes: dict[str, OutcomeKey | ErrorKind]) -> None:
-        counts = _counts(slots)
-        if outcomes and (counts.keys() <= outcomes.keys() or not audit and _settled(counts, outcomes)):
-            return  # a replay with nothing to run neither lets go of the turn nor connects
-        # a pool with no outcome yet connects even with no statement: an unreadable database fails it
+    counts = _counts(slots)
+    # a pool with no outcome yet connects even with no statement: an unreadable database fails it
+    if not outcomes or counts.keys() - outcomes.keys() and (audit or not _settled(counts, outcomes)):
         with gateway.blocking(), closing(connect_readonly(catalog)) as conn:
             for sql in sorted(counts, key=counts.__getitem__, reverse=True):  # a stable sort
                 if not audit and _settled(counts, outcomes):
@@ -147,9 +158,46 @@ def build_pool(
                 if sql not in outcomes:
                     outcome = execute(sql, catalog, timeout, conn)
                     outcomes[sql] = outcome.error_kind or canonical_key(outcome, order_sensitive=False)
-
-    slots, outcomes = gateway.pool(catalog.db_path, timeout, seed, prompts, draw, execute_all)
+    if path is not None and (encoded := _encode_pool(slots, outcomes)) != data:
+        gateway.store(path, encoded)
     return CandidatePool(tuple(slots), outcomes, tuple(arms))
+
+
+def _encode_pool(slots: Sequence[str | None], outcomes: dict[str, OutcomeKey | ErrorKind]) -> bytes:
+    """A pool record: each statement's key, [error kind] or null (not run), then each slot's statement index."""
+    recorded = {
+        sql: o.key if isinstance(o := outcomes.get(sql), OutcomeKey) else None if o is None else [o.value]
+        for sql in dict.fromkeys(slots) if sql is not None
+    }
+    index = {sql: i for i, sql in enumerate(recorded)}
+    return json.dumps([recorded, [None if sql is None else index[sql] for sql in slots]]).encode("utf-8")
+
+
+def _decode_pool(data: bytes, size: int) -> tuple[list[str | None], dict[str, OutcomeKey | ErrorKind]] | None:
+    """A record's slots and the outcomes of the statements run, or None unless it is well formed.
+
+    Well formed: `size` slots, each null or a statement's index, every
+    statement at some slot, and each statement's value a key, an [error
+    kind] or null.
+    """
+    try:
+        recorded, indexes = json.loads(data)
+        if len(indexes) != size or not all(i is None or type(i) is int for i in indexes):  # True is an int
+            return None
+        if {i for i in indexes if i is not None} != set(range(len(recorded))):
+            return None
+        outcomes: dict[str, OutcomeKey | ErrorKind] = {}
+        for sql, value in recorded.items():
+            if type(value) is list and len(value) == 1:
+                outcomes[sql] = ErrorKind(value[0])
+            elif isinstance(value, str):
+                outcomes[sql] = OutcomeKey(value)
+            elif value is not None:
+                return None
+        statements = list(recorded)
+        return [None if i is None else statements[i] for i in indexes], outcomes
+    except (AttributeError, TypeError, ValueError, RecursionError):  # not JSON or [mapping, list]
+        return None
 
 
 def _counts(slots: Sequence[str | None]) -> dict[str, int]:

@@ -255,7 +255,9 @@ def _predict(config_path, capsys, *flags):
 
 
 def _skipped_statements(cache_dir):
-    return sorted(sql for path in (cache_dir / "pools").glob("*.json") for sql in json.loads(path.read_bytes())[1])
+    """The statements that the pool records hold as not run (a null value)."""
+    records = [json.loads(path.read_bytes())[0] for path in (cache_dir / "pools").glob("*.json")]
+    return sorted(sql for recorded in records for sql, value in recorded.items() if value is None)
 
 
 def test_plain_warm_predict_after_a_plain_cold_one_executes_nothing(mini_run, monkeypatch, capsys):
@@ -265,6 +267,25 @@ def test_plain_warm_predict_after_a_plain_cold_one_executes_nothing(mini_run, mo
     assert len(calls) > 5 and _skipped_statements(work / "cache")  # some pools stopped early
     calls.clear()
     assert _predict(config_path, capsys) == cold
+    assert calls == []
+
+
+def test_negative_zero_temperature_replays_a_zero_temperature_run(mini_run, monkeypatch, capsys):
+    fixture_root, work, config_path = mini_run
+    config = yaml.safe_load(config_path.read_text())
+
+    def predict_at(temperature):
+        for arm in config["arms"]:
+            arm["temperature"] = temperature
+        config_path.write_text(yaml.safe_dump(config))
+        return _predict(config_path, capsys)
+
+    cold = predict_at(0.0)
+    calls = _counting_statements(monkeypatch)
+    generate = ScriptedBackend.generate
+    monkeypatch.setattr(ScriptedBackend, "generate", lambda *a: calls.append("generate") or generate(*a))
+    assert predict_at(-0.0) == cold
+    assert "temperature: -0.0" in config_path.read_text()
     assert calls == []
 
 
@@ -828,6 +849,16 @@ def test_show_prompt_four_shot_contains_zero_shot(fixture_root, tmp_path, capsys
     assert code == 0
     four = capsys.readouterr().out
     assert zero in four and four != zero
+
+
+def test_show_prompt_refuses_negative_shots(fixture_root, tmp_path, capsys):
+    config_path = write_run_config(fixture_root, tmp_path, tmp_path / "scripted", dataset_name="dev.json")
+    code = main([
+        "show-prompt", "--config", str(config_path),
+        "--example", "000000", "--design", "concise", "--shots", "-3",
+    ])
+    assert code == 1
+    assert capsys.readouterr() == ("", "--shots must be >= 0, not -3\n")
 
 
 def test_cache_cli(mini_run, capsys):

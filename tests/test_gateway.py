@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from sqlvote import gateway as gateway_module
 from sqlvote.errors import BackendError, BackendUnavailable, DuplicateModelId
-from sqlvote.execution import ErrorKind, OutcomeKey, db_signature
+from sqlvote.execution import db_signature
 from sqlvote.gateway import (
     Completion,
     Gateway,
@@ -92,6 +92,27 @@ def test_cache_keeps_carriage_returns(tmp_path):
     assert [c.text for c in cold] == texts
     assert [c.text for c in warm] == texts
     assert all(c.from_cache for c in warm)
+
+
+def test_entry_names_keep_the_exact_temperature(tmp_path):
+    """Close temperatures sample apart (6 significant digits would merge them); -0.0 is 0.0; 0.5, 0, 1 as before."""
+    prompt = _prompt()
+    calls = []
+
+    class Echo:
+        def generate(self, prompt_text, indexes, temperature, seed):
+            calls.append(temperature)
+            return [f"SELECT {temperature!r}" for _ in indexes]
+
+    gateway = Gateway(cache_dir=tmp_path)
+    gateway.register_backend("scripted-a", Echo())
+    temperatures = [0.1234567, 0.1234568, 0.0, -0.0, 1.0, 0.5]
+    texts = [[c.text for c in gateway.sample(_arm(temperature=t), prompt, seed=0)] for t in temperatures]
+    assert calls == [0.1234567, 0.1234568, 0.0, 1.0, 0.5]
+    assert [t[0] for t in texts] == [f"SELECT {t!r}" for t in [0.1234567, 0.1234568, 0.0, 0.0, 1.0, 0.5]]
+    names = {p.name for p in (tmp_path / "scripted-a").iterdir()}
+    written = ["0.1234567", "0.1234568", "0", "1", "0.5"]
+    assert names == {f"{prompt.content_hash}_{t}_0_{i}.txt" for t in written for i in (0, 1)}
 
 
 def test_exactly_n_with_failures(tmp_path):
@@ -407,25 +428,6 @@ def test_each_model_id_is_one_directory_inside_the_cache(tmp_path):
 def test_a_model_id_that_names_no_directory_of_its_own_is_refused(model):
     with pytest.raises(ValueError, match="model id must not be"):
         _arm(model_id=model)
-
-
-# --- pool records ----------------------------------------------------------------
-
-_recorded = st.none() | st.sampled_from(list(ErrorKind)) | st.text(max_size=4).map(OutcomeKey)  # None: not run
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.none() | st.sampled_from(["SELECT 1", "", '"x"', "[0]", "é"]) | st.text(max_size=4), max_size=12),
-    st.data(),
-)
-def test_pool_record_round_trips(slots, data):
-    """Any slots (failed, repeated) and outcomes (keys, every error kind, statements not run) decode as encoded."""
-    drawn = {sql: data.draw(_recorded) for sql in dict.fromkeys(slots) if sql is not None}
-    outcomes = {sql: o for sql, o in drawn.items() if o is not None}
-    decoded = gateway_module._decode_pool(gateway_module._encode_pool(slots, outcomes), len(slots))
-    assert decoded == (slots, outcomes)
-    assert [type(o) for o in decoded[1].values()] == [type(o) for o in outcomes.values()]  # "syntax" == SYNTAX
 
 
 def _refuse_links(*args):
