@@ -82,9 +82,8 @@ _ARM = {  # in `ModelArm` field order
     "design": (lambda name: PromptDesignId.parse(str(name)), PromptDesignId.CONCISE),
     "shots": (_nonnegative, 0),
     "samples": (_positive, DEFAULT_SAMPLES),
-    # a NaN or infinite temperature would reach entry names, cache keys and request bodies; -0.0 is 0.0
-    "temperature": (_checked(lambda t: math.isfinite(t) and t >= 0, "finite and >= 0", lambda t: float(t) + 0.0),
-                    DEFAULT_TEMPERATURE),
+    # a NaN or infinite temperature would reach entry names, cache keys and request bodies
+    "temperature": (_checked(lambda t: math.isfinite(t) and t >= 0, "finite and >= 0", float), DEFAULT_TEMPERATURE),
 }
 _BACKENDS = {  # by backend type
     "scripted": {"type": (str, "scripted"), "dir": (Path, ...)},

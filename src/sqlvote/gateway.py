@@ -19,7 +19,10 @@ one, so a warm run reads no database bytes. A miss hashes the file, and
 records it only if its stat held while it was hashed and it had last changed
 more than _SETTLE_NS before: any later write moves its ctime (git's "racily
 clean" rule). Like make and git, this trusts the file system's timestamps.
-`cache clear` drops the records with the completions.
+A `Gateway` remembers the digest of each record it read or wrote while the
+file's stat still equals the record's, so a run reads each record once; a
+file it did not record is hashed on every call. `cache clear` drops the
+records with the completions.
 
 Workers take turns (`Gateway.turn`) to run Python, and let go of the turn only
 around calls that block without the interpreter: threads running Python side by
@@ -73,6 +76,7 @@ class ModelArm:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        object.__setattr__(self, "temperature", float(self.temperature) + 0.0)  # in keys, 1 is 1.0, -0.0 is 0.0
         if self.model_id in ("", ".", ".."):  # each would name no cache directory of its own
             raise ValueError(f"model id must not be {self.model_id!r}")
 
@@ -210,6 +214,7 @@ class Gateway:
     _backends: dict[str, GenerationBackend] = field(default_factory=dict)
     _turn: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
     _holder: int | None = field(default=None, repr=False, compare=False)  # the thread holding _turn
+    _digests: dict = field(default_factory=dict, repr=False, compare=False)  # record path -> (signature, digest)
 
     @contextmanager
     def turn(self):
@@ -244,7 +249,7 @@ class Gateway:
         if self.cache_dir is None:
             return None
         model_dir = quote(arm.model_id, safe="")  # one path component: "/" and "%" are encoded
-        temperature = repr(arm.temperature + 0.0).removesuffix(".0")  # exact; -0.0 and 1.0 as :g wrote them
+        temperature = repr(arm.temperature).removesuffix(".0")  # exact; 1.0 as :g wrote it
         return os.path.join(self.cache_dir, model_dir, f"{prompt.content_hash}_{temperature}_{seed}_")
 
     def sample(self, arm: ModelArm, prompt: RenderedPrompt, seed: int) -> list[Completion]:
@@ -321,20 +326,23 @@ class Gateway:
     def _db_digest(self, db_path: Path) -> str:
         """SHA-256 of the file's bytes, from its digest record while the file's signature holds.
 
-        A missing, malformed or outdated record is a miss: the file is
-        hashed, and the record is rewritten if the file is settled (see the
-        module docstring). Two threads may both hash a file on a miss; they
-        write the same record.
+        The record is read once while the signature holds (see the module
+        docstring). A missing, malformed or outdated record is a miss: the
+        file is hashed, and the record is rewritten if the file is settled.
+        Two threads may both hash a file on a miss; they write the same record.
         """
         signature = db_signature(db_path)
         path = os.path.join(
             self.cache_dir, _DIGEST_DIR,
             hashlib.sha256(os.fsencode(os.path.abspath(db_path))).hexdigest() + ".json",
         )
+        if (remembered := self._digests.get(path)) and remembered[0] == signature:
+            return remembered[1]
         try:
             with open(path, "rb") as handle:
                 tag, *recorded, digest = json.loads(handle.read())
             if [tag, *recorded] == [_DIGEST_FORMAT, *signature] and isinstance(digest, str):
+                self._digests[path] = signature, digest
                 return digest
         except (FileNotFoundError, TypeError, ValueError, RecursionError):  # not UTF-8, JSON or a list
             pass
@@ -348,6 +356,7 @@ class Gateway:
             last_change = max(signature[3:])  # the later of mtime and ctime
             if last_change < started - _SETTLE_NS and db_signature(db_path) == signature:
                 self.store(path, json.dumps([_DIGEST_FORMAT, *signature, digest]).encode("utf-8"))
+                self._digests[path] = signature, digest
         return digest
 
 

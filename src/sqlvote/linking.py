@@ -7,7 +7,10 @@ so prompts carry only content the question actually mentions.
 Each database file is scanned once per process: its distinct text values and
 their lowercased forms stay in memory, keyed by the file's path, and are read
 again only when the file's stat signature (`execution.db_signature`) changes.
-A question then scores only the values that pass an exact substring prefilter.
+The scan also keeps each lowered value's core: the middle characters that
+every window `could_match` accepts covers. A question tests each value's core
+with one substring search, calls `could_match` only for the values whose core
+it holds, and scores only the values that pass.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class _ColumnValues:
     column_name: str
     values: tuple[str, ...]  # distinct, in row order
     lowered: tuple[str, ...]  # value.lower() at the same positions
+    cores: tuple[str, ...]  # low[len(low) - n:n], n = _window(len(low)): each window could_match accepts covers it
 
 
 # db path -> ((db_signature, text columns), scanned columns)
@@ -77,9 +81,6 @@ def could_match(question_lower: str, value_lower: str) -> bool:
     if not length:
         return False
     need = _window(length)
-    # every window covers value_lower[length - need:need]; most values fail on it alone
-    if value_lower[length - need:need] not in question_lower:
-        return False
     return any(value_lower[i:i + need] in question_lower for i in range(length - need + 1))
 
 
@@ -108,11 +109,13 @@ def _scan(catalog: DatabaseCatalog, columns: tuple[tuple[str, str], ...]) -> tup
                 values = _distinct_column_values(conn, table, column, SCAN_CAP)
             except sqlite3.Error:
                 continue  # column missing from the file (manifest drift): skip it
-            lowered = []
+            lowered, cores = [], []
             for value in values:
                 low = value.lower()
                 lowered.append(value if low == value else low)  # share unchanged strings
-            scanned.append(_ColumnValues(table, column, tuple(values), tuple(lowered)))
+                need = _window(len(low))
+                cores.append(low[len(low) - need:need])
+            scanned.append(_ColumnValues(table, column, tuple(values), tuple(lowered), tuple(cores)))
     finally:
         conn.close()
     return tuple(scanned)
@@ -152,8 +155,8 @@ def link_values(
         kept = sorted(
             (
                 (score_match(question, value), value)
-                for value, low in zip(column.values, column.lowered)
-                if could_match(q, low)
+                for value, low, core in zip(column.values, column.lowered, column.cores)
+                if core in q and could_match(q, low)
             ),
             key=lambda pair: (-pair[0], pair[1]),
         )[:max_per_column]

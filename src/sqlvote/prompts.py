@@ -2,6 +2,9 @@
 
 The templates are byte-frozen, idiosyncrasies included ("anwered", "We will
 first given"); golden-file tests pin them, so edit only with the goldens.
+
+A `DemoSet` renders its demo blocks once per design, on first use, and keeps
+the text for every later prompt.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ class DemoSet:
     demos: tuple[tuple[ExampleItem, str], ...] = ()
     catalogs: dict[str, DatabaseCatalog] = field(default_factory=dict)
     matches: tuple[tuple[ValueMatch, ...], ...] = ()
+    _blocks: dict[PromptDesignId, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for item, gold_sql in self.demos:
@@ -66,6 +70,21 @@ class DemoSet:
     @property
     def shots(self) -> int:
         return len(self.demos)
+
+    def blocks(self, design: PromptDesignId) -> str:
+        """The demo blocks in `design`, each ending in its gold SQL; rendered on the first call only."""
+        if design not in self._blocks:
+            parts = []
+            for i, (item, gold_sql) in enumerate(self.demos):
+                matches = list(self.matches[i]) if self.matches else []
+                gold = gold_sql.strip()
+                if design is PromptDesignId.BASELINE_DEFAULT:
+                    # The block already ends with the leading SELECT.
+                    gold = " " + (gold[6:].lstrip() if gold.lower().startswith("select") else gold)
+                block = _BLOCK_RENDERERS[design](item.question, self.catalogs[item.db_id], matches)
+                parts.append(block + gold + "\n\n")
+            self._blocks[design] = "".join(parts)
+        return self._blocks[design]
 
 
 EMPTY_DEMOS = DemoSet()
@@ -210,17 +229,5 @@ def render(
     if not catalog.tables:
         raise CatalogEmpty(catalog.db_id)
 
-    block = _BLOCK_RENDERERS[design]
-    parts = []
-    for i, (item, gold_sql) in enumerate(demos.demos):
-        demo_catalog = demos.catalogs[item.db_id]
-        demo_matches = list(demos.matches[i]) if demos.matches else []
-        gold = gold_sql.strip()
-        if design is PromptDesignId.BASELINE_DEFAULT:
-            # The block already ends with the leading SELECT.
-            gold = gold[6:].lstrip() if gold.lower().startswith("select") else gold
-            gold = " " + gold
-        parts.append(block(item.question, demo_catalog, demo_matches) + gold + "\n\n")
-    parts.append(block(question.question, catalog, matches))
-    text = "".join(parts)
+    text = demos.blocks(design) + _BLOCK_RENDERERS[design](question.question, catalog, matches)
     return RenderedPrompt(text, design, content_hash_of(text))

@@ -320,6 +320,22 @@ def hashed_files(monkeypatch):
     return hashed
 
 
+@pytest.fixture()
+def record_reads(monkeypatch):
+    """Paths of the JSON records (pool and digest) the gateway opens for reading, found or not, in call order."""
+    from sqlvote import gateway
+
+    reads = []
+
+    def counting(path, mode="r", *args, **kwargs):
+        if mode == "rb" and str(path).endswith(".json"):
+            reads.append(Path(path))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(gateway, "open", counting, raising=False)
+    return reads
+
+
 GOLDEN_DIR = Path(__file__).parent / "testdata" / "goldens"
 
 

@@ -851,6 +851,22 @@ def test_show_prompt_four_shot_contains_zero_shot(fixture_root, tmp_path, capsys
     assert zero in four and four != zero
 
 
+@pytest.mark.parametrize("design", ["concise", "verbose", "baseline_default"])
+def test_show_prompt_two_shot_matches_golden(fixture_root, tmp_path, capsys, design):
+    config = yaml.safe_load(
+        write_run_config(fixture_root, tmp_path, tmp_path / "scripted", dataset_name="dev.json").read_text()
+    )
+    config["demo_source"] = str(fixture_root / "mini_dev.json")
+    config_path = tmp_path / "config2.yaml"
+    config_path.write_text(yaml.safe_dump(config))
+    code = main([
+        "show-prompt", "--config", str(config_path),
+        "--example", "000000", "--design", design, "--shots", "2",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == read_golden(design, "car_1__000000__2shot.txt")
+
+
 def test_show_prompt_refuses_negative_shots(fixture_root, tmp_path, capsys):
     config_path = write_run_config(fixture_root, tmp_path, tmp_path / "scripted", dataset_name="dev.json")
     code = main([

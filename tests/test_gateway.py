@@ -814,6 +814,35 @@ def test_file_changed_while_hashed_leaves_no_record(tmp_path, monkeypatch, short
     assert not (cache_dir / "databases").exists()
 
 
+def test_settled_file_reads_its_record_once_per_gateway(tmp_path, short_settle, hashed_files, record_reads):
+    db, cache_dir = tmp_path / "db.sqlite", tmp_path / "cache"
+    db.write_bytes(b"x" * 5000)
+    short_settle()
+    writer = Gateway(cache_dir=cache_dir)
+    assert writer._db_digest(db) == _sha256(db)  # no record yet: one read that finds nothing
+    (record,) = _digest_records(cache_dir)
+    assert writer._db_digest(db) == _sha256(db)  # remembered as written: no second read or hash
+    assert record_reads == [record] and hashed_files == [str(db)]
+
+    reader = Gateway(cache_dir=cache_dir)  # a new gateway remembers nothing
+    assert reader._db_digest(db) == reader._db_digest(db) == _sha256(db)
+    assert record_reads == [record, record] and hashed_files == [str(db)]
+
+    db.write_bytes(b"y" * 5000)  # a new signature: the remembered digest no longer holds
+    assert reader._db_digest(db) == _sha256(db)
+    assert hashed_files == [str(db), str(db)]
+
+
+def test_unsettled_file_is_hashed_on_every_call_and_not_remembered(tmp_path, hashed_files):
+    db, cache_dir = tmp_path / "db.sqlite", tmp_path / "cache"
+    db.write_bytes(b"x" * 5000)  # changed within the two-second settle window
+    gateway = Gateway(cache_dir=cache_dir)
+    for _ in range(3):
+        assert gateway._db_digest(db) == _sha256(db)
+    assert hashed_files == [str(db)] * 3
+    assert gateway._digests == {} and not (cache_dir / "databases").exists()
+
+
 _CONTENTS = [b"a" * 4096, b"b" * 4096, b"c" * 4097]
 _step = st.one_of(
     st.tuples(st.just("write"), st.sampled_from(range(len(_CONTENTS))), st.booleans()),

@@ -121,6 +121,27 @@ def test_four_shot_contains_zero_shot(car_example, car_catalog, car_matches, dev
         assert four != zero
 
 
+@pytest.mark.parametrize("design", ["concise", "verbose", "baseline_default"])
+def test_two_shot_golden_prompts(design, car_example, car_catalog, car_matches, dev_examples, catalogs):
+    demos = _demo_set(dev_examples, catalogs, 2)
+    prompt = render(PromptDesignId(design), car_example, car_catalog, car_matches, demos)
+    assert prompt.text == read_golden(design, "car_1__000000__2shot.txt")
+
+
+def test_demo_set_renders_later_questions_as_a_fresh_one(
+    car_example, car_catalog, car_matches, dev_examples, catalogs, singer_catalog
+):
+    """Demo blocks kept from earlier prompts give the bytes a new DemoSet renders, in every design."""
+    shared = _demo_set(dev_examples, catalogs, 2)
+    for design in PromptDesignId:
+        render(design, car_example, car_catalog, car_matches, shared)
+    question = [e for e in dev_examples if e.db_id == "singer"][2]  # not one of the two demos
+    matches = link_values(question.question, singer_catalog)
+    for design in PromptDesignId:
+        fresh = render(design, question, singer_catalog, matches, _demo_set(dev_examples, catalogs, 2))
+        assert render(design, question, singer_catalog, matches, shared) == fresh
+
+
 def test_demo_blocks_carry_gold_sql(car_example, car_catalog, car_matches, dev_examples, catalogs):
     demos = _demo_set(dev_examples, catalogs, 2)
     text = render(PromptDesignId.CONCISE, car_example, car_catalog, car_matches, demos).text
