@@ -11,7 +11,10 @@ Statements run on a read-only, query-only SQLite connection with a
 wall-clock deadline, a row cap and a byte budget; all failures come back as
 classified outcomes, never exceptions. A caller may pass one connection from
 `connect_readonly` for many statements (a voting pool does); otherwise each
-statement opens and closes its own.
+statement opens and closes its own. `released()` (a pool passes
+`Gateway.blocking`) is entered at the first deadline check of a statement's
+first step, which runs in SQLite alone, and left when that step ends, before
+any row reaches Python.
 
 SQLite builds no string, blob or row longer than MAX_VALUE_BYTES, and rows
 are fetched in chunks of which even one full of such values fits in
@@ -41,9 +44,11 @@ import os
 import re
 import sqlite3
 import time
+from contextlib import AbstractContextManager, ExitStack, closing, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _encode_text
+from typing import Callable
 
 from .catalog import DatabaseCatalog
 from .errors import DbUnreadable
@@ -262,6 +267,7 @@ def execute(
     catalog: DatabaseCatalog,
     timeout: float = DEFAULT_TIMEOUT,
     conn: sqlite3.Connection | None = None,
+    released: Callable[[], AbstractContextManager] = nullcontext,
 ) -> ExecutionOutcome:
     """Run one statement read-only against the catalog's database.
 
@@ -289,23 +295,24 @@ def execute(
         return ExecutionOutcome.error(ErrorKind.RUNTIME, "write statements are not allowed")
     statement = statement[:end]
     if conn is not None:
-        return _run(conn, statement, timeout)
+        return _run(conn, statement, timeout, released)
     try:
         conn = connect_readonly(catalog)
     except DbUnreadable as exc:
         return ExecutionOutcome.error(ErrorKind.RUNTIME, str(exc))
-    try:
-        return _run(conn, statement, timeout)
-    finally:
-        conn.close()
+    with closing(conn):
+        return _run(conn, statement, timeout, released)
 
 
-def _run(conn: sqlite3.Connection, statement: str, timeout: float) -> ExecutionOutcome:
+def _run(conn: sqlite3.Connection, statement: str, timeout: float, released) -> ExecutionOutcome:
     deadline = time.monotonic() + timeout
     timed_out = False
+    lend: list[ExitStack] = []  # `_fetch` puts its first step's stack here; `_progress` lets the turn go on it
 
     def _progress():
         nonlocal timed_out
+        if lend:
+            lend.pop().enter_context(released())
         if time.monotonic() > deadline:
             timed_out = True
             return 1
@@ -316,12 +323,12 @@ def _run(conn: sqlite3.Connection, statement: str, timeout: float) -> ExecutionO
     try:
         conn.text_factory = str  # SQLite's C decoder: no Python call per text cell
         try:
-            rows, size = _fetch(conn, statement)
+            rows, size = _fetch(conn, statement, lend)
         except sqlite3.OperationalError as exc:
             if not str(exc).startswith(_DECODE_FAILURE):
                 raise
             conn.text_factory = _decode_leniently
-            rows, size = _fetch(conn, statement)
+            rows, size = _fetch(conn, statement, [])  # `exc` holds the rows fetched: keep the turn
     except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:  # the last: a lone surrogate
         return ExecutionOutcome.error(*_classify_error(exc, timed_out))
     finally:
@@ -334,14 +341,18 @@ def _run(conn: sqlite3.Connection, statement: str, timeout: float) -> ExecutionO
     return ExecutionOutcome.success(rows)
 
 
-def _fetch(conn: sqlite3.Connection, statement: str) -> tuple[list[tuple], int]:
+def _fetch(conn: sqlite3.Connection, statement: str, lend: list[ExitStack]) -> tuple[list[tuple], int]:
     """The statement's rows and their size, fetched until past MAX_ROWS or MAX_RESULT_BYTES.
 
     A chunk of values each at the length limit still fits in the budget.
+    `lend` holds the first step's stack while that step runs, until taken.
     """
     cursor = conn.cursor()
     try:
-        cursor.execute(statement)
+        with ExitStack() as first_step:  # leaving it takes back the turn, if it was let go
+            first_step.callback(lend.clear)
+            lend.append(first_step)
+            cursor.execute(statement)
         columns = len(cursor.description or ()) or 1
         step = max(1, MAX_RESULT_BYTES // (MAX_VALUE_BYTES * columns))
         rows: list[tuple] = []

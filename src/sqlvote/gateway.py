@@ -25,8 +25,9 @@ file it did not record is hashed on every call. `cache clear` drops the
 records with the completions.
 
 Workers take turns (`Gateway.turn`) to run Python, and let go of the turn only
-around calls that block without the interpreter: threads running Python side by
-side would hand the interpreter lock back and forth on every short file read.
+while they block without the interpreter (`blocking`): backend calls, cache
+writes, hashing or opening a database, and a statement's long first step. Only
+the holder fetches rows, so one result set at a time is in memory.
 """
 
 from __future__ import annotations

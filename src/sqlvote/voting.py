@@ -116,11 +116,11 @@ def build_pool(
     record's outcomes if it holds the drawn statements; connects only if
     statements are left to run; runs them by descending candidate count
     until the winner is fixed (all of them with `audit`); and rewrites the
-    record if its bytes changed. Values are linked only when some arm's
-    design renders them. The statements share one read-only connection,
-    closed before this returns and never kept across pools, since a
-    database file may be rewritten between them. An unreadable database
-    raises DbUnreadable.
+    record if its bytes changed, unless it replayed it whole and ran
+    nothing. Values are linked only when some arm's design renders them.
+    The statements share one read-only connection, closed before this
+    returns and never kept across pools, since a database file may be
+    rewritten between them. An unreadable database raises DbUnreadable.
     """
     renders_values = any(arm.design is not PromptDesignId.BASELINE_DEFAULT for arm in arms)
     matches = link_values(question.question, catalog, max_per_column) if renders_values else []
@@ -134,7 +134,7 @@ def build_pool(
     ]]
     path, data = gateway.pool_record(catalog.db_path, key) or (None, None)
     recorded = None if data is None else _decode_pool(data, sum(arm.samples for arm in arms))
-    if recorded is not None and None not in recorded[0]:
+    if replayed := recorded is not None and None not in recorded[0]:
         slots, outcomes = recorded
     else:
         slots, extracted = [], {}
@@ -150,15 +150,18 @@ def build_pool(
 
     counts = _counts(slots)
     # a pool with no outcome yet connects even with no statement: an unreadable database fails it
-    if not outcomes or counts.keys() - outcomes.keys() and (audit or not _settled(counts, outcomes)):
-        with gateway.blocking(), closing(connect_readonly(catalog)) as conn:
+    if ran := not outcomes or counts.keys() - outcomes.keys() and (audit or not _settled(counts, outcomes)):
+        with gateway.blocking():  # opening the file and reading its schema
+            conn = connect_readonly(catalog)
+        with closing(conn):
             for sql in sorted(counts, key=counts.__getitem__, reverse=True):  # a stable sort
                 if not audit and _settled(counts, outcomes):
                     break
-                if sql not in outcomes:
-                    outcome = execute(sql, catalog, timeout, conn)
+                if sql not in outcomes:  # on the turn, let go only while a long first step runs
+                    outcome = execute(sql, catalog, timeout, conn, gateway.blocking)
                     outcomes[sql] = outcome.error_kind or canonical_key(outcome, order_sensitive=False)
-    if path is not None and (encoded := _encode_pool(slots, outcomes)) != data:
+                    del outcome  # no rows are held while the turn is let go
+    if path is not None and (ran or not replayed) and (encoded := _encode_pool(slots, outcomes)) != data:
         gateway.store(path, encoded)
     return CandidatePool(tuple(slots), outcomes, tuple(arms))
 

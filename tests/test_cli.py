@@ -10,12 +10,13 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
 from sqlvote import gateway as gateway_module
-from sqlvote import cli, voting
+from sqlvote import cli, execution, voting
 from sqlvote.cli import load_config, main
 from sqlvote.errors import ConfigError
 from sqlvote.gateway import Gateway, ScriptedBackend
@@ -915,44 +916,75 @@ def _set_fan_out(config_path: Path, fan_out: int) -> None:
     config_path.write_text(yaml.safe_dump(config))
 
 
-def _meet_first_two(monkeypatch, owner, attr: str) -> None:
-    """The first two calls of `owner.attr` wait for each other: they must overlap, or both fail."""
-    barrier = threading.Barrier(2, timeout=10)
-    calls = itertools.count()
-    original = getattr(owner, attr)
+def _meet_in_generate(monkeypatch) -> list:
+    """The first two backend calls wait for each other: they must overlap, or both fail."""
+    barrier, calls, met = threading.Barrier(2, timeout=10), itertools.count(), []
+    generate = ScriptedBackend.generate
 
     def meeting(*args, **kwargs):
         if next(calls) < 2:
-            barrier.wait()
-        return original(*args, **kwargs)
+            met.append(barrier.wait())
+        return generate(*args, **kwargs)
 
-    monkeypatch.setattr(owner, attr, meeting)
+    monkeypatch.setattr(ScriptedBackend, "generate", meeting)
+    return met
 
 
-@pytest.mark.parametrize(
-    "owner, attr", [(ScriptedBackend, "generate"), (voting, "execute")], ids=["generate", "execute"]
-)
-def test_workers_overlap_backend_calls_and_statements(mini_run, monkeypatch, owner, attr):
+# past its first deadline check, when the turn is let go, it calls `meet()` once
+_MEETING = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r WHERE x < 2000) " \
+    "SELECT meet() FROM (SELECT count(*) FROM r)"
+
+
+class _MeetingCursor:
+    """A cursor that first runs `_MEETING` in the first step of each of the first two statements."""
+
+    def __init__(self, cursor, calls):
+        self._cursor, self._calls = cursor, calls
+
+    def __getattr__(self, name):
+        return getattr(self._cursor, name)
+
+    def execute(self, statement):
+        if next(self._calls) < 2:
+            self._cursor.execute(_MEETING)
+        return self._cursor.execute(statement)
+
+
+def _meet_in_first_steps(monkeypatch) -> list:
+    """The first two statements wait for each other in SQLite's first step: they must overlap, or both fail."""
+    barrier, calls, met = threading.Barrier(2, timeout=10), itertools.count(), []
+    fetch = execution._fetch
+
+    def meeting_fetch(conn, *args):
+        conn.create_function("meet", 0, lambda: met.append(barrier.wait()))
+        return fetch(SimpleNamespace(cursor=lambda: _MeetingCursor(conn.cursor(), calls)), *args)
+
+    monkeypatch.setattr(execution, "_fetch", meeting_fetch)
+    return met
+
+
+@pytest.mark.parametrize("meet", [_meet_in_generate, _meet_in_first_steps], ids=["generate", "execute"])
+def test_workers_overlap_backend_calls_and_statements(mini_run, monkeypatch, meet):
     fixture_root, work, config_path = mini_run
     _set_fan_out(config_path, 2)
-    _meet_first_two(monkeypatch, owner, attr)
+    met = meet(monkeypatch)
     assert main(["predict", "--config", str(config_path)]) == 0
+    assert sorted(met) == [0, 1]
 
 
 # A worker that waits for the turn forever would keep the process from exiting, so it runs in a child.
 _UNREADABLE_ONCE = """
-import itertools, sys
+import hashlib, itertools, sys
 sys.path.insert(0, sys.argv.pop(1))
-from sqlvote import cli, voting
-from sqlvote.errors import DbUnreadable
-connect, calls = voting.connect_readonly, itertools.count()
+from sqlvote import cli
+file_digest, calls = hashlib.file_digest, itertools.count()
 
-def unreadable_once(catalog):  # called while the turn is let go, around the pool's statements
+def unreadable_once(handle, name):  # called while the turn is let go, hashing a database file
     if next(calls) == 0:
-        raise DbUnreadable(str(catalog.db_path), "injected")
-    return connect(catalog)
+        raise OSError("injected")
+    return file_digest(handle, name)
 
-voting.connect_readonly = unreadable_once
+hashlib.file_digest = unreadable_once
 sys.exit(cli.main(sys.argv[1:]))
 """
 

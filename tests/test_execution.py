@@ -4,7 +4,7 @@ import random
 import re
 import sqlite3
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,6 +248,26 @@ def test_shared_connection_usable_after_timeout(singer_catalog):
         assert execute("SELECT 1", singer_catalog, conn=conn).rows == ((1,),)
     finally:
         conn.close()
+
+
+def test_released_is_entered_only_while_a_long_first_step_runs(singer_catalog):
+    """A short statement, or one whose later rows take long, never enters it; a long first step does, once."""
+    events = []
+
+    @contextmanager
+    def released():
+        events.append("let go")
+        try:
+            yield
+        finally:
+            events.append("taken back")
+
+    endless = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM r) SELECT count(*) FROM r"
+    many_rows = _COUNT_TO.format(n=50_000)  # its first row comes at once, the others over many progress steps
+    for sql in ("SELECT 1", many_rows, endless, f"SELECT count(*) FROM ({many_rows})"):
+        outcome = execute(sql, singer_catalog, timeout=0.2, released=released)
+        events.append(outcome.error_kind or len(outcome.rows))
+    assert events == [1, 50_000, "let go", "taken back", ErrorKind.TIMEOUT, "let go", "taken back", 1]
 
 
 def test_deadline_does_not_outlive_its_statement(singer_catalog):

@@ -6,11 +6,15 @@ import random
 import re
 import shutil
 import sqlite3
+import sys
 import tempfile
+import threading
 import time
 from collections import Counter
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -18,7 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlvote import gateway as gateway_module
-from sqlvote import voting
+from sqlvote import execution, voting
+from sqlvote.catalog import ExampleItem, catalog_from_sqlite
 from sqlvote.execution import ErrorKind, ExecutionOutcome, OutcomeKey, canonical_key, execute
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
 from sqlvote.prompts import PromptDesignId
@@ -567,7 +572,7 @@ def test_memoized_pool_votes_like_separate_executions(dev_examples, singer_catal
 # --- early stop: a pool stops executing once the winner is fixed -------------------
 
 
-def _synthetic_execute(sql, catalog, timeout=5.0, conn=None):
+def _synthetic_execute(sql, catalog, timeout=5.0, conn=None, released=None):
     """`SELECT k<key> ...` returns the one row (key,); any other statement is a syntax error."""
     match = re.match(r"SELECT k(\d+) ", sql)
     return _success([(int(match[1]),)]) if match else _error()
@@ -666,6 +671,119 @@ def test_tie_and_all_filtered_pools_execute_every_statement(
     calls, result = _executed(dev_examples[1], singer_catalog, completions, monkeypatch, timeout=0.2)
     assert sorted(calls) == sorted(set(completions))
     assert result.tie_broken or result.selected_sql is None
+
+
+# --- the turn: a pool holds it, and lets it go only while SQLite runs a first step --
+
+
+class _FirstFetchCursor:
+    """A cursor that calls `rows()` at its first `fetchmany`, once the statement's first step ended."""
+
+    def __init__(self, cursor, rows):
+        self._cursor, self._rows = cursor, rows
+
+    def __getattr__(self, name):
+        return getattr(self._cursor, name)
+
+    def fetchmany(self, size):
+        if self._rows:
+            self._rows, rows = None, self._rows
+            rows()
+        return self._cursor.fetchmany(size)
+
+
+def _threads_fetching_or_keying(monkeypatch) -> list[int]:
+    """At each entry: how many threads fetch rows (in `_fetch`, past its first step) or compute a key."""
+    lock, inside, counts = threading.Lock(), [0], []
+
+    @contextmanager
+    def busy():
+        with lock:
+            inside[0] += 1
+            counts.append(inside[0])
+        try:
+            yield
+        finally:
+            with lock:
+                inside[0] -= 1
+
+    fetch, key = execution._fetch, voting.canonical_key
+
+    def watched_fetch(conn, *args):
+        with ExitStack() as stack:
+            cursor = lambda: _FirstFetchCursor(conn.cursor(), lambda: stack.enter_context(busy()))  # noqa: E731
+            return fetch(SimpleNamespace(cursor=cursor), *args)
+
+    def watched_key(*args, **kwargs):
+        with busy():
+            return key(*args, **kwargs)
+
+    monkeypatch.setattr(execution, "_fetch", watched_fetch)
+    monkeypatch.setattr(voting, "canonical_key", watched_key)
+    return counts
+
+
+def _on_threads(run, n):
+    """`run(i)` for each i < n, each on a daemon thread started at once; their results, in order."""
+    results = [None] * n
+    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, run(i)), daemon=True) for i in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_workers_never_fetch_rows_or_compute_keys_at_once(tmp_path, monkeypatch):
+    db_path = tmp_path / "wide.sqlite"
+    with closing(sqlite3.connect(db_path)) as conn, conn:
+        conn.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", ((i, f"value {i}") for i in range(20_000)))
+    catalog = catalog_from_sqlite(db_path, "wide")
+    questions = [ExampleItem(f"q{i}", f"List the values of part {i}.", None, "wide") for i in range(4)]
+    # four keys of one candidate each: a tie, so every statement runs
+    large = ["SELECT a, b FROM t", "SELECT b FROM t", "SELECT a FROM t", "SELECT a, b FROM t WHERE a % 7"]
+    arms = [ModelArm("m", PromptDesignId.CONCISE, samples=len(large))]
+    gateway = _scripted_gateway(
+        {_render_hashes(question, catalog, arms)[PromptDesignId.CONCISE]: large for question in questions}
+    )
+    counts = _threads_fetching_or_keying(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads holding the interpreter lock hand it over far more often
+    try:
+        results = _on_threads(lambda i: run_question(questions[i], catalog, arms, seed=0, gateway=gateway)[0], 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [result.tie_broken for result in results] == [True] * 4
+    assert len(counts) == 4 * 2 * len(large)  # each statement fetched and keyed, in every pool
+    assert max(counts) == 1
+
+
+def test_long_first_steps_of_two_pools_overlap(dev_examples, singer_catalog, monkeypatch):
+    questions = [dev_examples[1], replace(dev_examples[1], question="How many singers are there, in all?")]
+    arms = [ModelArm("m", PromptDesignId.CONCISE, samples=1)]
+    gateway = _scripted_gateway(
+        {_render_hashes(question, singer_catalog, arms)[PromptDesignId.CONCISE]: [_ENDLESS] for question in questions}
+    )
+    spans, held = [], []
+
+    def timed_execute(*args, **kwargs):
+        started = time.monotonic()
+        outcome = execute(*args, **kwargs)
+        spans.append((started, time.monotonic()))
+        held.append(gateway._holder == threading.get_ident())  # the turn came back before any row
+        return outcome
+
+    monkeypatch.setattr(voting, "execute", timed_execute)
+    pools = _on_threads(
+        lambda i: run_question(questions[i], singer_catalog, arms, seed=0, gateway=gateway, timeout=1.0)[1], 2
+    )
+    assert [pool.outcomes for pool in pools] == [{_ENDLESS: ErrorKind.TIMEOUT}] * 2
+    assert held == [True, True]
+    (first_start, first_end), (second_start, second_end) = sorted(spans)
+    assert first_end - first_start >= 1.0 and second_end - second_start >= 1.0
+    assert second_start < first_end - 0.5  # the second statement ran while the first one did
 
 
 # --- pool records: a warm pool replays, it does not execute -----------------------
@@ -864,6 +982,35 @@ def test_recorded_timeout_replays(dev_examples, singer_catalog, tmp_path, monkey
     cold, warm = (pool.candidates[0].outcome for pool in pools)
     assert warm is cold is ErrorKind.TIMEOUT
     assert pools[1] == pools[0]
+
+
+def test_replay_encodes_nothing_and_an_audit_rewrites_a_stopped_record(
+    dev_examples, singer_catalog, tmp_path, monkeypatch
+):
+    example, count = dev_examples[1], "SELECT count(*) FROM song"
+    arms = [ModelArm("m", PromptDesignId.CONCISE, samples=4)]
+    hashes = _render_hashes(example, singer_catalog, arms)
+    completions = {hashes[PromptDesignId.CONCISE]: [count, count, count, "SELECT Name FROM singer"]}
+    encodes, encode = [], voting._encode_pool
+    monkeypatch.setattr(voting, "_encode_pool", lambda *args: encodes.append(args) or encode(*args))
+    calls = _counting_execute(monkeypatch)
+
+    def pool(audit):
+        gateway = _scripted_gateway(completions, tmp_path / "cache")
+        return build_pool(example, singer_catalog, arms, seed=0, gateway=gateway, audit=audit)
+
+    def not_run():
+        [record] = _records(tmp_path / "cache")
+        return [sql for sql, value in json.loads(record.read_bytes())[0].items() if value is None]
+
+    stopped = pool(audit=False)
+    assert (len(calls), len(encodes), not_run()) == (1, 1, ["SELECT Name FROM singer"])
+    assert pool(audit=False) == stopped
+    assert (len(calls), len(encodes)) == (1, 1)  # replayed whole: no statement ran, nothing was encoded
+    audited = pool(audit=True)
+    assert (len(calls), len(encodes), not_run()) == (2, 2, [])  # the audit ran the rest and rewrote the record
+    assert pool(audit=True) == audited
+    assert (len(calls), len(encodes)) == (2, 2)
 
 
 def test_no_record_without_a_cache_dir(dev_examples, singer_catalog, monkeypatch):
