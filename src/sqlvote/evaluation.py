@@ -4,25 +4,29 @@ EX compares canonical execution outcomes of predicted and gold SQL on the
 original database. TS re-runs the comparison on randomly generated databases
 that share the schema and keys. The generator here is a schema-respecting
 fuzzer, not the distilled suites of the published benchmark tooling, so all
-reports label the metric "TS (simplified)".
+reports label the metric "TS (simplified)". Columns compare in order: a
+result's key lists each row's values in column order, so `SELECT a, b` and
+`SELECT b, a` never match (and split a vote), where the published
+evaluator's `result_eq` accepts a permutation of the columns.
 
-`evaluate_file` and `ts_match` score through one path, one database at a
-time. Its `Memo` holds one read-only connection per file (the original and
-each suite), runs each (statement, file, gold order flag) once and keeps its
-canonical key or error outcome, never its rows, and keeps the suites built
-so far; it lives while its database is scored, because the next run
-rewrites suite files at the same paths. Suite cells come from one draw fixed
-per column. TS reaches the suites in index order: suite k is generated and
-opened the first time it is reached, and the database's observed values are
-read when its first suite is; a suite no score reaches is never written, and
-a file an earlier run left for it is neither read nor rewritten. A
-prediction whose text is its gold's takes its EX as its TS without running
-on any suite: the memo already gives it the gold's outcome on every file.
-Scores and suite bytes are those of generating every suite up front. Each
-report record gives the `reason` for its score, read from the memo: None on
-a match, "gold_error", "pred_error:<kind>" (the pred fails on the original
-database; an ErrorKind value), "differs:original", or "differs:suite<k>" (k
-is the 1-based index of the first suite on which the pred fails or differs).
+`_score` decides one question for `evaluate_file` and `ts_match` alike, in
+one walk over its files: the original database, then, with a spec, the
+suites in index order, until the first miss. A prediction whose text is its
+gold's shares the gold's outcome on every file, so it reaches no suite. The
+walk gives EX, TS and the `reason`: None on a match, "gold_error" (the gold
+fails on the original database), "pred_error:<kind>" (the pred fails there;
+an ErrorKind value), "differs:original", or "differs:suite<k>" (k is the
+1-based index of the first suite on which the pred fails or differs; a suite
+on which the gold fails is skipped). Its `Memo` holds one read-only
+connection per file, runs each (statement, file, gold order flag) once and
+keeps its canonical key or error outcome, never its rows, and keeps the
+suites built so far; it lives while its database is scored, because the next
+run rewrites suite files at the same paths. Suite k is generated and opened
+the first time a walk reaches it, and the database's observed values are
+read when its first suite is; a suite no walk reaches is never written, and
+a file an earlier run left for it is neither read nor rewritten. Suite cells
+come from one draw fixed per column. Scores and suite bytes are those of
+generating every suite up front.
 """
 
 from __future__ import annotations
@@ -152,48 +156,29 @@ def exec_match(
     return _outcome(pred_sql, catalog, sensitive, memo) == gold
 
 
-def _original_miss(pred_sql: str, gold_sql: str, catalog: DatabaseCatalog, memo: Memo) -> str:
-    """Why a pred that exec_match scored with this memo missed on `catalog`."""
-    entry = _outcome(pred_sql, catalog, memo.order_sensitive(gold_sql), memo)
-    if isinstance(entry, OutcomeKey):
-        return "differs:original"
-    return f"pred_error:{entry.error_kind.value}"
-
-
 # --- suite database generation -------------------------------------------------
 
 
 def _topological_tables(catalog: DatabaseCatalog) -> tuple[list[int], set[tuple]]:
-    """Parent-first table order; returns (order, dropped fk edges)."""
-    n = len(catalog.tables)
-    parents: dict[int, set[int]] = {t: set() for t in range(n)}
+    """Parent-first table order, and the foreign keys it leaves unenforced.
+
+    Each round places every table whose parents are all placed, in index
+    order; when none is ready (a cycle), the smallest-index table left goes
+    alone. A key is dropped when its parent is not placed before its child,
+    so every self-reference is.
+    """
+    tables = range(len(catalog.tables))
+    parents: dict[int, set[int]] = {t: set() for t in tables}
     for (child_t, _), (parent_t, _) in catalog.foreign_keys:
         if child_t != parent_t:
             parents[child_t].add(parent_t)
-
     order: list[int] = []
-    done: set[int] = set()
-    dropped: set[tuple] = set()
-    remaining = set(range(n))
-    while remaining:
-        ready = sorted(t for t in remaining if parents[t] <= done)
-        if not ready:
-            # Cycle: release the smallest-index table, dropping its unmet edges.
-            victim = min(remaining)
-            for fk in catalog.foreign_keys:
-                (child_t, _), (parent_t, _) = fk
-                if child_t == victim and parent_t in remaining and parent_t != victim:
-                    dropped.add(fk)
-            parents[victim] = parents[victim] & done
-            ready = [victim]
-        for t in ready:
-            order.append(t)
-            done.add(t)
-            remaining.discard(t)
-    for fk in catalog.foreign_keys:  # self-references can never be populated parent-first
-        if fk[0][0] == fk[1][0]:
-            dropped.add(fk)
-    return order, dropped
+    while len(order) < len(tables):
+        placed = set(order)
+        left = [t for t in tables if t not in placed]
+        order += [t for t in left if parents[t] <= placed] or left[:1]
+    position = {t: i for i, t in enumerate(order)}
+    return order, {fk for fk in catalog.foreign_keys if position[fk[1][0]] >= position[fk[0][0]]}
 
 
 def _observed_values(catalog: DatabaseCatalog, conn: sqlite3.Connection) -> dict[tuple[int, int], list]:
@@ -239,17 +224,13 @@ def _cell_draw(rng: random.Random, col_type: ColumnType, source: list) -> Callab
     return lambda: choice(source) if coin() < _ORIGINAL_SHARE else fresh()
 
 
-def _column_ddl_type(col_type: ColumnType) -> str:
-    if col_type is ColumnType.NUMBER:
-        return "NUMERIC"
-    if col_type is ColumnType.BOOLEAN:
-        return "NUMERIC"
-    return "TEXT"
-
-
 def _create_schema(conn: sqlite3.Connection, catalog: DatabaseCatalog) -> None:
     for t, table in enumerate(catalog.tables):
-        defs = [f"{quote_identifier(col.name)} {_column_ddl_type(col.data_type)}" for col in table.columns]
+        defs = [
+            f"{quote_identifier(col.name)} "
+            + ("NUMERIC" if col.data_type in (ColumnType.NUMBER, ColumnType.BOOLEAN) else "TEXT")
+            for col in table.columns
+        ]
         pk_cols = [table.columns[c].name for (pt, c) in catalog.primary_keys if pt == t]
         if pk_cols:
             defs.append("PRIMARY KEY (" + ", ".join(quote_identifier(name) for name in pk_cols) + ")")
@@ -345,16 +326,19 @@ def generate_suite_db(
     return path
 
 
-def _suites_match(
-    pred_sql: str, gold_sql: str, catalog: DatabaseCatalog, spec: SuiteSpec, suite_dir, memo: Memo
-) -> int | None:
-    """The suite half of TS: EX on every suite whose gold statement succeeds.
-
-    Returns None when the pred matches on all of them, else the 1-based
-    index of the first suite on which it fails or differs. Suites are
-    reached in index order, and suite k is built and opened into `memo` the
-    first time it is reached, so none past the first differing one is built.
-    """
+def _score(
+    pred_sql: str, gold_sql: str, catalog: DatabaseCatalog, spec: SuiteSpec | None,
+    suite_dir: Path | str | None, memo: Memo, example_id: str | None = None,
+) -> QuestionScore:
+    """One question's score: EX on the original database (a gold failure there
+    raises GoldExecutionFailed), then TS on the suites, built into `memo` as
+    the walk first reaches each; see the module docstring."""
+    if not exec_match(pred_sql, gold_sql, catalog, example_id, memo):
+        entry = _outcome(pred_sql, catalog, memo.order_sensitive(gold_sql), memo)
+        miss = "differs:original" if isinstance(entry, OutcomeKey) else f"pred_error:{entry.error_kind.value}"
+        return QuestionScore(example_id, False, None if spec is None else False, None, miss)
+    if spec is None or pred_sql == gold_sql:
+        return QuestionScore(example_id, True, None if spec is None else True)
     for k in range(1, spec.suite_count + 1):
         if k > len(memo.suites):  # one past the suites built so far
             if not memo.suites:
@@ -364,10 +348,10 @@ def _suites_match(
             memo.conns[path] = connect_readonly(memo.suites[-1])
         try:
             if not exec_match(pred_sql, gold_sql, memo.suites[k - 1], memo=memo):
-                return k
+                return QuestionScore(example_id, True, False, None, f"differs:suite{k}")
         except GoldExecutionFailed:
             continue
-    return None
+    return QuestionScore(example_id, True, True)
 
 
 @contextmanager
@@ -389,16 +373,10 @@ def ts_match(
     spec: SuiteSpec,
     suite_dir: Path | str | None = None,
 ) -> bool:
-    """TS of one question, scored as `evaluate_file` scores it: EX on the
-    original database, then EX on each suite in order until the first miss.
-
-    A gold statement failing on a fuzzed suite skips that suite; failing on
-    the original raises as in exec_match.
-    """
+    """TS of one question, scored as `evaluate_file` scores it; a gold failing
+    on the original database raises as in exec_match."""
     with _database_memo(catalog) as memo:
-        if not exec_match(pred_sql, gold_sql, catalog, memo=memo):
-            return False
-        return pred_sql == gold_sql or _suites_match(pred_sql, gold_sql, catalog, spec, suite_dir, memo) is None
+        return _score(pred_sql, gold_sql, catalog, spec, suite_dir, memo).ts
 
 
 # --- file-level evaluation -----------------------------------------------------
@@ -457,19 +435,9 @@ def evaluate_file(
                 example_id = examples[position].example_id
                 pred_sql, gold_sql = predictions[example_id], examples[position].gold_sql or ""
                 try:
-                    ex = exec_match(pred_sql, gold_sql, catalog, example_id, memo)
+                    scores[position] = _score(pred_sql, gold_sql, catalog, spec, suite_dir, memo, example_id)
                 except GoldExecutionFailed as failure:
                     scores[position] = QuestionScore(example_id, False, None, str(failure), "gold_error")
-                    continue
-                reason = None if ex else _original_miss(pred_sql, gold_sql, catalog, memo)
-                ts = None if spec is None else ex
-                # TS includes EX, so only the suites are left; the gold's own text
-                # shares the gold's memo entry on every suite, so it needs none
-                if ts and pred_sql != gold_sql:
-                    suite = _suites_match(pred_sql, gold_sql, catalog, spec, suite_dir, memo)
-                    ts = suite is None
-                    reason = None if ts else f"differs:suite{suite}"
-                scores[position] = QuestionScore(example_id, ex, ts, None, reason)
 
     per_question = [scores[position] for position in range(len(examples))]
     scored = [q for q in per_question if q.gold_error is None]

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sqlite3
 import threading
 import time
@@ -62,6 +63,14 @@ _DIGEST_DIR = "databases"  # under the cache directory: one digest record per da
 _DIGEST_FORMAT = "sqlvote-db-digest-1"  # a record: [format, *execution.db_signature, sha256]
 _SETTLE_NS = 2 * 10**9  # only a file unchanged this long before hashing gets a digest record
 _TEXT_DIR = "texts"  # under the cache directory: one file per distinct completion text, named by its SHA-256
+_HASH = "[0-9a-f]{64}"
+# What the cache writes, by path under its directory: a completion entry (flat, or
+# nested as earlier versions wrote it), a pool, digest or text file, and their temp names.
+_CACHE_FILE = re.compile(
+    rf"(?:(?P<entry>[^/]+/{_HASH}(?:_[^_/]+_-?[0-9]+_|/[^/]+/[^/]+/)[0-9]+\.txt)"
+    rf"|(?:{_POOL_DIR}|{_DIGEST_DIR})/{_HASH}\.json|{_TEXT_DIR}/{_HASH})"
+    rf"(?P<temp>\.[0-9a-f]{{32}}{re.escape(_TEMP_SUFFIX)})?"
+)
 
 
 @dataclass(frozen=True)
@@ -408,37 +417,35 @@ def _link_entries(text: str, paths: list[str], data: bytes) -> None:
             _publish(path, data)
 
 
+def _cache_files(root: Path) -> list[tuple[Path, bool]]:
+    """Each file under `root` named as the cache names its files, and whether it is a completion entry."""
+    found = []
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = Path(directory, name)
+            if match := _CACHE_FILE.fullmatch(path.relative_to(root).as_posix()):
+                found.append((path, bool(match["entry"]) and not match["temp"]))
+    return found
+
+
 def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
     """(entry count, total bytes) over all completion entries; each entry counts its size, linked or not."""
-    entries = 0
-    total = 0
-    root = Path(cache_dir)
-    if root.is_dir():
-        for path in root.rglob("*.txt"):
-            entries += 1
-            total += path.stat().st_size
-    return entries, total
+    sizes = [path.stat().st_size for path, entry in _cache_files(Path(cache_dir)) if entry]
+    return len(sizes), sum(sizes)
 
 
 def cache_clear(cache_dir: Path | str) -> int:
-    """Remove all completion entries and texts, pool and digest records, and stray temp files.
-
-    Returns how many completion entries were deleted.
-    """
-    removed = 0
+    """Remove the files the cache writes, a killed writer's temp files included, then the directories
+    that leaves empty; nothing else. Returns how many completion entries were deleted."""
     root = Path(cache_dir)
-    if not root.is_dir():
-        return 0
-    for path in sorted(root.rglob("*.txt"), reverse=True):
+    files = _cache_files(root)
+    emptied: set[Path] = set()
+    for path, _ in files:
         path.unlink()
-        removed += 1
-    for path in [p for d in (_POOL_DIR, _DIGEST_DIR, _TEXT_DIR) for p in (root / d).glob("*")]:
-        path.unlink()
-    for path in list(root.rglob("*" + _TEMP_SUFFIX)):  # left by a writer that was killed
-        path.unlink()
-    for path in sorted((p for p in root.rglob("*") if p.is_dir()), reverse=True):
+        emptied.update(path.relative_to(root).parents[:-1])
+    for directory in sorted(emptied, key=lambda d: len(d.parts), reverse=True):
         try:
-            path.rmdir()
-        except OSError:
+            (root / directory).rmdir()
+        except OSError:  # it still holds a file the cache did not write
             pass
-    return removed
+    return sum(entry for _, entry in files)

@@ -254,6 +254,45 @@ def is_order_sensitive(sql: str) -> bool:
     return re.search(r"\border\s+by\b", "".join(top), re.IGNORECASE) is not None
 
 
+# --- reference suite table order ----------------------------------------------------
+# The loop `sqlvote.evaluation._topological_tables` replaced with rounds of ready
+# tables and dropped keys read off the final order: it tracks the keys it drops
+# as it releases each table of a cycle.
+
+
+def topological_tables(catalog) -> tuple[list[int], set[tuple]]:
+    """Parent-first table order; returns (order, dropped fk edges)."""
+    n = len(catalog.tables)
+    parents: dict[int, set[int]] = {t: set() for t in range(n)}
+    for (child_t, _), (parent_t, _) in catalog.foreign_keys:
+        if child_t != parent_t:
+            parents[child_t].add(parent_t)
+
+    order: list[int] = []
+    done: set[int] = set()
+    dropped: set[tuple] = set()
+    remaining = set(range(n))
+    while remaining:
+        ready = sorted(t for t in remaining if parents[t] <= done)
+        if not ready:
+            # Cycle: release the smallest-index table, dropping its unmet edges.
+            victim = min(remaining)
+            for fk in catalog.foreign_keys:
+                (child_t, _), (parent_t, _) = fk
+                if child_t == victim and parent_t in remaining and parent_t != victim:
+                    dropped.add(fk)
+            parents[victim] = parents[victim] & done
+            ready = [victim]
+        for t in ready:
+            order.append(t)
+            done.add(t)
+            remaining.discard(t)
+    for fk in catalog.foreign_keys:  # self-references can never be populated parent-first
+        if fk[0][0] == fk[1][0]:
+            dropped.add(fk)
+    return order, dropped
+
+
 # --- reference suite rows ----------------------------------------------------------
 # The per-cell row loop that `sqlvote.evaluation.generate_suite_db` replaced
 # with a draw fixed per column: every cell re-reads its column's kind and, for
@@ -336,8 +375,8 @@ def suite_rows(catalog, spec, suite_index: int, observed: dict, order: list[int]
 
 # --- eager test-suite references ---------------------------------------------------
 # Every suite built up front, each on its own: `sqlvote.evaluation` must give
-# the same suite bytes and the same TS while it builds a suite only when a
-# score first reaches it.
+# the same suite bytes, the same TS and the same reason while it builds a
+# suite only when a score first reaches it.
 
 
 def suite_db(catalog, spec, k: int, out_dir):
@@ -347,20 +386,25 @@ def suite_db(catalog, spec, k: int, out_dir):
     return evaluation.generate_suite_db(catalog, spec, k, out_dir, observed=observed)
 
 
-def ts_match(pred_sql: str, gold_sql: str, catalog, spec, suite_dir) -> bool:
-    """EX on the original database, then on every suite, all built up front.
+def first_miss(pred_sql: str, gold_sql: str, catalog, spec, suite_dir) -> str | None:
+    """EX on the original database, then on every suite, all built up front; None when
+    TS holds, else the reason of the first miss.
 
-    A gold failing on a suite skips that suite; failing on the original raises.
+    A miss on the original is "pred_error:<kind>" when the pred fails there,
+    run again on its own, and "differs:original" otherwise; on a suite it is
+    "differs:suite<k>". A gold failing on a suite skips that suite; failing
+    on the original raises.
     """
     if not evaluation.exec_match(pred_sql, gold_sql, catalog):
-        return False
+        outcome = execution.execute(pred_sql, catalog, evaluation.TIMEOUT)
+        return "differs:original" if outcome.is_success else f"pred_error:{outcome.error_kind.value}"
     suites = [
         replace(catalog, db_path=suite_db(catalog, spec, k, suite_dir)) for k in range(1, spec.suite_count + 1)
     ]
-    for suite in suites:
+    for k, suite in enumerate(suites, 1):
         try:
             if not evaluation.exec_match(pred_sql, gold_sql, suite):
-                return False
+                return f"differs:suite{k}"
         except GoldExecutionFailed:
             continue
-    return True
+    return None

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import itertools
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -905,6 +906,43 @@ def test_cache_clear_removes_pool_records_and_texts(mini_run, short_settle, caps
     assert main(["cache", "clear", "--dir", str(cache_dir)]) == 0
     assert capsys.readouterr().out.endswith("cleared 30 entries\n")
     assert list(cache_dir.iterdir()) == []
+
+
+def test_cache_clear_leaves_files_the_cache_did_not_write(mini_run, short_settle, capsys):
+    fixture_root, work, config_path = mini_run
+    cache_dir = work / "cache"
+    short_settle()
+    assert main(["predict", "--config", str(config_path)]) == 0
+    entry = next(cache_dir.glob("*/*.txt"))
+    stray = entry.with_name(f"{entry.name}.{'0' * 32}.tmp")  # a temp name a killed writer left
+    stray.write_text("SEL", encoding="utf-8")
+    foreign = ["requirements.txt", "notes/deep/todo.txt", "notes/build.tmp", "pools/mine.csv",
+               f"texts/{'0' * 64}.txt", f"{entry.parent.name}/readme.txt"]
+    for name in foreign:
+        (cache_dir / name).parent.mkdir(parents=True, exist_ok=True)
+        (cache_dir / name).write_text("mine", encoding="utf-8")
+    (cache_dir / "empty").mkdir()
+    capsys.readouterr()
+    assert main(["cache", "stats", "--dir", str(cache_dir)]) == 0
+    assert capsys.readouterr().out.startswith("entries: 30\n")
+    assert main(["cache", "clear", "--dir", str(cache_dir)]) == 0
+    assert capsys.readouterr().out.endswith("cleared 30 entries\n")
+    left = sorted(p.relative_to(cache_dir).as_posix() for p in cache_dir.rglob("*") if p.is_file())
+    assert left == sorted(foreign)
+    assert (cache_dir / "empty").is_dir() and not stray.exists()
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+        {"empty", "notes", "pools", "requirements.txt", "texts", entry.parent.name}
+    )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "sqlvote", "cache", "stats", "--dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("entries: 0\n")
 
 
 # --- fan_out: workers take turns on Python and overlap only blocking calls ---------

@@ -535,10 +535,13 @@ def test_memo_scores_like_unmemoized_calls(fixture_root, singer_catalog, tmp_pat
             try:
                 ex = exec_match(pred, gold, singer_catalog, f"{i:06d}")
             except GoldExecutionFailed as failure:
-                assert (score.ex, score.ts, score.gold_error) == (False, None, str(failure))
+                assert (score.ex, score.ts, score.gold_error, score.reason) == (
+                    False, None, str(failure), "gold_error"
+                )
                 continue
-            ts = oracles.ts_match(pred, gold, singer_catalog, spec, work / "plain")
-            assert (score.ex, score.ts, score.gold_error) == (ex, ts, None)
+            miss = oracles.first_miss(pred, gold, singer_catalog, spec, work / "plain")
+            ts = miss is None
+            assert (score.ex, score.ts, score.gold_error, score.reason) == (ex, ts, None, miss)
             assert ts_match(pred, gold, singer_catalog, spec, work / "one") == ts
 
 
@@ -726,9 +729,29 @@ def test_suite_rows_equal_per_cell_reference(tmp_path_factory, case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sqlite3, "connect", lambda *a, **k: connect(*a, factory=Recording, **k))
         generate_suite_db(catalog, spec, index, out_dir, observed=observed)
-    order, dropped = evaluation._topological_tables(catalog)
+    order, dropped = oracles.topological_tables(catalog)
     expected = oracles.suite_rows(catalog, spec, index, observed, order, dropped)
     assert repr(inserted) == repr(expected)
+
+
+@st.composite
+def _key_graphs(draw):
+    """(tables as kind lists, foreign keys): 1-7 tables, keys drawn with repeats, self-references and cycles."""
+    tables = draw(st.lists(st.lists(st.just(ColumnType.NUMBER), min_size=1, max_size=2), min_size=1, max_size=7))
+    refs = st.sampled_from([(t, c) for t, kinds in enumerate(tables) for c in range(len(kinds))])
+    keys = draw(st.lists(st.tuples(refs, refs), max_size=12))
+    repeats = draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else []
+    return tables, keys + repeats
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_graphs())
+@example(([[ColumnType.NUMBER]] * 3, [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (0, 0)), ((1, 0), (1, 0))]))
+@example(([[ColumnType.NUMBER]] * 4, [((0, 0), (3, 0)), ((1, 0), (2, 0)), ((2, 0), (1, 0)), ((0, 0), (3, 0))]))
+def test_table_order_equals_the_tracking_reference(graph):
+    tables, keys = graph
+    catalog = _fuzz_catalog(tables, [], keys, None)
+    assert evaluation._topological_tables(catalog) == oracles.topological_tables(catalog)
 
 
 # --- one database at a time: connections, order flags -----------------------------

@@ -177,7 +177,7 @@ def test_cache_stats_and_clear(tmp_path):
     gateway.register_backend("scripted-a", _scripted_for(prompt, ["SELECT 1", "SELECT 2"]))
     gateway.sample(_arm(samples=2), prompt, seed=0)
     entry = _entry(tmp_path, prompt, 0, 0)
-    (entry.parent / "1.tmp").write_text("SEL", encoding="utf-8")  # left by a killed writer
+    entry.with_name(f"{entry.name}.{'0' * 32}.tmp").write_text("SEL", encoding="utf-8")  # left by a killed writer
     (tmp_path / "databases").mkdir()
     (tmp_path / "databases" / f"{'0' * 64}.json").write_text('["tag", 1, 2, 3, 4, 5, "d"]', encoding="utf-8")
     assert cache_stats(tmp_path) == (2, len("SELECT 1") + len("SELECT 2"))  # completions only

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from sqlvote import gateway as gateway_module
 from sqlvote import execution, voting
 from sqlvote.catalog import ExampleItem, catalog_from_sqlite
+from sqlvote.evaluation import exec_match
 from sqlvote.execution import ErrorKind, ExecutionOutcome, OutcomeKey, canonical_key, execute
 from sqlvote.gateway import Gateway, ModelArm, ScriptedBackend
 from sqlvote.prompts import PromptDesignId
@@ -108,6 +109,18 @@ def test_tallies_plus_errors_equals_total():
     result = select_by_consistency(pool)
     assert result.filtered_error_count + sum(result.tallies.values()) == result.total_candidates == 5
     assert result.tallies[result.winning_key] == max(result.tallies.values())
+
+
+def test_columns_compare_in_order(singer_catalog):
+    """A result's key lists each row's values in column order, so a column swap never
+    matches and splits the vote; the published evaluator's `result_eq` would accept it."""
+    straight, swapped = "SELECT Name, Citizenship FROM singer", "SELECT Citizenship, Name FROM singer"
+    assert not exec_match(swapped, straight, singer_catalog)
+    slots = (straight, swapped, straight, swapped)
+    outcomes = {sql: _reduced(execute(sql, singer_catalog)) for sql in slots}
+    result = select_by_consistency(CandidatePool(slots, outcomes, _one_arm(slots)))
+    assert sorted(result.tallies.values()) == [2, 2]
+    assert (result.selected_sql, result.tie_broken) == (straight, True)
 
 
 def _random_outcome(rng, n_keys):
